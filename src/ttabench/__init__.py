@@ -1,191 +1,7 @@
-"""Test-time adaptation toolkit and benchmark harness for CTC speech models."""
+"""Test-time adaptation toolkit and benchmark harness for CTC speech models.
 
-from .analysis import (
-    CorrelationResult,
-    GainCorrelation,
-    GaussianSummary,
-    HbDecision,
-    Projection2d,
-    bhattacharyya_distance,
-    correlate_gains,
-    gaussian_summary,
-    holm_bonferroni,
-    project_2d,
-    read_projection_output,
-    spearman,
-    within_speaker_variance,
-    write_correlations_csv,
-    write_projection_input,
-)
-from .corpus import (
-    CorpusManifest,
-    DurationStats,
-    EmsEnergy,
-    EnergyVad,
-    FeatureMatrix,
-    SegmentLabel,
-    SegmentList,
-    Split,
-    Utterance,
-    Waveform,
-    compute_mfcc,
-    detect_nonspeech,
-    duration_stats,
-    ems_energy,
-    filter_max_duration,
-    load_manifest,
-    read_audio,
-    save_manifest,
-    word_duration,
-    write_wav,
-)
-from .engine import (
-    AdaptationConfig,
-    AdaptationMethod,
-    AdaptationMode,
-    AdaptationTrace,
-    ExperimentResult,
-    RunWriter,
-    SpeakerRunResult,
-    UtteranceRecord,
-    adapt_speaker,
-    adapt_utterance,
-    read_run_config,
-    read_run_records,
-    run_experiment,
-    speaker_wers_from_records,
-)
-from .errors import TtaBenchError
-from .evaluation import (
-    DeltaRow,
-    Direction,
-    PairedTestResult,
-    SpeakerReport,
-    WerCount,
-    build_delta_table,
-    format_delta_table,
-    normalize_text,
-    rank_speakers_by_baseline,
-    speaker_wer,
-    unweighted_mean_wer,
-    wer,
-    wilcoxon_signed_rank,
-    write_delta_table_csv,
-    write_speaker_gains_csv,
-)
-from .model import (
-    AdaptableModel,
-    LogitMatrix,
-    ModelSnapshot,
-    ReferenceModel,
-    Vocabulary,
-    build_reference_model,
-    checkpoint_fingerprint,
-    default_vocabulary,
-    greedy_ctc_decode,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .objectives import (
-    ProbMatrix,
-    TtaLossValue,
-    entropy_loss,
-    make_loss_functional,
-    mcc_loss,
-    negative_sampling_loss,
-    renyi_entropy_loss,
-    sgem_loss,
-    softmax_temperature,
-    suta_loss,
-)
+Import names from the module that defines them, e.g.
+``from ttabench.engine.runner import run_experiment``.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdaptableModel",
-    "AdaptationConfig",
-    "AdaptationMethod",
-    "AdaptationMode",
-    "AdaptationTrace",
-    "CorpusManifest",
-    "CorrelationResult",
-    "DeltaRow",
-    "Direction",
-    "DurationStats",
-    "EmsEnergy",
-    "EnergyVad",
-    "ExperimentResult",
-    "FeatureMatrix",
-    "GainCorrelation",
-    "GaussianSummary",
-    "HbDecision",
-    "LogitMatrix",
-    "ModelSnapshot",
-    "PairedTestResult",
-    "ProbMatrix",
-    "Projection2d",
-    "ReferenceModel",
-    "RunWriter",
-    "SegmentLabel",
-    "SegmentList",
-    "SpeakerReport",
-    "SpeakerRunResult",
-    "Split",
-    "TtaBenchError",
-    "TtaLossValue",
-    "Utterance",
-    "UtteranceRecord",
-    "Vocabulary",
-    "Waveform",
-    "WerCount",
-    "adapt_speaker",
-    "adapt_utterance",
-    "bhattacharyya_distance",
-    "build_delta_table",
-    "build_reference_model",
-    "checkpoint_fingerprint",
-    "compute_mfcc",
-    "correlate_gains",
-    "default_vocabulary",
-    "detect_nonspeech",
-    "duration_stats",
-    "ems_energy",
-    "entropy_loss",
-    "filter_max_duration",
-    "format_delta_table",
-    "gaussian_summary",
-    "greedy_ctc_decode",
-    "holm_bonferroni",
-    "load_checkpoint",
-    "load_manifest",
-    "make_loss_functional",
-    "mcc_loss",
-    "negative_sampling_loss",
-    "normalize_text",
-    "project_2d",
-    "rank_speakers_by_baseline",
-    "read_audio",
-    "read_projection_output",
-    "read_run_config",
-    "read_run_records",
-    "renyi_entropy_loss",
-    "run_experiment",
-    "save_checkpoint",
-    "save_manifest",
-    "sgem_loss",
-    "softmax_temperature",
-    "speaker_wer",
-    "speaker_wers_from_records",
-    "spearman",
-    "suta_loss",
-    "unweighted_mean_wer",
-    "wer",
-    "wilcoxon_signed_rank",
-    "within_speaker_variance",
-    "word_duration",
-    "write_correlations_csv",
-    "write_delta_table_csv",
-    "write_projection_input",
-    "write_speaker_gains_csv",
-    "write_wav",
-]

@@ -21,6 +21,7 @@ from .errors import (
     TooFewPointsError,
     ZeroVarianceError,
 )
+from .evaluation import midranks
 
 _RIDGE = 1e-6
 
@@ -152,20 +153,6 @@ class CorrelationResult:
     method: str
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     xc = x - x.mean()
     yc = y - y.mean()
@@ -200,8 +187,8 @@ def spearman(
     n = len(x)
     if n < 3:
         raise TooFewPointsError(f"need at least 3 pairs, got {n}")
-    rx = _midranks(x)
-    ry = _midranks(y)
+    rx = midranks(x)
+    ry = midranks(y)
     r = _pearson(rx, ry)
 
     if method == "t":
@@ -316,13 +303,16 @@ def correlate_gains(
     ]
 
 
-def write_correlations_csv(
-    rows: Sequence[GainCorrelation], path: Path, setting: str = "default"
-) -> None:
+def write_correlations_csv(rows: Sequence[tuple[str, GainCorrelation]], path: Path) -> None:
+    """One CSV row per (label, correlation) pair, in the given order.
+
+    The label fills the first (``setting``) column; ``report`` passes the
+    adapted method's name there.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["setting", "feature", "r", "raw_p", "adjusted_p", "reject"])
-        for row in rows:
+        for label, row in rows:
             writer.writerow(
-                [setting, row.metric, repr(row.r), repr(row.p_value), repr(row.adjusted_p), row.reject]
+                [label, row.metric, repr(row.r), repr(row.p_value), repr(row.adjusted_p), row.reject]
             )

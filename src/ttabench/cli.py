@@ -28,6 +28,7 @@ from .analysis import (
     gaussian_summary,
     project_2d,
     within_speaker_variance,
+    write_correlations_csv,
     write_projection_input,
 )
 from .corpus.audio import read_audio
@@ -107,9 +108,6 @@ class RunConfig:
     adaptation: AdaptationConfig
     methods: tuple[str, ...] = ("suta",)
     workers: int = 1
-    analyze_ems: bool = True
-    analyze_word_duration: bool = True
-    analyze_distances: bool = True
 
     def __post_init__(self) -> None:
         if not self.methods:
@@ -131,6 +129,18 @@ class RunConfig:
             raise ConfigError(f"output directory not writable: {out}")
 
 
+# the keys an ``adapt --config`` file may hold, with the JSON type of each
+_CONFIG_FILE_KEYS = {
+    "adaptation": dict,
+    "seed": int,
+    "methods": list,
+    "manifest_path": str,
+    "checkpoint_ref": str,
+    "output_dir": str,
+    "workers": int,
+}
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -143,6 +153,15 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
+    unknown = sorted(set(data) - set(_CONFIG_FILE_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}; known: {sorted(_CONFIG_FILE_KEYS)}")
+    for key, value in data.items():
+        kind = _CONFIG_FILE_KEYS[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(
+                f"config key {key!r} must be {kind.__name__}, got {type(value).__name__}"
+            )
     return data
 
 
@@ -238,10 +257,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         output_dir=str(output_dir),
         adaptation=adaptation,
         methods=tuple(methods),
-        workers=args.workers if args.workers is not None else int(file_cfg.get("workers", 1)),
-        analyze_ems=bool(file_cfg.get("analyze_ems", True)),
-        analyze_word_duration=bool(file_cfg.get("analyze_word_duration", True)),
-        analyze_distances=bool(file_cfg.get("analyze_distances", True)),
+        workers=args.workers if args.workers is not None else file_cfg.get("workers", 1),
     )
 
 
@@ -290,8 +306,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     records = read_run_records(Path(args.run))
     config = read_run_config(Path(args.run))
     by_speaker = speaker_wers_from_records(records)
-    if not by_speaker:
-        raise EvaluationError("run contains no scoreable utterances")
     mean = unweighted_mean_wer(list(by_speaker.values()))
     print(f"method={config.method.value} speakers={len(by_speaker)} mean_speaker_wer={mean:.4f}")
     for speaker_id, value in by_speaker.items():
@@ -484,20 +498,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             )
             corr_rows.extend((method, row) for row in rows)
         corr_path = out_dir / "correlations.csv"
-        with open(corr_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["setting", "feature", "r", "raw_p", "adjusted_p", "reject"])
-            for method, row in corr_rows:
-                writer.writerow(
-                    [
-                        method,
-                        row.metric,
-                        repr(row.r),
-                        repr(row.p_value),
-                        repr(row.adjusted_p),
-                        row.reject,
-                    ]
-                )
+        write_correlations_csv(corr_rows, corr_path)
         inventory[corr_path.name] = sha256_file(corr_path)
         print(f"wrote {corr_path}")
 

@@ -1,51 +1,1 @@
 """Corpus ingestion, audio reading, acoustic features, and VAD."""
-
-from .audio import CANONICAL_RATE_HZ, Waveform, read_audio, write_wav
-from .features import FeatureMatrix, compute_mfcc, feature_csv_header, write_feature_rows
-from .manifest import (
-    CorpusManifest,
-    DurationStats,
-    Split,
-    Utterance,
-    duration_stats,
-    filter_max_duration,
-    load_manifest,
-    save_manifest,
-    word_duration,
-)
-from .vad import (
-    EmsEnergy,
-    EnergyVad,
-    SegmentLabel,
-    SegmentList,
-    VadProvider,
-    detect_nonspeech,
-    ems_energy,
-)
-
-__all__ = [
-    "CANONICAL_RATE_HZ",
-    "CorpusManifest",
-    "DurationStats",
-    "EmsEnergy",
-    "EnergyVad",
-    "FeatureMatrix",
-    "SegmentLabel",
-    "SegmentList",
-    "Split",
-    "Utterance",
-    "VadProvider",
-    "Waveform",
-    "compute_mfcc",
-    "detect_nonspeech",
-    "duration_stats",
-    "ems_energy",
-    "feature_csv_header",
-    "filter_max_duration",
-    "load_manifest",
-    "read_audio",
-    "save_manifest",
-    "word_duration",
-    "write_feature_rows",
-    "write_wav",
-]

@@ -6,7 +6,6 @@ so identical audio always yields bitwise-identical features.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,13 +108,3 @@ def compute_mfcc(
     energies = np.log(np.maximum(power @ fb.T, LOG_FLOOR))
     coeffs = dct(energies, type=2, axis=1, norm="ortho")[:, :n_coeffs]
     return FeatureMatrix(frames=coeffs, frame_hop_s=frame_hop_s, feature_kind="mfcc")
-
-
-def write_feature_rows(writer: "csv._writer", utterance_id: str, fm: FeatureMatrix) -> None:
-    """Append one utterance's frames to an open feature-dump CSV writer."""
-    for t in range(fm.n_frames):
-        writer.writerow([utterance_id, t, *(repr(v) for v in fm.frames[t])])
-
-
-def feature_csv_header(dim: int) -> list[str]:
-    return ["utterance_id", "frame_index", *(f"c{i}" for i in range(dim))]

@@ -42,9 +42,6 @@ class SegmentList:
                 raise ValueError("segments must not start before 0")
             prev_end = end
 
-    def total_s(self) -> float:
-        return sum(end - start for start, end in self.segments)
-
     def __len__(self) -> int:
         return len(self.segments)
 

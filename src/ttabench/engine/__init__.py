@@ -1,60 +1,1 @@
-from .artifacts import (
-    RunWriter,
-    canonical_json,
-    read_run_config,
-    read_run_records,
-    record_from_dict,
-    record_to_dict,
-    sha256_file,
-    speaker_wers_from_records,
-)
-from .config import (
-    AdaptationConfig,
-    AdaptationMethod,
-    AdaptationMode,
-    OptimizerKind,
-    resolve_config,
-)
-from .optim import Adam, Optimizer, Sgd, build_optimizer
-from .runner import (
-    AdaptationTrace,
-    ExperimentResult,
-    SpeakerRunResult,
-    StepRecord,
-    UtteranceRecord,
-    adapt_speaker,
-    adapt_utterance,
-    default_audio_loader,
-    run_experiment,
-    split_waveform,
-)
-
-__all__ = [
-    "Adam",
-    "AdaptationConfig",
-    "AdaptationMethod",
-    "AdaptationMode",
-    "AdaptationTrace",
-    "ExperimentResult",
-    "Optimizer",
-    "OptimizerKind",
-    "RunWriter",
-    "Sgd",
-    "SpeakerRunResult",
-    "StepRecord",
-    "UtteranceRecord",
-    "adapt_speaker",
-    "adapt_utterance",
-    "build_optimizer",
-    "canonical_json",
-    "default_audio_loader",
-    "read_run_config",
-    "read_run_records",
-    "record_from_dict",
-    "record_to_dict",
-    "resolve_config",
-    "run_experiment",
-    "sha256_file",
-    "speaker_wers_from_records",
-    "split_waveform",
-]
+"""Adaptation engine: run configuration, optimizers, runners, and run artifacts."""

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from ..errors import ConfigError
-from ..evaluation import WerCount
+from ..evaluation import WerCount, speaker_wer
 from .config import AdaptationConfig
 from .runner import AdaptationTrace, ExperimentResult, SpeakerRunResult, StepRecord, UtteranceRecord
 
@@ -127,19 +127,12 @@ class RunWriter:
             rows_path = marker.with_suffix(".jsonl")
             if not rows_path.exists():
                 continue
-            records = tuple(
-                record_from_dict(json.loads(line))
-                for line in rows_path.read_text(encoding="utf-8").splitlines()
-                if line
-            )
-            counts = [r.count for r in records if r.count is not None]
-            pooled = None
-            if counts:
-                errors = sum(c.errors for c in counts)
-                words = sum(c.reference_words for c in counts)
-                pooled = errors / words if words else None
+            records = tuple(_read_records(rows_path))
             done[speaker_id] = SpeakerRunResult(
-                speaker_id=speaker_id, records=records, wer=pooled, wall_time_s=0.0
+                speaker_id=speaker_id,
+                records=records,
+                wer=speaker_wers_from_records(records).get(speaker_id),
+                wall_time_s=0.0,
             )
         return done
 
@@ -194,6 +187,11 @@ def read_run_records(run_dir: Path) -> list[UtteranceRecord]:
     path = Path(run_dir) / RESULTS_NAME
     if not path.exists():
         raise ConfigError(f"{path} does not exist; run has not finished")
+    return _read_records(path)
+
+
+def _read_records(path: Path) -> list[UtteranceRecord]:
+    """Parse a JSONL file of ``record_to_dict`` lines."""
     return [
         record_from_dict(json.loads(line))
         for line in path.read_text(encoding="utf-8").splitlines()
@@ -202,12 +200,9 @@ def read_run_records(run_dir: Path) -> list[UtteranceRecord]:
 
 
 def speaker_wers_from_records(records: Iterable[UtteranceRecord]) -> dict[str, float]:
-    """Pooled per-speaker WER (speaker error mass over speaker word mass)."""
-    errors: dict[str, int] = {}
-    words: dict[str, int] = {}
+    """Pooled WER of each speaker with at least one scored utterance, by speaker id."""
+    counts: dict[str, list[WerCount]] = {}
     for r in records:
-        if r.count is None:
-            continue
-        errors[r.speaker_id] = errors.get(r.speaker_id, 0) + r.count.errors
-        words[r.speaker_id] = words.get(r.speaker_id, 0) + r.count.reference_words
-    return {s: errors[s] / words[s] for s in sorted(words) if words[s] > 0}
+        if r.count is not None:
+            counts.setdefault(r.speaker_id, []).append(r.count)
+    return {s: speaker_wer(counts[s]) for s in sorted(counts)}

@@ -38,6 +38,10 @@ class AdaptationConfig:
     Adam, entropy weight 0.3, smoothing temperature 2.5, adapting the feature
     extractor and layer-norm parameters while the head stays frozen, and
     restoring the source model between utterances (episodic).
+
+    ``seed`` is provenance only: it is written to ``config.json`` and enters
+    the fingerprint, but adaptation draws no random numbers, so runs that
+    differ only in ``seed`` produce the same results.
     """
 
     method: AdaptationMethod = AdaptationMethod.SUTA

@@ -14,7 +14,7 @@ from ..corpus.audio import Waveform, read_audio
 from ..corpus.manifest import CorpusManifest, Utterance
 from ..corpus.vad import VadProvider, detect_nonspeech
 from ..errors import AudioTooShortError, NonFiniteLossError
-from ..evaluation import WerCount, normalize_text, speaker_wer, wer
+from ..evaluation import WerCount, normalize_text, speaker_wer, unweighted_mean_wer, wer
 from ..model.decode import greedy_ctc_decode
 from ..model.types import AdaptableModel, LossFunctional
 from ..objectives import TtaLossValue, make_loss_functional
@@ -87,10 +87,7 @@ class ExperimentResult:
         return {s.speaker_id: s.wer for s in self.speakers if s.wer is not None}
 
     def mean_speaker_wer(self) -> float:
-        wers = [s.wer for s in self.speakers if s.wer is not None]
-        if not wers:
-            raise ValueError("no speaker produced a scoreable result")
-        return float(np.mean(wers))
+        return unweighted_mean_wer(list(self.speaker_wers().values()))
 
     def records(self) -> list[UtteranceRecord]:
         return [r for s in self.speakers for r in s.records]

@@ -19,6 +19,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .errors import (
     AllZeroDifferencesError,
     EmptyListError,
@@ -131,7 +133,7 @@ def speaker_wer(counts: Sequence[WerCount]) -> float:
 def unweighted_mean_wer(speaker_wers: Sequence[float]) -> float:
     """Arithmetic mean of per-speaker WERs; every speaker weighted equally."""
     if not speaker_wers:
-        raise EmptyListError("unweighted_mean_wer needs at least one speaker")
+        raise EmptyListError("no speaker has a scoreable utterance")
     return sum(speaker_wers) / len(speaker_wers)
 
 
@@ -172,17 +174,18 @@ class PairedTestResult:
             raise ValueError("p_value outside [0, 1]")
 
 
-def _midranks(values: Sequence[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda k: values[k])
-    ranks = [0.0] * len(values)
+def midranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share the mean of their ranks."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
     i = 0
-    while i < len(order):
+    while i < len(values):
         j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
             j += 1
-        mid = (i + j) / 2 + 1  # ranks are 1-based
-        for k in range(i, j + 1):
-            ranks[order[k]] = mid
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
         i = j + 1
     return ranks
 
@@ -232,7 +235,7 @@ def wilcoxon_signed_rank(
     if n < 5:
         raise TooFewPairsError(f"need >= 5 nonzero differences, got {n}")
 
-    ranks = _midranks([abs(d) for d in diffs])
+    ranks = midranks([abs(d) for d in diffs]).tolist()
     w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
     w_minus = sum(r for r, d in zip(ranks, diffs) if d < 0)
 

@@ -1,40 +1,1 @@
 """Differentiable CTC model contract, greedy decoding, and the reference model."""
-
-from .decode import collapse_ctc_labels, greedy_ctc_decode
-from .reference import (
-    CHECKPOINT_MAGIC,
-    ReferenceModel,
-    build_reference_model,
-    checkpoint_fingerprint,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .types import (
-    AdaptableModel,
-    LogitMatrix,
-    LossFunctional,
-    ModelSnapshot,
-    ParameterGroupSpec,
-    Vocabulary,
-    default_vocabulary,
-    select_adaptable,
-)
-
-__all__ = [
-    "AdaptableModel",
-    "CHECKPOINT_MAGIC",
-    "LogitMatrix",
-    "LossFunctional",
-    "ModelSnapshot",
-    "ParameterGroupSpec",
-    "ReferenceModel",
-    "Vocabulary",
-    "build_reference_model",
-    "checkpoint_fingerprint",
-    "collapse_ctc_labels",
-    "default_vocabulary",
-    "greedy_ctc_decode",
-    "load_checkpoint",
-    "save_checkpoint",
-    "select_adaptable",
-]

@@ -26,14 +26,8 @@ def greedy_ctc_decode(z: LogitMatrix, v: Vocabulary) -> str:
         raise ShapeMismatchError(
             f"logits use blank {z.blank_index} but vocabulary uses {v.blank_index}"
         )
-    best = np.argmax(z.values, axis=1)
-    out: list[str] = []
-    prev = -1
-    for idx in best:
-        if idx != prev and idx != v.blank_index:
-            out.append(" " if idx == v.word_delimiter_index else v.symbols[idx])
-        prev = idx
-    return "".join(out)
+    labels = collapse_ctc_labels(np.argmax(z.values, axis=1).tolist(), v.blank_index)
+    return "".join(" " if idx == v.word_delimiter_index else v.symbols[idx] for idx in labels)
 
 
 def collapse_ctc_labels(labels: list[int], blank_index: int) -> list[int]:

@@ -156,9 +156,6 @@ class ReferenceModel(AdaptableModel):
         n1 = (n_samples - self.K1) // self.S1 + 1
         return (n1 - self.K2) // self.S2 + 1
 
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self._params.values())
-
     # --- forward / backward ---------------------------------------------------
 
     def _forward_cached(self, x: np.ndarray) -> dict[str, np.ndarray]:
@@ -257,13 +254,6 @@ class ReferenceModel(AdaptableModel):
 
     def vocabulary(self) -> Vocabulary:
         return self._vocab
-
-    def clone(self) -> "ReferenceModel":
-        """Cheap replica with identical parameters (for per-worker copies)."""
-        twin = ReferenceModel(self._seed, self._vocab, self._feature_dim)
-        twin.restore(self.snapshot())
-        twin._selected = self._selected
-        return twin
 
     def _check_rate(self, w: Waveform) -> None:
         if w.sample_rate_hz != self.sample_rate_hz:

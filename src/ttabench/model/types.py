@@ -134,8 +134,3 @@ class AdaptableModel(ABC):
 
     @abstractmethod
     def vocabulary(self) -> Vocabulary: ...
-
-
-def select_adaptable(model: AdaptableModel, groups: list[str]) -> ParameterGroupSpec:
-    """Restrict subsequent adaptation updates to the listed groups."""
-    return model.select_adaptable(groups)

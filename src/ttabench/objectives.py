@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -317,6 +316,3 @@ def make_loss_functional(
         return value, dz
 
     return functional
-
-
-LossAndGradFn = Callable[[LogitMatrix], tuple[TtaLossValue, np.ndarray]]

@@ -369,8 +369,12 @@ def test_write_correlations_csv(tmp_path):
     gains, metrics = _gains_and_metrics()
     rows = correlate_gains(gains, metrics)
     path = tmp_path / "corr.csv"
-    write_correlations_csv(rows, path, setting="shift-a")
+    write_correlations_csv([("shift-a", row) for row in rows] + [("shift-b", rows[1])], path)
     lines = path.read_text().splitlines()
     assert lines[0] == "setting,feature,r,raw_p,adjusted_p,reject"
-    assert lines[1].startswith("shift-a,aligned,")
-    assert len(lines) == 3
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["shift-a", "aligned"], ["shift-a", "noisy"], ["shift-b", "noisy"]
+    ]
+    assert lines[1].split(",")[2:] == [
+        repr(rows[0].r), repr(rows[0].p_value), repr(rows[0].adjusted_p), str(rows[0].reject)
+    ]

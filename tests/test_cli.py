@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -353,11 +354,55 @@ def test_adapt_reads_config_file_with_flag_overrides(corpus, checkpoint, tmp_pat
     assert config.seed == 4
 
 
-def test_adapt_config_file_errors_are_validation_errors(tmp_path):
+def test_adapt_config_file_errors_are_validation_errors(corpus, checkpoint, tmp_path, capsys):
     assert cli.main(["adapt", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert cli.main(["adapt", "--config", str(bad)]) == 2
+
+    # a complete, valid file plus one wrongly typed or unknown top-level key
+    _, manifest_path = corpus
+    valid = {
+        "methods": ["none"],
+        "manifest_path": str(manifest_path),
+        "checkpoint_ref": str(checkpoint),
+        "output_dir": str(tmp_path / "run"),
+    }
+    for key, value in [
+        ("workers", "two"),
+        ("workers", True),
+        ("adaptation", "fast"),
+        ("adaptation", [1, 2]),
+        ("methods", "none"),
+        ("analyze_ems", False),
+        ("analyze_distances", True),
+        ("unknown_knob", 1),
+    ]:
+        bad.write_text(json.dumps({**valid, key: value}), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["adapt", "--config", str(bad)]) == 2, (key, value)
+        assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_adapt_with_no_scoreable_utterance_is_validation_error(checkpoint, tmp_path, capsys):
+    manifest_path = write_tone_corpus(tmp_path, {"solo": ["ad"]})
+    base = load_manifest(manifest_path)
+    unscoreable = dataclasses.replace(base.utterances[0], transcript="?!")
+    save_manifest(CorpusManifest(split=base.split, utterances=(unscoreable,)), manifest_path)
+
+    code = cli.main(
+        [
+            "adapt",
+            "--manifest", str(manifest_path),
+            "--checkpoint", str(checkpoint),
+            "--out", str(tmp_path / "run"),
+            "--method", "none",
+        ]
+    )
+
+    assert code == 2
+    assert "no speaker has a scoreable utterance" in capsys.readouterr().err
 
 
 # --- evaluate -------------------------------------------------------------------
@@ -542,6 +587,41 @@ def test_report_correlates_gains_with_metrics(tmp_path):
     assert float(fields[2]) == pytest.approx(1.0)
     summary = json.loads((out / "run_summary.json").read_text(encoding="utf-8"))
     assert "correlations.csv" in summary["files"]
+
+
+def test_report_correlations_grouped_per_method_in_runs_order(tmp_path):
+    base = _fake_run(tmp_path / "none", "none", {"s0": 3, "s1": 2, "s2": 1})
+    suta = _fake_run(tmp_path / "suta", "suta", {"s0": 1, "s1": 1, "s2": 1})
+    sgem = _fake_run(tmp_path / "sgem", "sgem", {"s0": 1, "s1": 2, "s2": 1})
+    metrics_csv = tmp_path / "speaker_metrics.csv"
+    metrics_csv.write_text(
+        "speaker_id,n_utterances,ems_energy,word_duration_s\n"
+        "s0,1,3.0,0.2\ns1,1,2.0,0.1\ns2,1,1.0,0.3\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "report"
+
+    code = cli.main(
+        [
+            "report",
+            "--runs", str(base), str(suta), str(sgem),
+            "--out", str(out),
+            "--correlations", "word_duration_s,ems_energy",
+            "--metrics-csv", str(metrics_csv),
+        ]
+    )
+
+    assert code == 0
+    lines = (out / "correlations.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "setting,feature,r,raw_p,adjusted_p,reject"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:2] for row in rows] == [
+        ["suta", "ems_energy"],
+        ["suta", "word_duration_s"],
+        ["sgem", "ems_energy"],
+        ["sgem", "word_duration_s"],
+    ]
+    assert float(rows[0][2]) == pytest.approx(1.0)
 
 
 def test_report_constant_metric_leaves_no_partial_correlations(tmp_path):

@@ -7,25 +7,27 @@ import pytest
 from helpers import noise, sine, write_tone_corpus
 from ttabench.corpus.audio import Waveform, write_wav
 from ttabench.corpus.manifest import Utterance, load_manifest
-from ttabench.engine import (
-    AdaptationConfig,
-    AdaptationMethod,
-    AdaptationMode,
-    Adam,
+from ttabench.engine.artifacts import (
     RunWriter,
-    Sgd,
-    adapt_speaker,
-    adapt_utterance,
-    build_optimizer,
     canonical_json,
-    default_audio_loader,
     read_run_config,
     read_run_records,
     record_from_dict,
     record_to_dict,
-    resolve_config,
-    run_experiment,
     speaker_wers_from_records,
+)
+from ttabench.engine.config import (
+    AdaptationConfig,
+    AdaptationMethod,
+    AdaptationMode,
+    resolve_config,
+)
+from ttabench.engine.optim import Adam, Sgd, build_optimizer
+from ttabench.engine.runner import (
+    adapt_speaker,
+    adapt_utterance,
+    default_audio_loader,
+    run_experiment,
     split_waveform,
 )
 from ttabench.errors import ConfigError

@@ -159,15 +159,6 @@ def test_snapshot_is_isolated_from_later_updates(model):
     assert np.array_equal(snap.parameters["conv1_b"], frozen)
 
 
-def test_clone_matches_original(model):
-    model.apply_update({"ln_beta": np.full(32, 0.5)})
-    twin = model.clone()
-    a, b = model.snapshot().parameters, twin.snapshot().parameters
-    for name in a:
-        assert np.array_equal(a[name], b[name])
-    assert twin.parameter_groups().selected == model.parameter_groups().selected
-
-
 # --- gradients ----------------------------------------------------------------------
 
 
