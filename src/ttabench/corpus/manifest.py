@@ -21,7 +21,7 @@ from ..errors import (
     InvalidFieldError,
     ManifestError,
     MissingFieldError,
-    UnreadableFileError,
+    UnreadableManifestError,
 )
 from ..evaluation import normalize_text
 
@@ -93,14 +93,14 @@ def load_manifest(path: str | os.PathLike, split: Split | None = None) -> Corpus
     ``split`` defaults to the file stem when it names a split, else ``test``.
 
     Raises:
-        UnreadableFileError: file missing or undecodable.
+        UnreadableManifestError: file missing or undecodable.
         MissingFieldError / InvalidFieldError: bad record (names field + line).
         DuplicateIdError: repeated utterance_id.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise UnreadableFileError(f"cannot read manifest {path}: {exc}") from exc
+        raise UnreadableManifestError(f"cannot read manifest {path}: {exc}") from exc
 
     utterances: list[Utterance] = []
     seen: set[str] = set()

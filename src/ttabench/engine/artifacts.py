@@ -180,7 +180,7 @@ def read_run_config(run_dir: Path) -> AdaptationConfig:
     path = Path(run_dir) / CONFIG_NAME
     if not path.exists():
         raise ConfigError(f"{path} does not exist")
-    return AdaptationConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    return AdaptationConfig.from_dict(_parse_json(path.read_text(encoding="utf-8"), str(path)))
 
 
 def read_run_records(run_dir: Path) -> list[UtteranceRecord]:
@@ -190,11 +190,20 @@ def read_run_records(run_dir: Path) -> list[UtteranceRecord]:
     return _read_records(path)
 
 
+def _parse_json(text: str, where: str) -> object:
+    """``json.loads`` that reports a damaged run file as a validation error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{where}: invalid JSON: {exc}") from exc
+
+
 def _read_records(path: Path) -> list[UtteranceRecord]:
     """Parse a JSONL file of ``record_to_dict`` lines."""
+    lines = path.read_text(encoding="utf-8").splitlines()
     return [
-        record_from_dict(json.loads(line))
-        for line in path.read_text(encoding="utf-8").splitlines()
+        record_from_dict(_parse_json(line, f"{path} line {lineno}"))
+        for lineno, line in enumerate(lines, start=1)
         if line
     ]
 

@@ -39,8 +39,8 @@ class AdaptationTrace:
 
     ``steps`` holds the loss before each update (one entry per update taken,
     across all chunks of the utterance). ``initial_total`` is the first of
-    those; ``final_total`` is the loss after the last update, from one extra
-    forward pass. All three are empty/None when no updates ran.
+    those; ``final_total`` is the loss after the last update, on the last
+    chunk's decode logits. All three are empty/None when no updates ran.
     """
 
     steps: tuple[StepRecord, ...]
@@ -162,9 +162,9 @@ def adapt_utterance(
     With method "none" this is a plain forward pass and decode. Otherwise the
     selected parameter groups are updated for ``steps_n`` steps per chunk; in
     episodic mode the pre-utterance parameters are restored before returning,
-    in continual mode the updates persist. A non-finite loss or gradient
-    aborts adaptation, restores the pre-utterance parameters, and marks the
-    trace instead of raising.
+    in continual mode the updates persist. Non-finite logits, loss or
+    gradient abort adaptation, restore the pre-utterance parameters, and mark
+    the trace instead of raising.
     """
     t0 = time.perf_counter()
     vocab = model.vocabulary()
@@ -196,8 +196,9 @@ def adapt_utterance(
                 _finite_record(value, grads)
                 steps.append(StepRecord(total=value.total, components=dict(value.components)))
                 model.apply_update(optimizer.step(grads))
-            parts.append(greedy_ctc_decode(model.forward(chunk), vocab))
-        final_value, _ = loss_fn(model.forward(chunks[-1]))
+            logits = model.forward(chunk)
+            parts.append(greedy_ctc_decode(logits, vocab))
+        final_value, _ = loss_fn(logits)
         final_total = final_value.total
     except NonFiniteLossError:
         non_finite = True

@@ -41,6 +41,10 @@ class UnreadableFileError(TtaBenchError):
     """File missing, unreadable, or not decodable."""
 
 
+class UnreadableManifestError(ManifestError, UnreadableFileError):
+    """Manifest file missing, unreadable, or not UTF-8: an input-validation error."""
+
+
 # --- audio / features --------------------------------------------------------
 
 class UnsupportedFormatError(TtaBenchError):
@@ -91,6 +95,10 @@ class ConfigError(TtaBenchError):
 
 class NonFiniteLossError(TtaBenchError):
     """Adaptation loss became NaN/Inf; utterance is flagged and skipped."""
+
+
+class NonFiniteLogitsError(NonFiniteLossError, ValueError):
+    """A model produced NaN/Inf logits; during adaptation, flagged like a NaN loss."""
 
 
 # --- evaluation / statistics -------------------------------------------------

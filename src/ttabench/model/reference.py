@@ -12,6 +12,10 @@ Stride arithmetic (total stride 4):
     n1 = (n_samples - K1) // S1 + 1
     L  = (n1 - K2) // S2 + 1
 
+The backward pass skips what frozen groups need: the head gradients without
+``head``, everything below the layer-norm gradients without
+``feature_extractor``, and always conv1's input gradient.
+
 All math is float64 numpy; forward is deterministic and snapshot/restore is
 bit-exact by construction.
 """
@@ -76,29 +80,43 @@ def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndar
     return out + b[:, None]
 
 
+def _conv1d_input_grad(w: np.ndarray, stride: int, dout: np.ndarray, n: int) -> np.ndarray:
+    """Input gradient of the strided cross-correlation, as a polyphase transposed
+    convolution (needs K % S == 0): with Q = K // S, one matmul per tile of u gives
+    dx[c, S*u + r] = sum_{o,q} dout[o, u - q] * w[o, c, S*q + r]."""
+    cout, cin, k = w.shape
+    q = k // stride
+    # wmat[(c, r), (o, m)] = w[o, c, S*(Q-1-m) + r]
+    wmat = w.reshape(cout, cin, q, stride)[:, :, ::-1, :].transpose(1, 3, 0, 2)
+    wmat = wmat.reshape(cin * stride, cout * q)
+    dpad = np.pad(dout, ((0, 0), (q - 1, q - 1)))
+    u_total = dout.shape[1] + q - 1  # samples at S * u_total and beyond feed no output
+    dx = np.zeros((cin, n))
+    for u0 in range(0, u_total, _TILE_FRAMES):
+        u1 = min(u0 + _TILE_FRAMES, u_total)
+        win = sliding_window_view(dpad[:, u0 : u1 + q - 1], q, axis=1)
+        g = (wmat @ win.transpose(0, 2, 1).reshape(cout * q, u1 - u0)).reshape(cin, stride, -1)
+        dx[:, u0 * stride : u1 * stride] = g.transpose(0, 2, 1).reshape(cin, -1)
+    return dx
+
+
 def _conv1d_backward(
-    x: np.ndarray, w: np.ndarray, stride: int, dout: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of the strided cross-correlation."""
-    cin, _ = x.shape
+    x: np.ndarray, w: np.ndarray, stride: int, dout: np.ndarray, need_dx: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients (dx, dw, db) of the strided cross-correlation; dx is None unless need_dx."""
+    cin, n = x.shape
     cout, _, k = w.shape
     t_total = dout.shape[1]
-    dx = np.zeros_like(x)
+    # first, so its tiles are freed before the weight gradient's
+    dx = _conv1d_input_grad(w, stride, dout, n) if need_dx else None
     dw = np.zeros_like(w)
     db = dout.sum(axis=1)
-    w2 = w.reshape(cout, cin * k)
     for t0 in range(0, t_total, _TILE_FRAMES):
         t1 = min(t0 + _TILE_FRAMES, t_total)
-        tt = t1 - t0
         span = x[:, t0 * stride : (t1 - 1) * stride + k]
         win = sliding_window_view(span, k, axis=1)[:, ::stride, :]
-        winmat = win.transpose(1, 0, 2).reshape(tt, cin * k)
-        d = dout[:, t0:t1]
-        dw += (d @ winmat).reshape(cout, cin, k)
-        g = (d.T @ w2).reshape(tt, cin, k)
-        base = t0 * stride
-        for kk in range(k):
-            dx[:, base + kk : base + kk + stride * tt : stride] += g[:, :, kk].T
+        winmat = win.transpose(0, 2, 1).reshape(cin * k, t1 - t0)
+        dw += (dout[:, t0:t1] @ winmat.T).reshape(cout, cin, k)
     return dx, dw, db
 
 
@@ -190,31 +208,35 @@ class ReferenceModel(AdaptableModel):
             raise ValueError(f"loss gradient shape {dz.shape} != logits shape {cache['z'].shape}")
 
         p = self._params
+        selected = set(self._selected)
         grads: dict[str, np.ndarray] = {}
-        # head
-        grads["head_w"] = dz.T @ cache["h3"].T
-        grads["head_b"] = dz.sum(axis=0)
+        if "head" in selected:
+            grads["head_w"] = dz.T @ cache["h3"].T
+            grads["head_b"] = dz.sum(axis=0)
+        if not selected & {"layer_norm", "feature_extractor"}:
+            return record, grads
         dh3 = p["head_w"].T @ dz.T
         # layer norm (statistics over the channel axis, per frame)
         xhat, inv = cache["xhat"], cache["inv"]
-        grads["ln_gamma"] = (dh3 * xhat).sum(axis=1)
-        grads["ln_beta"] = dh3.sum(axis=1)
+        if "layer_norm" in selected:
+            grads["ln_gamma"] = (dh3 * xhat).sum(axis=1)
+            grads["ln_beta"] = dh3.sum(axis=1)
+        if "feature_extractor" not in selected:
+            return record, grads
         dxhat = dh3 * p["ln_gamma"][:, None]
         dh2 = inv[None, :] * (
             dxhat
             - dxhat.mean(axis=0, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=0, keepdims=True)
         )
-        # conv stack
+        # conv stack; conv1's input is the waveform, whose gradient nothing uses
         da2 = dh2 * _gelu_grad(cache["a2"])
         dh1, dw2, db2 = _conv1d_backward(cache["h1"], p["conv2_w"], self.S2, da2)
         grads["conv2_w"], grads["conv2_b"] = dw2, db2
         da1 = dh1 * _gelu_grad(cache["a1"])
-        _, dw1, db1 = _conv1d_backward(cache["x"][None, :], p["conv1_w"], self.S1, da1)
+        _, dw1, db1 = _conv1d_backward(cache["x"][None, :], p["conv1_w"], self.S1, da1, False)
         grads["conv1_w"], grads["conv1_b"] = dw1, db1
-
-        selected = set(self._selected_param_names())
-        return record, {k: v for k, v in grads.items() if k in selected}
+        return record, grads
 
     # --- parameter management -------------------------------------------------
 

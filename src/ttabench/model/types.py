@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from ..corpus.audio import Waveform
-from ..errors import UnknownGroupError
+from ..errors import NonFiniteLogitsError, UnknownGroupError
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class LogitMatrix:
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 2:
             raise ValueError("logits must be L x C with L >= 1, C >= 2")
         if not np.all(np.isfinite(values)):
-            raise ValueError("logits must be finite")
+            raise NonFiniteLogitsError("logits must be finite")
         if not 0 <= self.blank_index < values.shape[1]:
             raise ValueError("blank_index out of range")
         object.__setattr__(self, "values", values)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +406,45 @@ def test_adapt_with_no_scoreable_utterance_is_validation_error(checkpoint, tmp_p
     assert "no speaker has a scoreable utterance" in capsys.readouterr().err
 
 
+def test_adapt_diverging_updates_are_flagged_partial(corpus, checkpoint, tmp_path):
+    _, manifest_path = corpus
+    out = tmp_path / "run"
+
+    with np.errstate(all="ignore"):
+        code = cli.main(
+            [
+                "adapt",
+                "--manifest", str(manifest_path),
+                "--checkpoint", str(checkpoint),
+                "--out", str(out),
+                "--method", "suta",
+                "--optimizer", "sgd",
+                "--lr", "1e300",
+                "--groups", "feature_extractor,layer_norm,head",
+            ]
+        )
+
+    assert code == 4
+    records = read_run_records(out)
+    assert records and all(r.flags == ("non_finite_loss",) for r in records)
+    assert all(r.trace.final_total is None for r in records)
+
+
+@pytest.mark.parametrize("command", ["adapt", "analyze", "ingest"])
+def test_undecodable_manifest_is_validation_error(command, checkpoint, tmp_path, capsys):
+    manifest_path = tmp_path / "m.jsonl"
+    manifest_path.write_bytes(b"\xff\xfe")
+    argv = {
+        "adapt": ["adapt", "--manifest", str(manifest_path), "--checkpoint", str(checkpoint),
+                  "--out", str(tmp_path / "run")],
+        "analyze": ["analyze", "--manifest", str(manifest_path)],
+        "ingest": ["ingest", "--from-manifest", str(manifest_path)],
+    }[command]
+
+    assert cli.main(argv) == 2
+    assert "cannot read manifest" in capsys.readouterr().err
+
+
 # --- evaluate -------------------------------------------------------------------
 
 
@@ -424,6 +464,21 @@ def test_evaluate_prints_speaker_summary(baseline_run, tmp_path, capsys):
 
 def test_evaluate_rejects_unfinished_run(tmp_path):
     assert cli.main(["evaluate", "--run", str(tmp_path / "nowhere")]) == 2
+
+
+@pytest.mark.parametrize("name", ["results.jsonl", "config.json"])
+def test_evaluate_truncated_run_file_is_validation_error(baseline_run, tmp_path, capsys, name):
+    run = tmp_path / "run"
+    shutil.copytree(baseline_run, run)
+    with open(run / name, "a", encoding="utf-8") as fh:
+        fh.write('{"utterance_id": ')
+    lines = (run / name).read_text(encoding="utf-8").splitlines()
+
+    assert cli.main(["evaluate", "--run", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert str(run / name) in err
+    if name == "results.jsonl":
+        assert f"line {len(lines)}" in err
 
 
 # --- analyze --------------------------------------------------------------------

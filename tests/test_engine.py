@@ -257,6 +257,58 @@ def test_non_finite_loss_aborts_and_restores(model, monkeypatch):
     assert hyp == greedy_ctc_decode(model.forward(w), model.vocabulary())
 
 
+def test_diverging_update_is_flagged_and_restored(model):
+    config = AdaptationConfig(
+        method="suta",
+        optimizer="sgd",
+        learning_rate=1e300,
+        adapted_groups=("feature_extractor", "layer_norm", "head"),
+    )
+    before = _params(model)
+    w = noise(0.2, rms=0.1, seed=7)
+    with np.errstate(all="ignore"):
+        hyp, trace = adapt_utterance(model, w, config)
+    assert trace.non_finite
+    assert trace.final_total is None
+    assert not trace.parameters_restored
+    after = _params(model)
+    for name in before:
+        assert np.array_equal(before[name], after[name]), name
+    from ttabench.model.decode import greedy_ctc_decode
+
+    assert hyp == greedy_ctc_decode(model.forward(w), model.vocabulary())
+
+
+def test_adapt_utterance_runs_one_forward_per_chunk(model, monkeypatch):
+    from ttabench.engine import runner
+
+    config = AdaptationConfig(
+        method="sgem",
+        mode="continual",
+        steps_n=2,
+        adapted_groups=("layer_norm",),
+        max_utterance_s=1.0,
+        chunk_target_s=0.5,
+    )
+    w = noise(1.2, rms=0.1, seed=8)
+    chunks = split_waveform(w, config.max_utterance_s, config.chunk_target_s)
+    assert len(chunks) >= 2
+    forward = model.forward
+    calls = []
+
+    def counted(chunk):
+        calls.append(chunk)
+        return forward(chunk)
+
+    monkeypatch.setattr(model, "forward", counted)
+    _, trace = adapt_utterance(model, w, config)
+    assert len(calls) == len(chunks)
+    assert trace.n_steps == 2 * len(chunks)
+    # continual mode keeps the updates, so a fresh forward sees the decode's parameters
+    loss_fn = runner._loss_functional(config)
+    assert trace.final_total == loss_fn(forward(chunks[-1]))[0].total
+
+
 # --- speaker loop ------------------------------------------------------------------
 
 

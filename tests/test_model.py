@@ -10,6 +10,7 @@ from ttabench.errors import (
     UnknownGroupError,
 )
 from ttabench.model.decode import collapse_ctc_labels, greedy_ctc_decode
+from ttabench.model import reference
 from ttabench.model.reference import (
     ReferenceModel,
     build_reference_model,
@@ -193,18 +194,64 @@ def _fd_check(model: ReferenceModel, w, loss_fn, names_and_grads, n_coords=4, ep
     return float(np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12))
 
 
-def test_gradient_matches_finite_differences_all_groups():
+_GROUP_PARAMS = {
+    "feature_extractor": {"conv1_w", "conv1_b", "conv2_w", "conv2_b"},
+    "layer_norm": {"ln_gamma", "ln_beta"},
+    "head": {"head_w", "head_b"},
+}
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        ("layer_norm",),
+        ("head",),
+        ("feature_extractor",),
+        ("feature_extractor", "layer_norm"),
+        ("feature_extractor", "layer_norm", "head"),
+    ],
+    ids="+".join,
+)
+def test_gradient_matches_finite_differences(groups):
     model = build_reference_model(seed=1, feature_dim=8)
-    model.select_adaptable(["feature_extractor", "layer_norm", "head"])
+    model.select_adaptable(list(groups))
     w = noise(0.02, rms=0.1, seed=2)
     n_frames = model.output_length(len(w.samples))
     g = np.random.default_rng(3).normal(size=(n_frames, 29))
     loss_fn = _linear_functional(g)
     _, grads = model.gradient(w, loss_fn)
-    assert set(grads) == {
-        "conv1_w", "conv1_b", "conv2_w", "conv2_b", "ln_gamma", "ln_beta", "head_w", "head_b",
-    }
+    assert set(grads) == set().union(*(_GROUP_PARAMS[name] for name in groups))
     assert _fd_check(model, w, loss_fn, grads) < 1e-6
+
+
+def _conv1d_backward_per_tap(x, w, stride, dout):
+    """Reference gradients of the strided cross-correlation, one kernel tap at a time."""
+    k = w.shape[2]
+    span = stride * dout.shape[1]
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    for kk in range(k):
+        dx[:, kk : kk + span : stride] += w[:, :, kk].T @ dout
+        dw[:, :, kk] = dout @ x[:, kk : kk + span : stride].T
+    return dx, dw, dout.sum(axis=1)
+
+
+@pytest.mark.parametrize("cin,cout,k,stride", [(3, 4, 6, 2), (4, 8, 16, 2), (2, 3, 9, 3)])
+def test_conv1d_backward_matches_per_tap_across_tiles(monkeypatch, cin, cout, k, stride):
+    monkeypatch.setattr(reference, "_TILE_FRAMES", 5)
+    rng = np.random.default_rng(11)
+    n = 151  # odd, and leaves input samples past the last window
+    x = rng.normal(size=(cin, n))
+    w = rng.normal(size=(cout, cin, k))
+    dout = rng.normal(size=(cout, (n - k) // stride + 1))
+    dx, dw, db = reference._conv1d_backward(x, w, stride, dout)
+    ref_dx, ref_dw, ref_db = _conv1d_backward_per_tap(x, w, stride, dout)
+    np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(db, ref_db, rtol=1e-12, atol=1e-12)
+    no_dx, dw2, db2 = reference._conv1d_backward(x, w, stride, dout, need_dx=False)
+    assert no_dx is None
+    assert np.array_equal(dw2, dw) and np.array_equal(db2, db)
 
 
 def test_gradient_through_adaptation_objective():
