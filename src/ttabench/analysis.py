@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -85,8 +84,7 @@ def within_speaker_variance(frames: np.ndarray) -> float:
 @dataclass(frozen=True)
 class Projection2d:
     points: np.ndarray
-    method: str
-    explained_variance_ratio: tuple[float, float] | None = None
+    explained_variance_ratio: tuple[float, float]
 
 
 def project_2d(x: np.ndarray) -> Projection2d:
@@ -112,14 +110,13 @@ def project_2d(x: np.ndarray) -> Projection2d:
     ratio = (
         (float(s[0] ** 2 / total), float(s[1] ** 2 / total)) if total > 0 else (0.0, 0.0)
     )
-    return Projection2d(points=points, method="pca", explained_variance_ratio=ratio)
+    return Projection2d(points=points, explained_variance_ratio=ratio)
 
 
 def write_projection_input(ids: Sequence[str], x: np.ndarray, path: Path) -> None:
     """Write high-dimensional points to CSV for an external embedding tool.
 
-    Exchange format going out: header ``point_id,d0..d{D-1}``; the external
-    tool is expected to answer with ``point_id,x,y`` rows in the same order.
+    Header ``point_id,d0..d{D-1}``, then one row per point in ``ids`` order.
     """
     x = np.asarray(x, dtype=np.float64)
     if len(ids) != x.shape[0]:
@@ -128,21 +125,7 @@ def write_projection_input(ids: Sequence[str], x: np.ndarray, path: Path) -> Non
         writer = csv.writer(fh)
         writer.writerow(["point_id"] + [f"d{j}" for j in range(x.shape[1])])
         for row_id, row in zip(ids, x):
-            writer.writerow([row_id] + [repr(v) for v in row])
-
-
-def read_projection_output(path: Path, expected_ids: Sequence[str]) -> Projection2d:
-    """Read 2-D coordinates produced externally; rows must match expected_ids."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) != 3 or header[0] != "point_id":
-            raise DimensionMismatchError("expected CSV header: point_id,x,y")
-        rows = list(reader)
-    if [r[0] for r in rows] != list(expected_ids):
-        raise LengthMismatchError("projection rows do not match the expected ids")
-    points = np.array([[float(r[1]), float(r[2])] for r in rows])
-    return Projection2d(points=points, method="external")
+            writer.writerow([row_id] + [repr(float(v)) for v in row])
 
 
 @dataclass(frozen=True)
@@ -150,7 +133,6 @@ class CorrelationResult:
     r: float
     p_value: float
     n: int
-    method: str
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -169,15 +151,9 @@ def _t_sf_two_sided(t: float, df: int) -> float:
     return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 
-def spearman(
-    x: Sequence[float], y: Sequence[float], method: str = "t", seed: int = 0
-) -> CorrelationResult:
-    """Spearman rank correlation with a two-sided p-value.
-
-    ``method="t"`` uses the Student-t approximation on n-2 degrees of
-    freedom; ``method="permutation"`` enumerates all rank permutations for
-    n <= 8 and falls back to 10000 seeded Monte Carlo draws above that.
-    """
+def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
+    """Spearman rank correlation with a two-sided p-value from the Student-t
+    approximation on n-2 degrees of freedom."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1:
@@ -187,37 +163,13 @@ def spearman(
     n = len(x)
     if n < 3:
         raise TooFewPointsError(f"need at least 3 pairs, got {n}")
-    rx = midranks(x)
-    ry = midranks(y)
-    r = _pearson(rx, ry)
-
-    if method == "t":
-        if abs(r) >= 1.0:
-            p = 0.0
-        else:
-            t = r * np.sqrt((n - 2) / (1.0 - r * r))
-            p = _t_sf_two_sided(t, n - 2)
-        return CorrelationResult(r=r, p_value=p, n=n, method="t")
-    if method == "permutation":
-        observed = abs(r)
-        if n <= 8:
-            hits = 0
-            total = 0
-            for perm in itertools.permutations(range(n)):
-                total += 1
-                if abs(_pearson(rx, ry[list(perm)])) >= observed - 1e-12:
-                    hits += 1
-            p = hits / total
-        else:
-            rng = np.random.default_rng(seed)
-            draws = 10000
-            hits = 1  # the observed labeling counts as one draw
-            for _ in range(draws):
-                if abs(_pearson(rx, rng.permutation(ry))) >= observed - 1e-12:
-                    hits += 1
-            p = hits / (draws + 1)
-        return CorrelationResult(r=r, p_value=p, n=n, method="permutation")
-    raise ValueError(f"unknown method {method!r}")
+    r = _pearson(midranks(x), midranks(y))
+    if abs(r) >= 1.0:
+        p = 0.0
+    else:
+        t = r * np.sqrt((n - 2) / (1.0 - r * r))
+        p = _t_sf_two_sided(t, n - 2)
+    return CorrelationResult(r=r, p_value=p, n=n)
 
 
 @dataclass(frozen=True)
@@ -272,7 +224,6 @@ def correlate_gains(
     gains: Mapping[str, float],
     metrics: Mapping[str, Mapping[str, float]],
     alpha: float = 0.05,
-    method: str = "t",
 ) -> list[GainCorrelation]:
     """Rank-correlate per-speaker gains with each shift metric.
 
@@ -288,7 +239,7 @@ def correlate_gains(
             raise SpeakerSetMismatchError(
                 f"metric {name!r} covers {sorted(table)} but gains cover {speakers}"
             )
-        results.append((name, spearman(gain_vec, [table[s] for s in speakers], method=method)))
+        results.append((name, spearman(gain_vec, [table[s] for s in speakers])))
     decisions = holm_bonferroni([r.p_value for _, r in results], alpha=alpha)
     return [
         GainCorrelation(

@@ -100,7 +100,8 @@ def _default_out(name: str) -> Path:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation of cmd_adapt (persisted for provenance)."""
+    """Fully resolved invocation of cmd_adapt: flags merged over the ``--config``
+    file. Only its ``adaptation`` part is written to the run directory."""
 
     manifest_path: str
     checkpoint_ref: str
@@ -423,18 +424,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     if len(run_dirs) < 2:
         raise EvaluationError("need at least two completed runs (a baseline and an adapted run)")
     runs: dict[str, dict[str, float]] = {}
-    utterance_counts: dict[str, dict[str, int]] = {}
     for run_dir in run_dirs:
         config = read_run_config(run_dir)
         method = config.method.value
         if method in runs:
             raise ConfigError(f"two runs share method {method!r}; pass one run per method")
-        records = read_run_records(run_dir)
-        runs[method] = speaker_wers_from_records(records)
-        counts: dict[str, int] = {}
-        for record in records:
-            counts[record.speaker_id] = counts.get(record.speaker_id, 0) + 1
-        utterance_counts[method] = counts
+        runs[method] = speaker_wers_from_records(read_run_records(run_dir))
     if "none" not in runs:
         raise EvaluationError('a baseline run (method "none") is required')
     baseline = runs["none"]
@@ -466,12 +461,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     per_method = {
         method: [
-            SpeakerReport(
-                speaker_id=s,
-                baseline_wer=baseline[s],
-                adapted_wer=runs[method][s],
-                utterance_count=utterance_counts[method].get(s, 0),
-            )
+            SpeakerReport(speaker_id=s, baseline_wer=baseline[s], adapted_wer=runs[method][s])
             for s in sorted(baseline)
         ]
         for method in adapted_methods

@@ -23,7 +23,6 @@ class FeatureMatrix:
 
     frames: np.ndarray
     frame_hop_s: float
-    feature_kind: str = "mfcc"
 
     def __post_init__(self) -> None:
         frames = np.asarray(self.frames, dtype=np.float64)
@@ -107,4 +106,4 @@ def compute_mfcc(
     fb = mel_filterbank(n_mels, nfft, sr)
     energies = np.log(np.maximum(power @ fb.T, LOG_FLOOR))
     coeffs = dct(energies, type=2, axis=1, norm="ortho")[:, :n_coeffs]
-    return FeatureMatrix(frames=coeffs, frame_hop_s=frame_hop_s, feature_kind="mfcc")
+    return FeatureMatrix(frames=coeffs, frame_hop_s=frame_hop_s)

@@ -1,20 +1,17 @@
 """Non-speech region detection and effective mean squared (EMS) energy.
 
-The default voice activity detector is a deterministic frame-RMS threshold:
+The voice activity detector is a deterministic frame-RMS threshold:
 30 ms frames, 10 ms hop, threshold max(1e-4, 0.05 x median frame RMS), and
-speech segments closer than 200 ms are merged (hangover). Any provider with
-the same call signature can be slotted in instead, e.g. a neural VAD.
+speech segments closer than 200 ms are merged (hangover).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
-from ..errors import ProviderFailureError
 from .audio import Waveform
 from .features import frame_signal
 
@@ -44,9 +41,6 @@ class SegmentList:
 
     def __len__(self) -> int:
         return len(self.segments)
-
-
-VadProvider = Callable[[Waveform], SegmentList]
 
 
 @dataclass(frozen=True)
@@ -97,27 +91,13 @@ class EnergyVad:
         return (first * hop / sr, min((last * hop + frame_len) / sr, duration_s))
 
 
-def detect_nonspeech(
-    w: Waveform,
-    vad: VadProvider | None = None,
-    min_segment_s: float = 0.030,
-) -> SegmentList:
-    """Complement of the provider's speech segments within [0, duration].
+def detect_nonspeech(w: Waveform, min_segment_s: float = 0.030) -> SegmentList:
+    """Complement of the energy VAD's speech segments within [0, duration].
 
-    Non-speech gaps shorter than ``min_segment_s`` (one default VAD frame)
-    are dropped.
-
-    Raises:
-        ProviderFailureError: the provider raised or returned invalid segments.
+    Non-speech gaps shorter than ``min_segment_s`` (one VAD frame) are
+    dropped.
     """
-    provider = vad if vad is not None else EnergyVad()
-    try:
-        speech = provider(w)
-        if not isinstance(speech, SegmentList):
-            raise TypeError(f"provider returned {type(speech).__name__}, expected SegmentList")
-    except Exception as exc:
-        raise ProviderFailureError(f"VAD provider failed on waveform: {exc}") from exc
-
+    speech = EnergyVad()(w)
     duration = w.duration_s
     gaps: list[tuple[float, float]] = []
     cursor = 0.0

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -180,7 +179,11 @@ def read_run_config(run_dir: Path) -> AdaptationConfig:
     path = Path(run_dir) / CONFIG_NAME
     if not path.exists():
         raise ConfigError(f"{path} does not exist")
-    return AdaptationConfig.from_dict(_parse_json(path.read_text(encoding="utf-8"), str(path)))
+    data = _parse_object(path.read_text(encoding="utf-8"), str(path))
+    try:
+        return AdaptationConfig.from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def read_run_records(run_dir: Path) -> list[UtteranceRecord]:
@@ -190,22 +193,32 @@ def read_run_records(run_dir: Path) -> list[UtteranceRecord]:
     return _read_records(path)
 
 
-def _parse_json(text: str, where: str) -> object:
-    """``json.loads`` that reports a damaged run file as a validation error."""
+def _parse_object(text: str, where: str) -> dict:
+    """Parse one JSON object, reporting a damaged run file as a validation error."""
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _read_records(path: Path) -> list[UtteranceRecord]:
     """Parse a JSONL file of ``record_to_dict`` lines."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return [
-        record_from_dict(_parse_json(line, f"{path} line {lineno}"))
-        for lineno, line in enumerate(lines, start=1)
-        if line
-    ]
+    records = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line:
+            continue
+        where = f"{path} line {lineno}"
+        data = _parse_object(line, where)
+        try:
+            records.append(record_from_dict(data))
+        except KeyError as exc:
+            raise ConfigError(f"{where}: missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: invalid record: {exc}") from exc
+    return records
 
 
 def speaker_wers_from_records(records: Iterable[UtteranceRecord]) -> dict[str, float]:

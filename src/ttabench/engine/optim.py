@@ -2,8 +2,8 @@
 
 Updates are produced as name -> delta mappings so the model applies them
 through its own ``apply_update`` contract; the optimizer never touches
-parameter storage directly. State is keyed by parameter name and can be
-reset between utterances for episodic adaptation.
+parameter storage directly. State is keyed by parameter name; episodic
+adaptation builds a fresh optimizer for each utterance.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import numpy as np
 class Optimizer(Protocol):
     def step(self, grads: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]: ...
 
-    def reset(self) -> None: ...
-
 
 class Sgd:
     def __init__(self, learning_rate: float) -> None:
@@ -27,9 +25,6 @@ class Sgd:
 
     def step(self, grads: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         return {name: -self.learning_rate * g for name, g in grads.items()}
-
-    def reset(self) -> None:
-        pass
 
 
 class Adam:
@@ -71,11 +66,6 @@ class Adam:
             v_hat = v / bc2
             deltas[name] = -self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
         return deltas
-
-    def reset(self) -> None:
-        self._m.clear()
-        self._v.clear()
-        self._t = 0
 
 
 def build_optimizer(kind: str, learning_rate: float) -> Optimizer:

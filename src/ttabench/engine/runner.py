@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -12,17 +13,17 @@ import numpy as np
 
 from ..corpus.audio import Waveform, read_audio
 from ..corpus.manifest import CorpusManifest, Utterance
-from ..corpus.vad import VadProvider, detect_nonspeech
+from ..corpus.vad import detect_nonspeech
 from ..errors import AudioTooShortError, NonFiniteLossError
 from ..evaluation import WerCount, normalize_text, speaker_wer, unweighted_mean_wer, wer
 from ..model.decode import greedy_ctc_decode
-from ..model.types import AdaptableModel, LossFunctional
+from ..model.reference import ReferenceModel
+from ..model.types import LossFunctional
 from ..objectives import TtaLossValue, make_loss_functional
 from .config import AdaptationConfig, AdaptationMethod, AdaptationMode
 from .optim import Optimizer, build_optimizer
 
-ModelFactory = Callable[[], AdaptableModel]
-AudioLoader = Callable[[Utterance], Waveform]
+ModelFactory = Callable[[], ReferenceModel]
 
 
 @dataclass(frozen=True)
@@ -120,9 +121,7 @@ def _chunk_cut_points(
     return cuts
 
 
-def split_waveform(
-    w: Waveform, max_s: float, target_s: float, vad: VadProvider | None = None
-) -> list[Waveform]:
+def split_waveform(w: Waveform, max_s: float, target_s: float) -> list[Waveform]:
     """Split audio longer than max_s into chunks of roughly target_s.
 
     Cuts land at midpoints of detected non-speech regions where possible so
@@ -131,7 +130,7 @@ def split_waveform(
     """
     if w.duration_s <= max_s:
         return [w]
-    nonspeech = detect_nonspeech(w, vad=vad)
+    nonspeech = detect_nonspeech(w)
     candidates = [(a + b) / 2.0 for a, b in nonspeech.segments]
     cuts = _chunk_cut_points(w.duration_s, candidates, target_s)
     edges = [0] + [round(c * w.sample_rate_hz) for c in cuts] + [len(w.samples)]
@@ -151,10 +150,9 @@ def _finite_record(value: TtaLossValue, grads: Mapping[str, np.ndarray]) -> None
 
 
 def adapt_utterance(
-    model: AdaptableModel,
+    model: ReferenceModel,
     w: Waveform,
     config: AdaptationConfig,
-    vad: VadProvider | None = None,
     optimizer: Optimizer | None = None,
 ) -> tuple[str, AdaptationTrace]:
     """Adapt the model on one utterance and decode it.
@@ -183,22 +181,25 @@ def adapt_utterance(
     snap = model.snapshot()
     if optimizer is None:
         optimizer = build_optimizer(config.optimizer.value, config.learning_rate)
-    chunks = split_waveform(w, config.max_utterance_s, config.chunk_target_s, vad=vad)
+    chunks = split_waveform(w, config.max_utterance_s, config.chunk_target_s)
 
     steps: list[StepRecord] = []
     parts: list[str] = []
     non_finite = False
     final_total: float | None = None
     try:
-        for chunk in chunks:
-            for _ in range(config.steps_n):
-                value, grads = model.gradient(chunk, loss_fn)
-                _finite_record(value, grads)
-                steps.append(StepRecord(total=value.total, components=dict(value.components)))
-                model.apply_update(optimizer.step(grads))
-            logits = model.forward(chunk)
-            parts.append(greedy_ctc_decode(logits, vocab))
-        final_value, _ = loss_fn(logits)
+        # a diverging update overflows on the way to non-finite logits, loss or
+        # gradients; _finite_record and LogitMatrix catch those, so stay quiet
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for chunk in chunks:
+                for _ in range(config.steps_n):
+                    value, grads = model.gradient(chunk, loss_fn)
+                    _finite_record(value, grads)
+                    steps.append(StepRecord(total=value.total, components=dict(value.components)))
+                    model.apply_update(optimizer.step(grads))
+                logits = model.forward(chunk)
+                parts.append(greedy_ctc_decode(logits, vocab))
+            final_value, _ = loss_fn(logits)
         final_total = final_value.total
     except NonFiniteLossError:
         non_finite = True
@@ -222,29 +223,11 @@ def adapt_utterance(
     )
 
 
-@dataclass(frozen=True)
-class _DefaultAudioLoader:
-    # a module-level class (not a closure) so tasks survive process-pool pickling
-    root: Path | None = None
-
-    def __call__(self, u: Utterance) -> Waveform:
-        path = Path(u.audio_path)
-        if self.root is not None and not path.is_absolute():
-            path = self.root / path
-        return read_audio(path)
-
-
-def default_audio_loader(root: Path | None = None) -> AudioLoader:
-    return _DefaultAudioLoader(root)
-
-
 def adapt_speaker(
-    model: AdaptableModel,
+    model: ReferenceModel,
     speaker_id: str,
     utterances: Sequence[Utterance],
     config: AdaptationConfig,
-    load_audio: AudioLoader,
-    vad: VadProvider | None = None,
 ) -> SpeakerRunResult:
     """Run one speaker's utterances through the adaptation loop in order.
 
@@ -263,8 +246,8 @@ def adapt_speaker(
         flags: list[str] = []
         reference = normalize_text(u.transcript)
         try:
-            w = load_audio(u)
-            hypothesis, trace = adapt_utterance(model, w, config, vad=vad, optimizer=persistent)
+            w = read_audio(Path(u.audio_path))
+            hypothesis, trace = adapt_utterance(model, w, config, optimizer=persistent)
         except AudioTooShortError:
             flags.append("audio_too_short")
             hypothesis = ""
@@ -300,32 +283,20 @@ def adapt_speaker(
     )
 
 
-@dataclass(frozen=True)
-class _SpeakerTask:
-    """Picklable unit of work for process-pool execution."""
-
-    model_factory: ModelFactory
-    speaker_id: str
-    utterances: tuple[Utterance, ...]
-    config: AdaptationConfig
-    load_audio: AudioLoader
-    vad: VadProvider | None
-
-
-def _run_speaker_task(task: _SpeakerTask) -> SpeakerRunResult:
-    model = task.model_factory()
-    return adapt_speaker(
-        model, task.speaker_id, task.utterances, task.config, task.load_audio, vad=task.vad
-    )
+def _run_speaker(
+    model_factory: ModelFactory,
+    config: AdaptationConfig,
+    speaker: tuple[str, Sequence[Utterance]],
+) -> SpeakerRunResult:
+    """One speaker on a fresh model; module-level so a partial of it pickles."""
+    speaker_id, utterances = speaker
+    return adapt_speaker(model_factory(), speaker_id, utterances, config)
 
 
 def run_experiment(
     model_factory: ModelFactory,
     manifest: CorpusManifest,
     config: AdaptationConfig,
-    load_audio: AudioLoader | None = None,
-    audio_root: Path | None = None,
-    vad: VadProvider | None = None,
     workers: int = 1,
     completed: Mapping[str, SpeakerRunResult] | None = None,
     on_speaker_done: Callable[[SpeakerRunResult], None] | None = None,
@@ -340,34 +311,24 @@ def run_experiment(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if load_audio is None:
-        load_audio = default_audio_loader(audio_root)
     completed = dict(completed or {})
-
-    groups = manifest.speakers()
+    run_speaker = functools.partial(_run_speaker, model_factory, config)
     tasks = [
-        _SpeakerTask(
-            model_factory=model_factory,
-            speaker_id=speaker_id,
-            utterances=tuple(utts),
-            config=config,
-            load_audio=load_audio,
-            vad=vad,
-        )
-        for speaker_id, utts in sorted(groups.items())
+        (speaker_id, tuple(utts))
+        for speaker_id, utts in sorted(manifest.speakers().items())
         if speaker_id not in completed
     ]
 
     results: dict[str, SpeakerRunResult] = dict(completed)
     if workers == 1 or len(tasks) <= 1:
         for task in tasks:
-            result = _run_speaker_task(task)
+            result = run_speaker(task)
             results[result.speaker_id] = result
             if on_speaker_done is not None:
                 on_speaker_done(result)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_run_speaker_task, tasks):
+            for result in pool.map(run_speaker, tasks):
                 results[result.speaker_id] = result
                 if on_speaker_done is not None:
                     on_speaker_done(result)

@@ -59,10 +59,6 @@ class AudioTooShortError(TtaBenchError):
     """Waveform shorter than one analysis frame."""
 
 
-class ProviderFailureError(TtaBenchError):
-    """A pluggable VAD provider raised; original error attached as __cause__."""
-
-
 class EmptyTranscriptError(TtaBenchError):
     """Transcript empty after normalization."""
 

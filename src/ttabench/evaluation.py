@@ -144,7 +144,6 @@ class SpeakerReport:
     speaker_id: str
     baseline_wer: float
     adapted_wer: float
-    utterance_count: int
     delta: float = field(init=False)
 
     def __post_init__(self) -> None:

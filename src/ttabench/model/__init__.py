@@ -1,1 +1,1 @@
-"""Differentiable CTC model contract, greedy decoding, and the reference model."""
+"""Model value types, greedy CTC decoding, and the reference model."""

@@ -37,15 +37,7 @@ from ..errors import (
     FrozenParameterError,
     UnknownGroupError,
 )
-from .types import (
-    AdaptableModel,
-    LogitMatrix,
-    LossFunctional,
-    ModelSnapshot,
-    ParameterGroupSpec,
-    Vocabulary,
-    default_vocabulary,
-)
+from .types import LogitMatrix, LossFunctional, ModelSnapshot, Vocabulary, default_vocabulary
 
 CHECKPOINT_MAGIC = "ttabench-refmodel-v1"
 
@@ -120,12 +112,17 @@ def _conv1d_backward(
     return dx, dw, db
 
 
-class ReferenceModel(AdaptableModel):
-    """Desk-scale stand-in for a CTC acoustic model.
+class ReferenceModel:
+    """Desk-scale stand-in for a CTC acoustic model, and the model the engine drives.
 
     Parameter groups: ``feature_extractor`` (both conv layers),
     ``layer_norm`` (scale/shift), ``head`` (class projection). The default
     selection adapts feature_extractor + layer_norm; the head stays frozen.
+
+    Contract the engine relies on: ``forward`` is deterministic given the
+    parameters, ``snapshot``/``restore`` are bit-exact, and ``gradient``
+    returns the gradients of exactly the selected groups' parameters, which
+    agree with central finite differences.
     """
 
     K1, S1 = 32, 2
@@ -264,15 +261,16 @@ class ReferenceModel(AdaptableModel):
                 raise ValueError(f"snapshot is missing parameter {name!r}")
             self._params[name] = np.array(snap.parameters[name], copy=True)
 
-    def parameter_groups(self) -> ParameterGroupSpec:
-        return ParameterGroupSpec(group_names=tuple(self._groups), selected=self._selected)
+    @property
+    def selected_groups(self) -> tuple[str, ...]:
+        """The parameter groups that ``gradient`` and ``apply_update`` act on."""
+        return self._selected
 
-    def select_adaptable(self, groups: list[str] | tuple[str, ...]) -> ParameterGroupSpec:
+    def select_adaptable(self, groups: list[str] | tuple[str, ...]) -> None:
         for g in groups:
             if g not in self._groups:
                 raise UnknownGroupError(g, list(self._groups))
         self._selected = tuple(groups)
-        return self.parameter_groups()
 
     def vocabulary(self) -> Vocabulary:
         return self._vocab
@@ -304,7 +302,7 @@ def save_checkpoint(model: ReferenceModel, path: str | Path) -> None:
         "symbols": list(model.vocabulary().symbols),
         "blank_index": model.vocabulary().blank_index,
         "word_delimiter_index": model.vocabulary().word_delimiter_index,
-        "selected_groups": list(model.parameter_groups().selected),
+        "selected_groups": list(model.selected_groups),
     }
     with open(path, "wb") as f:
         np.savez(f, __meta__=np.array(json.dumps(meta)), **model._params)

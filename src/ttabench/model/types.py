@@ -1,15 +1,13 @@
-"""Core model-facing types and the differentiable CTC-ASR model contract."""
+"""Model-facing value types: logits, vocabulary, snapshots, loss functionals."""
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ..corpus.audio import Waveform
-from ..errors import NonFiniteLogitsError, UnknownGroupError
+from ..errors import NonFiniteLogitsError
 
 
 @dataclass(frozen=True)
@@ -69,19 +67,6 @@ def default_vocabulary() -> Vocabulary:
 
 
 @dataclass(frozen=True)
-class ParameterGroupSpec:
-    """Which named parameter groups exist, and which are adapted."""
-
-    group_names: tuple[str, ...]
-    selected: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        unknown = [g for g in self.selected if g not in self.group_names]
-        if unknown:
-            raise UnknownGroupError(unknown[0], list(self.group_names))
-
-
-@dataclass(frozen=True)
 class ModelSnapshot:
     """Bit-exact copy of all adaptable parameter tensors."""
 
@@ -98,39 +83,3 @@ class ModelSnapshot:
 # functions from ttabench.objectives.
 LossFunctional = Callable[[LogitMatrix], tuple[object, np.ndarray]]
 
-
-class AdaptableModel(ABC):
-    """Contract the adaptation engine drives.
-
-    Implementations must make ``forward`` deterministic given parameters,
-    ``snapshot``/``restore`` bit-exact, and ``gradient`` consistent with
-    central finite differences on every parameter group.
-    """
-
-    @abstractmethod
-    def forward(self, w: Waveform) -> LogitMatrix: ...
-
-    @abstractmethod
-    def gradient(
-        self, w: Waveform, loss_fn: LossFunctional
-    ) -> tuple[object, dict[str, np.ndarray]]:
-        """Loss record plus per-parameter gradients over the selected groups."""
-
-    @abstractmethod
-    def apply_update(self, deltas: dict[str, np.ndarray]) -> None:
-        """Add deltas to parameters; rejects parameters outside selected groups."""
-
-    @abstractmethod
-    def snapshot(self) -> ModelSnapshot: ...
-
-    @abstractmethod
-    def restore(self, snap: ModelSnapshot) -> None: ...
-
-    @abstractmethod
-    def parameter_groups(self) -> ParameterGroupSpec: ...
-
-    @abstractmethod
-    def select_adaptable(self, groups: list[str] | tuple[str, ...]) -> ParameterGroupSpec: ...
-
-    @abstractmethod
-    def vocabulary(self) -> Vocabulary: ...

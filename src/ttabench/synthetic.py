@@ -21,7 +21,7 @@ from .corpus.manifest import CorpusManifest, Split, Utterance, save_manifest
 from .errors import EmptyTranscriptError
 from .evaluation import normalize_text
 from .model.reference import ReferenceModel
-from .model.types import AdaptableModel, LogitMatrix, LossFunctional
+from .model.types import LogitMatrix, LossFunctional
 from .objectives import TtaLossValue, softmax_temperature
 from .engine.optim import Adam
 
@@ -306,7 +306,7 @@ def build_shifted_corpus(
     return manifest_path, shifts
 
 
-def decode_accuracy(model: AdaptableModel, examples: list[TrainingExample]) -> float:
+def decode_accuracy(model: ReferenceModel, examples: list[TrainingExample]) -> float:
     """Fraction of examples the model transcribes exactly (sanity metric)."""
     from .model.decode import greedy_ctc_decode
 

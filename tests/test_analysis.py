@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from ttabench.analysis import (
     gaussian_summary,
     holm_bonferroni,
     project_2d,
-    read_projection_output,
     spearman,
     within_speaker_variance,
     write_correlations_csv,
@@ -165,25 +163,11 @@ def test_projection_exchange_round_trip(tmp_path):
     x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.5]])
     out_path = tmp_path / "points.csv"
     write_projection_input(ids, x, out_path)
-    header = out_path.read_text().splitlines()[0]
-    assert header == "point_id,d0,d1,d2"
-
-    answer = tmp_path / "embedded.csv"
-    answer.write_text("point_id,x,y\ns1,0.1,0.2\ns2,0.3,0.4\ns3,0.5,0.6\n")
-    proj = read_projection_output(answer, ids)
-    assert proj.method == "external"
-    assert np.allclose(proj.points, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
-
-
-def test_read_projection_output_validates(tmp_path):
-    bad_header = tmp_path / "bad.csv"
-    bad_header.write_text("id,x,y\ns1,0,0\n")
-    with pytest.raises(DimensionMismatchError):
-        read_projection_output(bad_header, ["s1"])
-    wrong_rows = tmp_path / "rows.csv"
-    wrong_rows.write_text("point_id,x,y\ns9,0,0\n")
-    with pytest.raises(LengthMismatchError):
-        read_projection_output(wrong_rows, ["s1"])
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == "point_id,d0,d1,d2"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ids
+    assert np.array_equal(np.array([[float(v) for v in r[1:]] for r in rows]), x)
 
 
 def test_write_projection_input_validates(tmp_path):
@@ -222,39 +206,6 @@ def test_spearman_handles_ties_like_scipy():
     assert ours.p_value == pytest.approx(ref_p, rel=1e-6)
 
 
-def test_spearman_permutation_small_n_is_exact():
-    x = [1.0, 2.0, 3.0, 4.0, 5.0]
-    y = [2.0, 1.0, 4.0, 3.0, 5.0]
-    res = spearman(x, y, method="permutation")
-
-    # independent enumeration over all orderings of y
-    rx = np.argsort(np.argsort(x)).astype(float)
-    ry = np.argsort(np.argsort(y)).astype(float)
-
-    def pearson(a, b):
-        a = (a - a.mean()) / a.std()
-        b = (b - b.mean()) / b.std()
-        return float((a * b).mean())
-
-    observed = abs(pearson(rx, ry))
-    hits = sum(
-        1
-        for perm in itertools.permutations(range(5))
-        if abs(pearson(rx, ry[list(perm)])) >= observed - 1e-12
-    )
-    assert res.p_value == pytest.approx(hits / math.factorial(5), abs=1e-12)
-
-
-def test_spearman_permutation_large_n_is_seeded():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=12)
-    y = rng.normal(size=12)
-    a = spearman(x, y, method="permutation", seed=3)
-    b = spearman(x, y, method="permutation", seed=3)
-    assert a.p_value == b.p_value
-    assert 0.0 < a.p_value <= 1.0
-
-
 def test_spearman_monotone_transform_invariance():
     rng = np.random.default_rng(8)
     x = rng.normal(size=15)
@@ -272,8 +223,6 @@ def test_spearman_validation():
         spearman([1, 2, 3], [1, 2])
     with pytest.raises(ZeroVarianceError):
         spearman([1.0, 1.0, 1.0, 1.0], [1, 2, 3, 4])
-    with pytest.raises(ValueError):
-        spearman([1, 2, 3], [1, 2, 3], method="bootstrap")
 
 
 # --- multiple-comparison correction ---------------------------------------------------------

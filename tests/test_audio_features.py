@@ -15,7 +15,6 @@ from ttabench.corpus.vad import (
 from ttabench.errors import (
     AudioTooShortError,
     CorruptFileError,
-    ProviderFailureError,
     UnreadableFileError,
     UnsupportedFormatError,
 )
@@ -167,14 +166,6 @@ def test_detect_nonspeech_complements_speech():
     for start, end in nonspeech.segments:
         assert end - start >= 0.030
         assert 0.0 <= start < end <= w.duration_s + 1e-9
-
-
-def test_detect_nonspeech_wraps_provider_failures():
-    def broken(_w):
-        raise RuntimeError("no segments today")
-
-    with pytest.raises(ProviderFailureError):
-        detect_nonspeech(sine(440, 0.2), vad=broken)
 
 
 def test_ems_energy_matches_known_noise_floor():

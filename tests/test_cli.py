@@ -309,6 +309,30 @@ def test_adapt_same_seed_reproduces_results_bytes(checkpoint, tmp_path):
     assert (outs[0] / "results.jsonl").read_bytes() == (outs[1] / "results.jsonl").read_bytes()
 
 
+def test_adapt_worker_count_does_not_change_run_files(corpus, checkpoint, tmp_path):
+    _, manifest_path = corpus
+    outs = {workers: tmp_path / f"w{workers}" for workers in (1, 2)}
+    for workers, out in outs.items():
+        code = cli.main(
+            [
+                "adapt",
+                "--manifest", str(manifest_path),
+                "--checkpoint", str(checkpoint),
+                "--out", str(out),
+                "--method", "suta",
+                "--steps", "2",
+                "--workers", str(workers),
+            ]
+        )
+        assert code == 0
+
+    names = sorted(p.name for p in (outs[1] / "speakers").glob("*.jsonl"))
+    assert names == ["alpha.jsonl", "bravo.jsonl"]
+    assert sorted(p.name for p in (outs[2] / "speakers").glob("*.jsonl")) == names
+    for rel in ["results.jsonl"] + [f"speakers/{n}" for n in names]:
+        assert (outs[1] / rel).read_bytes() == (outs[2] / rel).read_bytes(), rel
+
+
 def test_adapt_multiple_methods_nest_output_directories(corpus, checkpoint, tmp_path):
     _, manifest_path = corpus
     out = tmp_path / "runs"
@@ -410,19 +434,18 @@ def test_adapt_diverging_updates_are_flagged_partial(corpus, checkpoint, tmp_pat
     _, manifest_path = corpus
     out = tmp_path / "run"
 
-    with np.errstate(all="ignore"):
-        code = cli.main(
-            [
-                "adapt",
-                "--manifest", str(manifest_path),
-                "--checkpoint", str(checkpoint),
-                "--out", str(out),
-                "--method", "suta",
-                "--optimizer", "sgd",
-                "--lr", "1e300",
-                "--groups", "feature_extractor,layer_norm,head",
-            ]
-        )
+    code = cli.main(
+        [
+            "adapt",
+            "--manifest", str(manifest_path),
+            "--checkpoint", str(checkpoint),
+            "--out", str(out),
+            "--method", "suta",
+            "--optimizer", "sgd",
+            "--lr", "1e300",
+            "--groups", "feature_extractor,layer_norm,head",
+        ]
+    )
 
     assert code == 4
     records = read_run_records(out)
@@ -466,17 +489,37 @@ def test_evaluate_rejects_unfinished_run(tmp_path):
     assert cli.main(["evaluate", "--run", str(tmp_path / "nowhere")]) == 2
 
 
-@pytest.mark.parametrize("name", ["results.jsonl", "config.json"])
-def test_evaluate_truncated_run_file_is_validation_error(baseline_run, tmp_path, capsys, name):
+_NEGATIVE_COUNT = json.dumps({
+    "utterance_id": "a", "speaker_id": "alpha", "reference": "AD", "hypothesis": "",
+    "substitutions": -1, "deletions": 1, "insertions": 0, "reference_words": 1,
+    "flags": [], "loss": {"initial": None, "final": None, "steps": []},
+})
+
+
+@pytest.mark.parametrize(
+    "name, mode, text",
+    [
+        pytest.param("results.jsonl", "a", '{"utterance_id": ', id="results.jsonl"),
+        pytest.param("config.json", "a", '{"utterance_id": ', id="config.json"),
+        pytest.param("results.jsonl", "a", '{"utterance_id": "a"}\n', id="results.jsonl-missing-field"),
+        pytest.param("results.jsonl", "a", "[1,2]\n", id="results.jsonl-not-an-object"),
+        pytest.param("results.jsonl", "a", _NEGATIVE_COUNT + "\n", id="results.jsonl-negative-count"),
+        pytest.param("config.json", "w", "3\n", id="config.json-not-an-object"),
+    ],
+)
+def test_evaluate_truncated_run_file_is_validation_error(
+    baseline_run, tmp_path, capsys, name, mode, text
+):
     run = tmp_path / "run"
     shutil.copytree(baseline_run, run)
-    with open(run / name, "a", encoding="utf-8") as fh:
-        fh.write('{"utterance_id": ')
+    with open(run / name, mode, encoding="utf-8") as fh:
+        fh.write(text)
     lines = (run / name).read_text(encoding="utf-8").splitlines()
 
     assert cli.main(["evaluate", "--run", str(run)]) == 2
     err = capsys.readouterr().err
     assert str(run / name) in err
+    assert "Traceback" not in err
     if name == "results.jsonl":
         assert f"line {len(lines)}" in err
 

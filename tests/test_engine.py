@@ -26,7 +26,6 @@ from ttabench.engine.optim import Adam, Sgd, build_optimizer
 from ttabench.engine.runner import (
     adapt_speaker,
     adapt_utterance,
-    default_audio_loader,
     run_experiment,
     split_waveform,
 )
@@ -111,15 +110,6 @@ def test_adam_first_step_is_signed_learning_rate():
     deltas = opt.step({"w": np.array([3.0, -0.5, 0.0])})
     assert np.allclose(deltas["w"][:2], [-0.01, 0.01], atol=1e-6)
     assert deltas["w"][2] == 0.0
-
-
-def test_adam_reset_forgets_state():
-    g = {"w": np.array([1.0, 2.0])}
-    opt = Adam(learning_rate=0.01)
-    first = opt.step(g)["w"].copy()
-    opt.step(g)
-    opt.reset()
-    assert np.array_equal(opt.step(g)["w"], first)
 
 
 def test_build_optimizer():
@@ -266,8 +256,7 @@ def test_diverging_update_is_flagged_and_restored(model):
     )
     before = _params(model)
     w = noise(0.2, rms=0.1, seed=7)
-    with np.errstate(all="ignore"):
-        hyp, trace = adapt_utterance(model, w, config)
+    hyp, trace = adapt_utterance(model, w, config)
     assert trace.non_finite
     assert trace.final_total is None
     assert not trace.parameters_restored
@@ -330,9 +319,7 @@ def test_adapt_speaker_scores_and_flags(tmp_path, model):
         _write_utterance(tmp_path, "u2", Waveform(samples=np.zeros(50)), "too short"),
         _write_utterance(tmp_path, "u3", noise(0.2, rms=0.1, seed=9), "..."),
     ]
-    result = adapt_speaker(
-        model, "spk", utts, _suta_config(), load_audio=default_audio_loader()
-    )
+    result = adapt_speaker(model, "spk", utts, _suta_config())
     by_id = {r.utterance_id: r for r in result.records}
     assert by_id["u1"].count is not None
     assert by_id["u1"].reference == "HELLO THERE"
@@ -352,7 +339,7 @@ def test_adapt_speaker_continual_reuses_one_optimizer(tmp_path, model):
     ]
     config = _suta_config(mode="continual")
     before = _params(model)
-    adapt_speaker(model, "spk", utts, config, load_audio=default_audio_loader())
+    adapt_speaker(model, "spk", utts, config)
     after = _params(model)
     assert any(not np.array_equal(before[n], after[n]) for n in before)
 
@@ -424,7 +411,7 @@ def test_canonical_json_is_key_sorted_and_compact():
 
 def test_record_dict_round_trip(tmp_path, model):
     utts = [_write_utterance(tmp_path, "u1", noise(0.2, rms=0.1, seed=11), "one two")]
-    result = adapt_speaker(model, "spk", utts, _suta_config(), load_audio=default_audio_loader())
+    result = adapt_speaker(model, "spk", utts, _suta_config())
     record = result.records[0]
     back = record_from_dict(json.loads(canonical_json(record_to_dict(record))))
     assert back.utterance_id == record.utterance_id
@@ -438,7 +425,7 @@ def test_record_dict_round_trip(tmp_path, model):
 
 def test_record_dict_has_no_timestamps(tmp_path, model):
     utts = [_write_utterance(tmp_path, "u1", noise(0.2, rms=0.1, seed=12), "one")]
-    result = adapt_speaker(model, "spk", utts, _suta_config(), load_audio=default_audio_loader())
+    result = adapt_speaker(model, "spk", utts, _suta_config())
     data = record_to_dict(result.records[0])
     blob = canonical_json(data)
     assert "time" not in blob and "wall" not in blob

@@ -1,6 +1,5 @@
 import csv
 import itertools
-import math
 from functools import lru_cache
 
 import pytest
@@ -256,13 +255,13 @@ def test_wilcoxon_large_n_uses_normal_approximation():
 
 def _reports(pairs: dict[str, tuple[float, float]]) -> list[SpeakerReport]:
     return [
-        SpeakerReport(speaker_id=s, baseline_wer=b, adapted_wer=a, utterance_count=3)
+        SpeakerReport(speaker_id=s, baseline_wer=b, adapted_wer=a)
         for s, (b, a) in pairs.items()
     ]
 
 
 def test_speaker_report_delta_and_gain():
-    r = SpeakerReport(speaker_id="s", baseline_wer=0.5, adapted_wer=0.3, utterance_count=1)
+    r = SpeakerReport(speaker_id="s", baseline_wer=0.5, adapted_wer=0.3)
     assert r.delta == pytest.approx(-0.2)
     assert r.gain == pytest.approx(0.2)
 

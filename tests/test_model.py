@@ -117,9 +117,9 @@ def test_forward_is_deterministic(model):
 
 
 def test_groups_and_default_selection(model):
-    spec = model.parameter_groups()
-    assert spec.group_names == ("feature_extractor", "layer_norm", "head")
-    assert spec.selected == ("feature_extractor", "layer_norm")
+    assert model.selected_groups == ("feature_extractor", "layer_norm")
+    assert model.select_adaptable(["head", "layer_norm", "feature_extractor"]) is None
+    assert model.selected_groups == ("head", "layer_norm", "feature_extractor")
 
 
 def test_select_adaptable_unknown_group(model):
@@ -286,7 +286,7 @@ def test_checkpoint_round_trip(tmp_path, model):
     for name in a:
         assert np.array_equal(a[name], b[name])
     assert loaded.vocabulary() == model.vocabulary()
-    assert loaded.parameter_groups().selected == model.parameter_groups().selected
+    assert loaded.selected_groups == model.selected_groups
 
 
 def test_checkpoint_fingerprint_stable(tmp_path, model):

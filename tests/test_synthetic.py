@@ -143,7 +143,7 @@ def test_training_reduces_frame_loss(model):
     history = train_reference_model(model, examples, epochs=3, learning_rate=2e-3)
     assert len(history) == 3
     assert history[-1] < history[0]
-    assert model.parameter_groups().selected == ("feature_extractor", "layer_norm")
+    assert model.selected_groups == ("feature_extractor", "layer_norm")
 
 
 def test_decode_accuracy_bounds(model):
