@@ -1,4 +1,5 @@
-"""Domain-shift analyses: feature-space geometry and rank correlations."""
+"""Domain-shift analyses: per-speaker shift metrics from audio, feature-space
+geometry and rank correlations."""
 
 from __future__ import annotations
 
@@ -10,10 +11,15 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import betainc
 
+from .corpus.audio import read_audio
+from .corpus.features import compute_mfcc
+from .corpus.manifest import CorpusManifest, word_duration
+from .corpus.vad import detect_nonspeech, ems_energy
 from .errors import (
     DimensionMismatchError,
     InvalidPError,
     LengthMismatchError,
+    ManifestError,
     SingularCovarianceError,
     SpeakerSetMismatchError,
     TooFewFramesError,
@@ -23,6 +29,8 @@ from .errors import (
 from .evaluation import midranks
 
 _RIDGE = 1e-6
+
+METRIC_COLUMNS = ("ems_energy", "word_duration_s", "within_variance", "bhattacharyya_to_pool")
 
 
 @dataclass(frozen=True)
@@ -113,19 +121,57 @@ def project_2d(x: np.ndarray) -> Projection2d:
     return Projection2d(points=points, explained_variance_ratio=ratio)
 
 
-def write_projection_input(ids: Sequence[str], x: np.ndarray, path: Path) -> None:
-    """Write high-dimensional points to CSV for an external embedding tool.
+def speaker_shift_metrics(
+    manifest: CorpusManifest, metrics: Sequence[str], points: bool = False
+) -> tuple[dict[str, dict[str, float]], list[tuple[str, np.ndarray]]]:
+    """Per-speaker shift metrics computed from a manifest's audio.
 
-    Header ``point_id,d0..d{D-1}``, then one row per point in ``ids`` order.
+    Returns one row per speaker, in speaker-id order, holding
+    ``n_utterances`` and each requested metric from ``METRIC_COLUMNS``, and
+    the (utterance_id, mean MFCC vector) points the distance metrics use, in
+    the same speaker order. The points are computed when a distance metric
+    or ``points`` asks for them, and are empty otherwise.
+
+    Raises:
+        ManifestError: the manifest holds no utterances.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if len(ids) != x.shape[0]:
-        raise LengthMismatchError(f"{len(ids)} ids for {x.shape[0]} rows")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point_id"] + [f"d{j}" for j in range(x.shape[1])])
-        for row_id, row in zip(ids, x):
-            writer.writerow([row_id] + [repr(float(v)) for v in row])
+    if not manifest.utterances:
+        raise ManifestError("the manifest holds no utterances")
+    want_ems = "ems_energy" in metrics
+    want_dist = "within_variance" in metrics or "bhattacharyya_to_pool" in metrics
+    want_points = want_dist or points
+
+    rows: dict[str, dict[str, float]] = {}
+    points_by_speaker: dict[str, list[tuple[str, np.ndarray]]] = {}
+    for speaker_id, utterances in sorted(manifest.speakers().items()):
+        ems_values: list[float] = []
+        for u in utterances:
+            if want_ems or want_points:
+                w = read_audio(Path(u.audio_path))
+                if want_ems:
+                    ems_values.append(ems_energy(w, detect_nonspeech(w)).value)
+                if want_points:
+                    vec = compute_mfcc(w).frames.mean(axis=0)
+                    points_by_speaker.setdefault(speaker_id, []).append((u.utterance_id, vec))
+        row: dict[str, float] = {"n_utterances": len(utterances)}
+        if want_ems:
+            row["ems_energy"] = float(np.mean(ems_values))
+        if "word_duration_s" in metrics:
+            row["word_duration_s"] = float(np.mean([word_duration(u) for u in utterances]))
+        rows[speaker_id] = row
+
+    all_points = [p for speaker_points in points_by_speaker.values() for p in speaker_points]
+    if want_dist:
+        pooled = gaussian_summary(np.vstack([v for _, v in all_points]))
+        for speaker_id, speaker_points in points_by_speaker.items():
+            x = np.vstack([v for _, v in speaker_points])
+            if "within_variance" in metrics:
+                rows[speaker_id]["within_variance"] = within_speaker_variance(x)
+            if "bhattacharyya_to_pool" in metrics:
+                rows[speaker_id]["bhattacharyya_to_pool"] = bhattacharyya_distance(
+                    gaussian_summary(x), pooled
+                )
+    return rows, all_points
 
 
 @dataclass(frozen=True)

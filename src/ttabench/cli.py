@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -22,17 +23,14 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import (
+    METRIC_COLUMNS,
     GainCorrelation,
-    bhattacharyya_distance,
     correlate_gains,
-    gaussian_summary,
     project_2d,
-    within_speaker_variance,
+    speaker_shift_metrics,
     write_correlations_csv,
-    write_projection_input,
 )
 from .corpus.audio import read_audio
-from .corpus.features import compute_mfcc
 from .corpus.manifest import (
     CorpusManifest,
     Split,
@@ -41,9 +39,7 @@ from .corpus.manifest import (
     filter_max_duration,
     load_manifest,
     save_manifest,
-    word_duration,
 )
-from .corpus.vad import detect_nonspeech, ems_energy
 from .engine.artifacts import (
     RunWriter,
     read_run_config,
@@ -59,16 +55,13 @@ from .errors import (
     ConfigError,
     EvaluationError,
     ManifestError,
-    SpeakerSetMismatchError,
     TtaBenchError,
     UnknownGroupError,
     UnsupportedFormatError,
 )
 from .evaluation import (
-    SpeakerReport,
     build_delta_table,
     format_delta_table,
-    rank_speakers_by_baseline,
     unweighted_mean_wer,
     write_delta_table_csv,
     write_speaker_gains_csv,
@@ -90,8 +83,6 @@ _VALIDATION_ERRORS = (
     UnsupportedFormatError,
     FileNotFoundError,
 )
-
-METRIC_COLUMNS = ("ems_energy", "word_duration_s", "within_variance", "bhattacharyya_to_pool")
 
 
 def _default_out(name: str) -> Path:
@@ -195,6 +186,8 @@ def _discover_source(source: Path) -> list[Utterance]:
 def cmd_ingest(args: argparse.Namespace) -> int:
     if bool(args.source) == bool(args.from_manifest):
         raise ConfigError("exactly one of --source or --from-manifest is required")
+    if args.max_duration is not None and not args.max_duration > 0:
+        raise ConfigError(f"--max-duration must be positive, got {args.max_duration}")
     split = Split(args.split)
     if args.source:
         manifest = CorpusManifest(split=split, utterances=tuple(_discover_source(Path(args.source))))
@@ -268,6 +261,14 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     manifest = load_manifest(Path(run_cfg.manifest_path))
     fingerprint = checkpoint_fingerprint(Path(run_cfg.checkpoint_ref))
     factory = functools.partial(load_checkpoint, Path(run_cfg.checkpoint_ref))
+    if "sgem" in run_cfg.methods:
+        # sgem keeps the top neg_k of the checkpoint's output classes per frame
+        n_classes = len(factory().vocabulary())
+        if run_cfg.adaptation.neg_k >= n_classes:
+            raise ConfigError(
+                f"neg_k must be below the checkpoint's {n_classes} output classes, "
+                f"got {run_cfg.adaptation.neg_k}"
+            )
 
     any_flagged = False
     for method in run_cfg.methods:
@@ -331,47 +332,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else _default_out("analysis")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    want_ems = "ems_energy" in args.metrics
-    want_wd = "word_duration_s" in args.metrics
-    want_dist = "within_variance" in args.metrics or "bhattacharyya_to_pool" in args.metrics
-
-    per_speaker: dict[str, dict[str, float]] = {}
-    means_by_speaker: dict[str, list[np.ndarray]] = {}
-    ids: list[str] = []
-    mean_vectors: list[np.ndarray] = []
-    for speaker_id, utterances in sorted(manifest.speakers().items()):
-        ems_values: list[float] = []
-        wd_values: list[float] = []
-        for u in utterances:
-            if want_wd:
-                wd_values.append(word_duration(u))
-            if want_ems or want_dist or args.projection != "none":
-                w = read_audio(Path(u.audio_path))
-                if want_ems:
-                    ems_values.append(ems_energy(w, detect_nonspeech(w)).value)
-                if want_dist or args.projection != "none":
-                    vec = compute_mfcc(w).frames.mean(axis=0)
-                    means_by_speaker.setdefault(speaker_id, []).append(vec)
-                    ids.append(u.utterance_id)
-                    mean_vectors.append(vec)
-        row: dict[str, float] = {"n_utterances": float(len(utterances))}
-        if want_ems:
-            row["ems_energy"] = float(np.mean(ems_values))
-        if want_wd:
-            row["word_duration_s"] = float(np.mean(wd_values))
-        per_speaker[speaker_id] = row
-
-    if want_dist:
-        pooled = gaussian_summary(np.vstack([v for vs in means_by_speaker.values() for v in vs]))
-        for speaker_id, vectors in means_by_speaker.items():
-            points = np.vstack(vectors)
-            if "within_variance" in args.metrics:
-                per_speaker[speaker_id]["within_variance"] = within_speaker_variance(points)
-            if "bhattacharyya_to_pool" in args.metrics:
-                per_speaker[speaker_id]["bhattacharyya_to_pool"] = bhattacharyya_distance(
-                    gaussian_summary(points), pooled
-                )
-
+    per_speaker, points = speaker_shift_metrics(
+        manifest, args.metrics, points=args.projection == "pca"
+    )
     metrics_path = out_dir / "speaker_metrics.csv"
     columns = ["speaker_id", "n_utterances"] + [m for m in METRIC_COLUMNS if m in args.metrics]
     with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
@@ -379,25 +342,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         writer.writerow(columns)
         for speaker_id in sorted(per_speaker):
             row = per_speaker[speaker_id]
-            writer.writerow(
-                [speaker_id, int(row["n_utterances"])]
-                + [repr(row[m]) for m in columns[2:]]
-            )
+            writer.writerow([speaker_id, row["n_utterances"]] + [repr(row[m]) for m in columns[2:]])
     print(f"wrote {metrics_path}")
 
     if args.projection == "pca":
-        projection = project_2d(np.vstack(mean_vectors))
+        projection = project_2d(np.vstack([v for _, v in points]))
         proj_path = out_dir / "projection_2d.csv"
         with open(proj_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["point_id", "x", "y"])
-            for point_id, (x, y) in zip(ids, projection.points):
+            for (point_id, _), (x, y) in zip(points, projection.points):
                 writer.writerow([point_id, repr(float(x)), repr(float(y))])
         print(f"wrote {proj_path}")
-    elif args.projection == "export":
-        proj_path = out_dir / "projection_points.csv"
-        write_projection_input(ids, np.vstack(mean_vectors), proj_path)
-        print(f"wrote {proj_path} (feed to an external embedding tool)")
     return EXIT_OK
 
 
@@ -415,7 +371,16 @@ def _read_metrics_csv(path: Path) -> dict[str, dict[str, float]]:
         }
         for row in reader:
             for name in out:
-                out[name][row["speaker_id"]] = float(row[name])
+                try:
+                    value = float(row[name])
+                except (TypeError, ValueError):
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise AnalysisError(
+                        f"{path} line {reader.line_num}, column {name!r}: "
+                        f"not a finite number: {row[name]!r}"
+                    )
+                out[name][row["speaker_id"]] = value
     return out
 
 
@@ -432,21 +397,14 @@ def cmd_report(args: argparse.Namespace) -> int:
         runs[method] = speaker_wers_from_records(read_run_records(run_dir))
     if "none" not in runs:
         raise EvaluationError('a baseline run (method "none") is required')
-    baseline = runs["none"]
-    adapted_methods = [m for m in runs if m != "none"]
-    if not adapted_methods:
+    baseline = runs.pop("none")
+    if not runs:
         raise EvaluationError("no adapted runs to compare against the baseline")
-    for method in adapted_methods:
-        if set(runs[method]) != set(baseline):
-            raise SpeakerSetMismatchError(
-                f"run {method!r} covers different speakers than the baseline"
-            )
 
-    out_dir = Path(args.out) if args.out else _default_out("report")
-    # validate the correlation inputs before any file is written, so a bad
-    # flag combination leaves no partial report behind
-    all_metrics: dict[str, dict[str, float]] = {}
-    metric_names: list[str] = []
+    table = build_delta_table(args.setting, baseline, runs)
+    # compute every output before writing any, so a bad flag, a bad metrics
+    # file or a failed correlation (for example a constant metric) leaves no
+    # partial report behind
     if args.correlations:
         if not args.metrics_csv:
             raise ConfigError("--correlations requires --metrics-csv from the analyze command")
@@ -455,38 +413,23 @@ def cmd_report(args: argparse.Namespace) -> int:
         missing = [m for m in metric_names if m not in all_metrics]
         if missing:
             raise AnalysisError(f"metrics not present in {args.metrics_csv}: {missing}")
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    setting = args.setting
-
-    per_method = {
-        method: [
-            SpeakerReport(speaker_id=s, baseline_wer=baseline[s], adapted_wer=runs[method][s])
-            for s in sorted(baseline)
-        ]
-        for method in adapted_methods
-    }
-    table = build_delta_table({(setting, m): reports for m, reports in per_method.items()})
+        metrics = {m: all_metrics[m] for m in metric_names}
     print(format_delta_table(table))
+    corr_rows: list[tuple[str, GainCorrelation]] = []
+    if args.correlations:
+        for method, wers in runs.items():
+            gains = {s: baseline[s] - wers[s] for s in baseline}
+            rows = correlate_gains(gains, metrics, alpha=args.alpha)
+            corr_rows.extend((method, row) for row in rows)
+
+    out_dir = Path(args.out) if args.out else _default_out("report")
+    out_dir.mkdir(parents=True, exist_ok=True)
     delta_path = out_dir / "delta_table.csv"
     write_delta_table_csv(table, delta_path)
-
-    ranking = rank_speakers_by_baseline(next(iter(per_method.values())))
     gains_path = out_dir / "speaker_gains.csv"
-    write_speaker_gains_csv(per_method, ranking, gains_path)
-
+    write_speaker_gains_csv(baseline, runs, gains_path)
     inventory = {delta_path.name: sha256_file(delta_path), gains_path.name: sha256_file(gains_path)}
-
     if args.correlations:
-        # compute every row before opening the file so a failed correlation
-        # (for example a constant metric) leaves no partial csv behind
-        corr_rows: list[tuple[str, GainCorrelation]] = []
-        for method in adapted_methods:
-            gains = {s: baseline[s] - runs[method][s] for s in baseline}
-            rows = correlate_gains(
-                gains, {m: all_metrics[m] for m in metric_names}, alpha=args.alpha
-            )
-            corr_rows.extend((method, row) for row in rows)
         corr_path = out_dir / "correlations.csv"
         write_correlations_csv(corr_rows, corr_path)
         inventory[corr_path.name] = sha256_file(corr_path)
@@ -495,7 +438,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     summary = {
         "mean_wer": {
             "none": unweighted_mean_wer(list(baseline.values())),
-            **{m: unweighted_mean_wer(list(runs[m].values())) for m in adapted_methods},
+            **{m: unweighted_mean_wer(list(wers.values())) for m, wers in runs.items()},
         },
         "rows": [dataclasses.asdict(r) for r in table],
         "files": inventory,
@@ -561,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(METRIC_COLUMNS),
         help=f"comma-separated subset of {','.join(METRIC_COLUMNS)}",
     )
-    p.add_argument("--projection", choices=["none", "pca", "export"], default="none")
+    p.add_argument("--projection", choices=["none", "pca"], default="none")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("report", help="compare runs: delta table, gains, correlations")

@@ -56,7 +56,8 @@ def read_audio(path: str | os.PathLike, target_rate_hz: int = CANONICAL_RATE_HZ)
     Raises:
         UnreadableFileError: file missing or unreadable.
         UnsupportedFormatError: not a RIFF/WAVE file.
-        CorruptFileError: WAVE file that cannot be parsed.
+        CorruptFileError: WAVE file that cannot be parsed, or whose float
+            samples include NaN or infinity.
     """
     try:
         with open(path, "rb") as f:
@@ -77,6 +78,8 @@ def read_audio(path: str | os.PathLike, target_rate_hz: int = CANONICAL_RATE_HZ)
     if x.ndim == 2:
         x = x.mean(axis=1, dtype=np.float64)
     x = x.astype(np.float64)
+    if not np.all(np.isfinite(x)):
+        raise CorruptFileError(f"{path} holds NaN or infinite samples")
 
     if data.dtype == np.uint8:
         x = (x - 128.0) / 128.0

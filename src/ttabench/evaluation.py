@@ -16,7 +16,7 @@ import csv
 import math
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -135,24 +135,6 @@ def unweighted_mean_wer(speaker_wers: Sequence[float]) -> float:
     if not speaker_wers:
         raise EmptyListError("no speaker has a scoreable utterance")
     return sum(speaker_wers) / len(speaker_wers)
-
-
-@dataclass(frozen=True)
-class SpeakerReport:
-    """Baseline vs adapted WER for one speaker; delta = adapted - baseline."""
-
-    speaker_id: str
-    baseline_wer: float
-    adapted_wer: float
-    delta: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", self.adapted_wer - self.baseline_wer)
-
-    @property
-    def gain(self) -> float:
-        """Performance gain from adaptation (positive = WER went down)."""
-        return self.baseline_wer - self.adapted_wer
 
 
 class Direction(Enum):
@@ -275,84 +257,42 @@ class DeltaRow:
     n_speakers: int
 
 
-def _speaker_map(reports: Sequence[SpeakerReport]) -> dict[str, SpeakerReport]:
-    return {r.speaker_id: r for r in reports}
-
-
 def build_delta_table(
-    runs: Mapping[tuple[str, str] | str, Sequence[SpeakerReport]],
+    setting: str,
+    baseline: Mapping[str, float],
+    adapted: Mapping[str, Mapping[str, float]],
 ) -> list[DeltaRow]:
-    """Build method-comparison rows from per-speaker reports.
+    """Method-comparison rows for one setting from per-speaker WERs.
 
-    ``runs`` maps a (setting, method) pair -- or a bare method name, which is
-    placed under setting "default" -- to that method's speaker reports. Each
-    report carries the unadapted baseline alongside the adapted WER, so every
-    setting gets a derived "unadapted" row followed by one row per method
-    with the mean delta and a Wilcoxon p-value against the baseline.
+    ``baseline`` maps speaker to unadapted WER; ``adapted`` maps each method
+    to its own speaker -> WER map. The table opens with an "unadapted" row,
+    followed by one row per method (in ``adapted`` order) with the mean
+    delta and a Wilcoxon p-value against the baseline.
 
     Raises:
-        SpeakerSetMismatchError: settings cover different speakers, or two
-            methods within a setting disagree on the baseline.
+        EmptyListError: no adapted method.
+        SpeakerSetMismatchError: a method covers other speakers than the
+            baseline.
     """
-    if not runs:
-        raise EmptyListError("no runs supplied")
-
-    by_setting: dict[str, dict[str, Sequence[SpeakerReport]]] = {}
-    for key, reports in runs.items():
-        setting, method = key if isinstance(key, tuple) else ("default", key)
-        by_setting.setdefault(setting, {})[method] = reports
-
-    speaker_sets = {
-        frozenset(r.speaker_id for r in reports)
-        for methods in by_setting.values()
-        for reports in methods.values()
-    }
-    if len(speaker_sets) != 1:
-        raise SpeakerSetMismatchError("runs do not cover the same speaker set")
-
-    rows: list[DeltaRow] = []
-    for setting, methods in by_setting.items():
-        baselines: dict[str, float] | None = None
-        for method, reports in methods.items():
-            m = {r.speaker_id: r.baseline_wer for r in reports}
-            if baselines is None:
-                baselines = m
-            elif any(abs(m[s] - baselines[s]) > 1e-12 for s in m):
-                raise SpeakerSetMismatchError(
-                    f"methods within setting {setting!r} disagree on baseline WERs"
-                )
-        assert baselines is not None
-        speakers = sorted(baselines)
-        base_mean = unweighted_mean_wer([baselines[s] for s in speakers])
-        rows.append(
-            DeltaRow(
-                setting=setting,
-                method="unadapted",
-                mean_wer=base_mean,
-                delta=None,
-                p_value=None,
-                n_speakers=len(speakers),
+    if not adapted:
+        raise EmptyListError("no adapted runs supplied")
+    for method, wers in adapted.items():
+        if set(wers) != set(baseline):
+            raise SpeakerSetMismatchError(
+                f"run {method!r} covers different speakers than the baseline"
             )
-        )
-        for method, reports in methods.items():
-            rmap = _speaker_map(reports)
-            adapted = [rmap[s].adapted_wer for s in speakers]
-            base = [baselines[s] for s in speakers]
-            try:
-                p: float | None = wilcoxon_signed_rank(base, adapted).p_value
-            except (TooFewPairsError, AllZeroDifferencesError):
-                p = None
-            mean = unweighted_mean_wer(adapted)
-            rows.append(
-                DeltaRow(
-                    setting=setting,
-                    method=method,
-                    mean_wer=mean,
-                    delta=mean - base_mean,
-                    p_value=p,
-                    n_speakers=len(speakers),
-                )
-            )
+    speakers = sorted(baseline)
+    base = [baseline[s] for s in speakers]
+    base_mean = unweighted_mean_wer(base)
+    rows = [DeltaRow(setting, "unadapted", base_mean, None, None, len(speakers))]
+    for method, wers in adapted.items():
+        values = [wers[s] for s in speakers]
+        try:
+            p: float | None = wilcoxon_signed_rank(base, values).p_value
+        except (TooFewPairsError, AllZeroDifferencesError):
+            p = None
+        mean = unweighted_mean_wer(values)
+        rows.append(DeltaRow(setting, method, mean, mean - base_mean, p, len(speakers)))
     return rows
 
 
@@ -400,34 +340,23 @@ def write_delta_table_csv(rows: Sequence[DeltaRow], path: str) -> None:
             )
 
 
-def rank_speakers_by_baseline(reports: Sequence[SpeakerReport]) -> list[str]:
-    """Speaker ids ordered by descending baseline WER (rank 1 = hardest speaker)."""
-    return [
-        r.speaker_id
-        for r in sorted(reports, key=lambda r: (-r.baseline_wer, r.speaker_id))
-    ]
-
-
 def write_speaker_gains_csv(
-    runs: Mapping[str, Sequence[SpeakerReport]],
-    ranking: Sequence[str],
+    baseline: Mapping[str, float],
+    adapted: Mapping[str, Mapping[str, float]],
     path: str,
 ) -> None:
-    """Per-speaker gain rows (full precision) in baseline-rank order.
+    """Per-speaker gain rows (full precision); gain = baseline - adapted WER.
 
-    One row per (speaker, setting); suitable for heatmap rendering.
+    Speakers are ranked by descending baseline WER (rank 1 = hardest
+    speaker), ties by id. One row per (speaker, method), methods in
+    ``adapted`` order; the ``setting`` column holds the method name.
+    Suitable for heatmap rendering.
     """
+    ranking = sorted(baseline, key=lambda s: (-baseline[s], s))
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["rank", "speaker_id", "setting", "baseline_wer", "adapted_wer", "gain"])
-        for setting, reports in runs.items():
-            rmap = _speaker_map(reports)
-            if set(rmap) != set(ranking):
-                raise SpeakerSetMismatchError(
-                    f"setting {setting!r} does not cover the ranked speaker set"
-                )
+        for method, wers in adapted.items():
             for rank, speaker in enumerate(ranking, start=1):
-                r = rmap[speaker]
-                w.writerow(
-                    [rank, speaker, setting, repr(r.baseline_wer), repr(r.adapted_wer), repr(r.gain)]
-                )
+                b, a = baseline[speaker], wers[speaker]
+                w.writerow([rank, speaker, method, repr(b), repr(a), repr(b - a)])

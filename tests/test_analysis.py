@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from helpers import write_tone_corpus
+
 from ttabench.analysis import (
     GaussianSummary,
     bhattacharyya_distance,
@@ -15,13 +17,17 @@ from ttabench.analysis import (
     project_2d,
     spearman,
     within_speaker_variance,
+    speaker_shift_metrics,
     write_correlations_csv,
-    write_projection_input,
 )
+from ttabench.corpus.audio import read_audio
+from ttabench.corpus.features import compute_mfcc
+from ttabench.corpus.manifest import CorpusManifest, Split, load_manifest, word_duration
 from ttabench.errors import (
     DimensionMismatchError,
     InvalidPError,
     LengthMismatchError,
+    ManifestError,
     SingularCovarianceError,
     SpeakerSetMismatchError,
     TooFewFramesError,
@@ -158,21 +164,52 @@ def test_project_2d_validation():
         project_2d(np.zeros((5, 1)))
 
 
-def test_projection_exchange_round_trip(tmp_path):
-    ids = ["s1", "s2", "s3"]
-    x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.5]])
-    out_path = tmp_path / "points.csv"
-    write_projection_input(ids, x, out_path)
-    lines = out_path.read_text().splitlines()
-    assert lines[0] == "point_id,d0,d1,d2"
-    rows = [line.split(",") for line in lines[1:]]
-    assert [r[0] for r in rows] == ids
-    assert np.array_equal(np.array([[float(v) for v in r[1:]] for r in rows]), x)
+# --- per-speaker shift metrics ---------------------------------------------------------
 
 
-def test_write_projection_input_validates(tmp_path):
-    with pytest.raises(LengthMismatchError):
-        write_projection_input(["a"], np.zeros((2, 3)), tmp_path / "x.csv")
+def test_speaker_shift_metrics_rows_and_points(tmp_path):
+    manifest = load_manifest(
+        write_tone_corpus(tmp_path, {"s1": ["jm", "ps vy"], "s0": ["ad", "ga", "ad ga"]})
+    )
+    metrics = ["ems_energy", "word_duration_s", "within_variance", "bhattacharyya_to_pool"]
+
+    rows, points = speaker_shift_metrics(manifest, metrics)
+
+    assert list(rows) == ["s0", "s1"]
+    assert [pid for pid, _ in points] == ["s0-000", "s0-001", "s0-002", "s1-000", "s1-001"]
+    by_id = {u.utterance_id: u for u in manifest.utterances}
+    for pid, vec in points:
+        expect = compute_mfcc(read_audio(by_id[pid].audio_path)).frames.mean(axis=0)
+        assert np.array_equal(vec, expect)
+    pooled = gaussian_summary(np.vstack([v for _, v in points]))
+    for speaker, utterances in manifest.speakers().items():
+        row = rows[speaker]
+        x = np.vstack([v for pid, v in points if pid.startswith(speaker)])
+        assert row["n_utterances"] == len(utterances)
+        assert row["word_duration_s"] == pytest.approx(
+            np.mean([word_duration(u) for u in utterances])
+        )
+        assert np.isfinite(row["ems_energy"]) and row["ems_energy"] >= 0.0
+        assert row["within_variance"] == within_speaker_variance(x)
+        assert row["bhattacharyya_to_pool"] == bhattacharyya_distance(gaussian_summary(x), pooled)
+
+
+def test_speaker_shift_metrics_reads_audio_only_when_needed(tmp_path, monkeypatch):
+    manifest = load_manifest(write_tone_corpus(tmp_path, {"s0": ["ad", "ga"], "s1": ["jm"]}))
+
+    def no_audio(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr("ttabench.analysis.read_audio", no_audio)
+    rows, points = speaker_shift_metrics(manifest, ["word_duration_s"])
+
+    assert points == []
+    assert rows["s1"] == {"n_utterances": 1, "word_duration_s": word_duration(manifest.utterances[2])}
+
+
+def test_speaker_shift_metrics_rejects_empty_manifest():
+    with pytest.raises(ManifestError):
+        speaker_shift_metrics(CorpusManifest(split=Split.TEST, utterances=()), ["word_duration_s"])
 
 
 # --- rank correlation -------------------------------------------------------------------

@@ -96,6 +96,20 @@ def test_read_audio_rejects_truncated_wav(tmp_path):
         read_audio(bad)
 
 
+@pytest.mark.parametrize(
+    "bad_value, rate_hz",
+    [(np.nan, CANONICAL_RATE_HZ), (np.inf, CANONICAL_RATE_HZ), (-np.inf, 8000)],
+    ids=["nan", "inf", "-inf-resampled"],
+)
+def test_read_audio_rejects_non_finite_float_samples(tmp_path, bad_value, rate_hz):
+    samples = np.full(1600, 0.1, dtype=np.float32)
+    samples[100] = bad_value
+    path = tmp_path / "bad.wav"
+    wavfile.write(path, rate_hz, samples)
+    with pytest.raises(CorruptFileError, match="NaN or infinite"):
+        read_audio(path)
+
+
 # --- framing and MFCC ---------------------------------------------------------------
 
 

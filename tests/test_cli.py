@@ -147,6 +147,25 @@ def test_ingest_filters_by_duration(corpus, tmp_path):
     assert len(load_manifest(out)) == len(load_manifest(manifest_path))
 
 
+@pytest.mark.parametrize("max_duration", ["0", "-1.5"])
+def test_ingest_rejects_non_positive_max_duration(corpus, tmp_path, capsys, max_duration):
+    _, manifest_path = corpus
+    out = tmp_path / "filtered.jsonl"
+
+    code = cli.main(
+        [
+            "ingest",
+            "--from-manifest", str(manifest_path),
+            f"--max-duration={max_duration}",
+            "--out", str(out),
+        ]
+    )
+
+    assert code == 2
+    assert "--max-duration must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_rejects_filter_that_drops_everything(corpus, tmp_path):
     _, manifest_path = corpus
     out = tmp_path / "empty.jsonl"
@@ -410,6 +429,31 @@ def test_adapt_config_file_errors_are_validation_errors(corpus, checkpoint, tmp_
     assert not (tmp_path / "run").exists()
 
 
+def test_adapt_neg_k_must_be_below_vocabulary_size(corpus, checkpoint, tmp_path, capsys):
+    _, manifest_path = corpus
+    n_classes = len(build_reference_model(seed=5).vocabulary())
+    out = tmp_path / "runs"
+
+    def adapt(neg_k: int) -> int:
+        return cli.main(
+            [
+                "adapt",
+                "--manifest", str(manifest_path),
+                "--checkpoint", str(checkpoint),
+                "--out", str(out),
+                "--method", "none,sgem",
+                "--steps", "1",
+                "--neg-k", str(neg_k),
+            ]
+        )
+
+    assert adapt(n_classes) == 2
+    err = capsys.readouterr().err
+    assert f"neg_k must be below the checkpoint's {n_classes} output classes" in err
+    assert not (out / "none").exists() and not (out / "sgem").exists()
+    assert adapt(n_classes - 1) == 0
+
+
 def test_adapt_with_no_scoreable_utterance_is_validation_error(checkpoint, tmp_path, capsys):
     manifest_path = write_tone_corpus(tmp_path, {"solo": ["ad"]})
     base = load_manifest(manifest_path)
@@ -576,24 +620,6 @@ def test_analyze_metric_subset_limits_columns(analyze_corpus, tmp_path):
     assert lines[0] == "speaker_id,n_utterances,word_duration_s"
 
 
-def test_analyze_export_writes_projection_input(analyze_corpus, tmp_path):
-    out = tmp_path / "analysis"
-
-    code = cli.main(
-        [
-            "analyze",
-            "--manifest", str(analyze_corpus),
-            "--out", str(out),
-            "--metrics", "word_duration_s",
-            "--projection", "export",
-        ]
-    )
-
-    assert code == 0
-    header = (out / "projection_points.csv").read_text(encoding="utf-8").splitlines()[0]
-    assert header.startswith("point_id,d0,d1")
-
-
 def test_analyze_unknown_metric_is_validation_error(analyze_corpus, capsys):
     code = cli.main(["analyze", "--manifest", str(analyze_corpus), "--metrics", "loudness"])
 
@@ -603,6 +629,22 @@ def test_analyze_unknown_metric_is_validation_error(analyze_corpus, capsys):
 
 def test_analyze_missing_manifest_is_validation_error(tmp_path):
     assert cli.main(["analyze", "--manifest", str(tmp_path / "none.jsonl")]) == 2
+
+
+@pytest.mark.parametrize("projection", ["none", "pca"])
+def test_analyze_empty_manifest_is_validation_error(tmp_path, capsys, projection):
+    manifest_path = tmp_path / "empty.jsonl"
+    manifest_path.write_text("", encoding="utf-8")
+
+    code = cli.main(
+        ["analyze", "--manifest", str(manifest_path), "--out", str(tmp_path / "a"),
+         "--projection", projection]
+    )
+
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no utterances" in err and "Traceback" not in err
+    assert not (tmp_path / "a" / "speaker_metrics.csv").exists()
 
 
 # --- report ---------------------------------------------------------------------
@@ -743,8 +785,56 @@ def test_report_constant_metric_leaves_no_partial_correlations(tmp_path):
     )
 
     assert code == 2
-    assert not (out / "correlations.csv").exists()
-    assert not (out / "run_summary.json").exists()
+    assert not out.exists()
+
+
+def _report_with_metrics_csv(tmp_path, metrics_text: str, *extra: str) -> tuple[int, Path]:
+    base = _fake_run(tmp_path / "none", "none", {"s0": 3, "s1": 2, "s2": 1})
+    adapted = _fake_run(tmp_path / "suta", "suta", {"s0": 1, "s1": 1, "s2": 1})
+    metrics_csv = tmp_path / "speaker_metrics.csv"
+    metrics_csv.write_text(metrics_text, encoding="utf-8")
+    out = tmp_path / "report"
+    code = cli.main(
+        [
+            "report",
+            "--runs", str(base), str(adapted),
+            "--out", str(out),
+            "--correlations", "ems_energy",
+            "--metrics-csv", str(metrics_csv),
+            *extra,
+        ]
+    )
+    return code, out
+
+
+def test_report_invalid_alpha_writes_nothing(tmp_path, capsys):
+    code, out = _report_with_metrics_csv(
+        tmp_path, "speaker_id,n_utterances,ems_energy\ns0,1,3.0\ns1,1,2.0\ns2,1,1.0\n",
+        "--alpha", "2",
+    )
+
+    assert code == 2
+    assert "alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, bad",
+    [
+        pytest.param("s0,1,3.0\ns1,1,abc\ns2,1,1.0\n", "'abc'", id="not-a-number"),
+        pytest.param("s0,1,3.0\ns1,1\ns2,1,1.0\n", "None", id="short-row"),
+        pytest.param("s0,1,3.0\ns1,1,nan\ns2,1,1.0\n", "'nan'", id="nan"),
+        pytest.param("s0,1,3.0\ns1,1,-inf\ns2,1,1.0\n", "'-inf'", id="infinite"),
+    ],
+)
+def test_report_bad_metrics_cell_is_validation_error(tmp_path, capsys, body, bad):
+    code, out = _report_with_metrics_csv(tmp_path, "speaker_id,n_utterances,ems_energy\n" + body)
+
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "speaker_metrics.csv line 3, column 'ems_energy'" in err and bad in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_report_requires_two_runs_and_a_baseline(tmp_path):

@@ -15,12 +15,10 @@ from ttabench.errors import (
 )
 from ttabench.evaluation import (
     Direction,
-    SpeakerReport,
     WerCount,
     build_delta_table,
     format_delta_table,
     normalize_text,
-    rank_speakers_by_baseline,
     speaker_wer,
     unweighted_mean_wer,
     wer,
@@ -253,25 +251,18 @@ def test_wilcoxon_large_n_uses_normal_approximation():
 # --- delta table ------------------------------------------------------------------
 
 
-def _reports(pairs: dict[str, tuple[float, float]]) -> list[SpeakerReport]:
-    return [
-        SpeakerReport(speaker_id=s, baseline_wer=b, adapted_wer=a)
-        for s, (b, a) in pairs.items()
-    ]
-
-
-def test_speaker_report_delta_and_gain():
-    r = SpeakerReport(speaker_id="s", baseline_wer=0.5, adapted_wer=0.3)
-    assert r.delta == pytest.approx(-0.2)
-    assert r.gain == pytest.approx(0.2)
+def _split(pairs: dict[str, tuple[float, float]]) -> tuple[dict[str, float], dict[str, float]]:
+    """{speaker: (baseline, adapted)} -> (baseline map, adapted map)."""
+    return {s: b for s, (b, _) in pairs.items()}, {s: a for s, (_, a) in pairs.items()}
 
 
 def test_build_delta_table_derives_unadapted_row():
     base = {f"s{i}": (0.4 + 0.05 * i, 0.3 + 0.04 * i) for i in range(6)}
-    rows = build_delta_table({"suta": _reports(base)})
+    baseline, adapted = _split(base)
+    rows = build_delta_table("default", baseline, {"suta": adapted})
     assert [r.method for r in rows] == ["unadapted", "suta"]
     unadapted, suta = rows
-    assert unadapted.setting == "default"
+    assert unadapted.setting == "default" and suta.setting == "default"
     assert unadapted.delta is None and unadapted.p_value is None
     expect_base = unweighted_mean_wer([b for b, _ in base.values()])
     assert unadapted.mean_wer == pytest.approx(expect_base)
@@ -282,66 +273,54 @@ def test_build_delta_table_derives_unadapted_row():
 
 
 def test_build_delta_table_rejects_mismatched_speakers():
-    a = _reports({"s1": (0.5, 0.4), "s2": (0.6, 0.5)})
-    b = _reports({"s1": (0.5, 0.4), "s3": (0.6, 0.5)})
-    with pytest.raises(SpeakerSetMismatchError):
-        build_delta_table({"suta": a, "sgem": b})
-
-
-def test_build_delta_table_rejects_inconsistent_baselines():
-    a = _reports({f"s{i}": (0.5, 0.4) for i in range(5)})
-    b = _reports({f"s{i}": (0.6, 0.4) for i in range(5)})
-    with pytest.raises(SpeakerSetMismatchError):
-        build_delta_table({"suta": a, "sgem": b})
+    baseline = {"s1": 0.5, "s2": 0.6}
+    with pytest.raises(SpeakerSetMismatchError, match="sgem"):
+        build_delta_table(
+            "default", baseline, {"suta": {"s1": 0.4, "s2": 0.5}, "sgem": {"s1": 0.4, "s3": 0.5}}
+        )
 
 
 def test_build_delta_table_empty_raises():
     with pytest.raises(EmptyListError):
-        build_delta_table({})
+        build_delta_table("default", {"s1": 0.5}, {})
 
 
 def test_format_delta_table_renders_percent():
-    base = {f"s{i}": (0.5, 0.4) for i in range(5)}
-    text = format_delta_table(build_delta_table({"suta": _reports(base)}))
+    baseline, adapted = _split({f"s{i}": (0.5, 0.4) for i in range(5)})
+    text = format_delta_table(build_delta_table("default", baseline, {"suta": adapted}))
     assert "50.0%" in text
     assert "-10.0%" in text
     assert text.splitlines()[0].startswith("setting")
 
 
 def test_write_delta_table_csv(tmp_path):
-    base = {f"s{i}": (0.5, 0.4) for i in range(5)}
+    baseline, adapted = _split({f"s{i}": (0.5, 0.4) for i in range(5)})
     path = tmp_path / "delta.csv"
-    write_delta_table_csv(build_delta_table({"suta": _reports(base)}), str(path))
+    write_delta_table_csv(build_delta_table("default", baseline, {"suta": adapted}), str(path))
     rows = list(csv.reader(path.open()))
     assert rows[0] == ["setting", "method", "mean_wer_pct", "delta_pct", "p_value", "n_speakers"]
     assert rows[1][1] == "unadapted" and rows[1][2] == "50.0"
     assert rows[2][1] == "suta" and rows[2][3] == "-10.0"
 
 
-# --- speaker ranking and gains ------------------------------------------------------
-
-
-def test_rank_speakers_descending_baseline_tie_by_id():
-    reports = _reports({"b": (0.5, 0.1), "a": (0.5, 0.2), "c": (0.9, 0.3)})
-    assert rank_speakers_by_baseline(reports) == ["c", "a", "b"]
+# --- speaker gains ----------------------------------------------------------------
 
 
 def test_write_speaker_gains_csv(tmp_path):
-    reports = _reports({"a": (0.6, 0.4), "b": (0.8, 0.5)})
-    ranking = rank_speakers_by_baseline(reports)
+    # descending baseline WER, ties broken by speaker id
+    baseline = {"b": 0.5, "a": 0.5, "c": 0.9}
+    adapted = {"suta": {"a": 0.2, "b": 0.1, "c": 0.3}, "sgem": {"a": 0.5, "b": 0.6, "c": 0.9}}
     path = tmp_path / "gains.csv"
-    write_speaker_gains_csv({"suta": reports}, ranking, str(path))
+    write_speaker_gains_csv(baseline, adapted, str(path))
     rows = list(csv.reader(path.open()))
     assert rows[0] == ["rank", "speaker_id", "setting", "baseline_wer", "adapted_wer", "gain"]
-    assert rows[1][:3] == ["1", "b", "suta"]
-    assert float(rows[1][5]) == pytest.approx(0.3)
-    assert rows[2][:3] == ["2", "a", "suta"]
-
-
-def test_write_speaker_gains_csv_rejects_missing_speaker(tmp_path):
-    reports = _reports({"a": (0.6, 0.4)})
-    with pytest.raises(SpeakerSetMismatchError):
-        write_speaker_gains_csv({"suta": reports}, ["a", "b"], str(tmp_path / "g.csv"))
+    assert [r[:3] for r in rows[1:]] == [
+        ["1", "c", "suta"], ["2", "a", "suta"], ["3", "b", "suta"],
+        ["1", "c", "sgem"], ["2", "a", "sgem"], ["3", "b", "sgem"],
+    ]
+    assert rows[1][3:] == [repr(0.9), repr(0.3), repr(0.9 - 0.3)]
+    assert float(rows[3][5]) == pytest.approx(0.4)
+    assert float(rows[6][5]) == pytest.approx(-0.1)
 
 
 @given(

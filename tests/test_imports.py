@@ -1,7 +1,9 @@
-"""Every module of the package imports on its own, with no other module loaded first."""
+"""Every module of the package imports on its own, with no other module loaded first,
+and every name the benchmark's tracer wraps still exists at its module path."""
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
@@ -34,3 +36,22 @@ def test_each_module_imports_alone():
     )
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) == len(list(Path(src, "ttabench").rglob("*.py"))) - 1
+
+
+def test_benchmark_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
+    # perfbench/layers.py wraps functions by module path and name, so a rename
+    # in the package fails here with AttributeError
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    layers = importlib.import_module("perfbench.layers")
+    tracer = importlib.import_module("perfbench.tracer").Tracer(tmp_path / "spans")
+    from ttabench import analysis, cli, evaluation
+
+    originals = [cli.cmd_analyze, cli.cmd_report, evaluation.build_delta_table, analysis.project_2d]
+    try:
+        layers.install(tracer)
+        wrapped = [cli.cmd_analyze, cli.cmd_report, evaluation.build_delta_table, cli.project_2d]
+        assert all(w is not o for w, o in zip(wrapped, originals))
+    finally:
+        tracer.uninstall()
+    restored = [cli.cmd_analyze, cli.cmd_report, evaluation.build_delta_table, cli.project_2d]
+    assert all(r is o for r, o in zip(restored, originals))
