@@ -134,6 +134,8 @@ def speaker_shift_metrics(
 
     Raises:
         ManifestError: the manifest holds no utterances.
+        TooFewFramesError: a distance metric is asked for and a speaker has
+            fewer than two utterances.
     """
     if not manifest.utterances:
         raise ManifestError("the manifest holds no utterances")
@@ -162,6 +164,13 @@ def speaker_shift_metrics(
 
     all_points = [p for speaker_points in points_by_speaker.values() for p in speaker_points]
     if want_dist:
+        metric = "within_variance" if "within_variance" in metrics else "bhattacharyya_to_pool"
+        for speaker_id, speaker_points in points_by_speaker.items():
+            if len(speaker_points) < 2:
+                raise TooFewFramesError(
+                    f"speaker {speaker_id!r}: {metric} needs at least 2 utterances,"
+                    f" got {len(speaker_points)}"
+                )
         pooled = gaussian_summary(np.vstack([v for _, v in all_points]))
         for speaker_id, speaker_points in points_by_speaker.items():
             x = np.vstack([v for _, v in speaker_points])

@@ -160,7 +160,10 @@ def adapt_utterance(
     With method "none" this is a plain forward pass and decode. Otherwise the
     selected parameter groups are updated for ``steps_n`` steps per chunk; in
     episodic mode the pre-utterance parameters are restored before returning,
-    in continual mode the updates persist. Non-finite logits, loss or
+    in continual mode the updates persist. Each chunk's ``frozen_features``
+    (the activation below every selected group) is computed once and passed
+    to all of its steps and to its decode forward, so norm- or head-only
+    adaptation runs the conv stack once per chunk. Non-finite logits, loss or
     gradient abort adaptation, restore the pre-utterance parameters, and mark
     the trace instead of raising.
     """
@@ -192,12 +195,13 @@ def adapt_utterance(
         # gradients; _finite_record and LogitMatrix catch those, so stay quiet
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for chunk in chunks:
+                frozen = model.frozen_features(chunk)
                 for _ in range(config.steps_n):
-                    value, grads = model.gradient(chunk, loss_fn)
+                    value, grads = model.gradient(chunk, loss_fn, frozen)
                     _finite_record(value, grads)
                     steps.append(StepRecord(total=value.total, components=dict(value.components)))
                     model.apply_update(optimizer.step(grads))
-                logits = model.forward(chunk)
+                logits = model.forward(chunk, frozen)
                 parts.append(greedy_ctc_decode(logits, vocab))
             final_value, _ = loss_fn(logits)
         final_total = final_value.total

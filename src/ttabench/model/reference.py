@@ -12,9 +12,19 @@ Stride arithmetic (total stride 4):
     n1 = (n_samples - K1) // S1 + 1
     L  = (n1 - K2) // S2 + 1
 
+The forward pass runs in three stages: the conv stack (conv1, GELU, conv2,
+GELU), the layer-norm statistics (giving ``xhat``), and the layer-norm
+affine plus the head (giving ``h3``, then the logits). ``frozen_features``
+returns the deepest activation no selected group changes: ``xhat`` without
+``feature_extractor``, ``h3`` when only ``head`` is selected, None otherwise.
+``forward`` and ``gradient`` accept it and start from there, so repeated
+steps on one chunk under norm- or head-only adaptation run the conv stack
+once.
+
 The backward pass skips what frozen groups need: the head gradients without
 ``head``, everything below the layer-norm gradients without
-``feature_extractor``, and always conv1's input gradient.
+``feature_extractor``, and always conv1's input gradient. GELU's derivative
+reuses the erf the forward pass computed.
 
 All math is float64 numpy; forward is deterministic and snapshot/restore is
 bit-exact by construction.
@@ -47,13 +57,22 @@ _LN_EPS = 1e-5
 _TILE_FRAMES = 16384
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of x, and 1 + erf(x / sqrt 2) (twice the normal CDF) for ``_gelu_grad``."""
+    one_plus_erf = 1.0 + erf(x / _SQRT2)
+    return 0.5 * x * one_plus_erf, one_plus_erf
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-    return cdf + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+def _gelu_grad(x: np.ndarray, one_plus_erf: np.ndarray) -> np.ndarray:
+    return 0.5 * one_plus_erf + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+
+
+def _layer_norm_stats(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame normalization over the channel axis: (xhat, 1 / std)."""
+    mu = h.mean(axis=0)
+    var = h.var(axis=0)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    return (h - mu) * inv, inv
 
 
 def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndarray:
@@ -123,6 +142,13 @@ class ReferenceModel:
     parameters, ``snapshot``/``restore`` are bit-exact, and ``gradient``
     returns the gradients of exactly the selected groups' parameters, which
     agree with central finite differences.
+
+    ``frozen_features(w)`` returns ``xhat`` when ``feature_extractor`` is not
+    selected and ``layer_norm`` is, ``h3`` when neither is (``head`` only),
+    and None when ``feature_extractor`` is selected. ``forward(w, frozen)``
+    and ``gradient(w, loss_fn, frozen)`` given that value return bitwise the
+    same as without it, as long as the selection and the unselected groups
+    have not changed since it was computed.
     """
 
     K1, S1 = 32, 2
@@ -173,32 +199,71 @@ class ReferenceModel:
 
     # --- forward / backward ---------------------------------------------------
 
-    def _forward_cached(self, x: np.ndarray) -> dict[str, np.ndarray]:
+    def _conv_stack(self, x: np.ndarray) -> dict[str, np.ndarray]:
         p = self._params
         a1 = _conv1d(x[None, :], p["conv1_w"], p["conv1_b"], self.S1)
-        h1 = _gelu(a1)
+        h1, erf1 = _gelu(a1)
         a2 = _conv1d(h1, p["conv2_w"], p["conv2_b"], self.S2)
-        h2 = _gelu(a2)
-        mu = h2.mean(axis=0)
-        var = h2.var(axis=0)
-        inv = 1.0 / np.sqrt(var + _LN_EPS)
-        xhat = (h2 - mu) * inv
-        h3 = p["ln_gamma"][:, None] * xhat + p["ln_beta"][:, None]
-        z = h3.T @ p["head_w"].T + p["head_b"][None, :]
-        return {"x": x, "a1": a1, "h1": h1, "a2": a2, "xhat": xhat, "inv": inv, "h3": h3, "z": z}
+        h2, erf2 = _gelu(a2)
+        return {"x": x, "a1": a1, "erf1": erf1, "h1": h1, "a2": a2, "erf2": erf2, "h2": h2}
 
-    def forward(self, w: Waveform) -> LogitMatrix:
+    def _ln_affine(self, xhat: np.ndarray) -> np.ndarray:
+        return self._params["ln_gamma"][:, None] * xhat + self._params["ln_beta"][:, None]
+
+    def _frozen_stage(self) -> str | None:
+        selected = set(self._selected)
+        if "feature_extractor" in selected:
+            return None
+        return "xhat" if "layer_norm" in selected else "h3"
+
+    def frozen_features(self, w: Waveform) -> np.ndarray | None:
+        """The deepest activation of ``w`` that no selected group changes, or None.
+
+        ``xhat`` is the normalized conv output before the layer-norm affine,
+        ``h3`` the layer-norm output (see the class docstring for which one).
+        Pass it to ``forward`` and ``gradient`` for the same waveform under
+        the same selection; updates of the selected groups keep it valid.
+        """
+        stage = self._frozen_stage()
+        if stage is None:
+            return None
+        self._check_rate(w)
+        self.output_length(len(w.samples))
+        xhat, _ = _layer_norm_stats(self._conv_stack(w.samples)["h2"])
+        return xhat if stage == "xhat" else self._ln_affine(xhat)
+
+    def _forward_cached(self, x: np.ndarray, frozen: np.ndarray | None) -> dict[str, np.ndarray]:
+        if frozen is None:
+            cache = self._conv_stack(x)
+            cache["xhat"], cache["inv"] = _layer_norm_stats(cache.pop("h2"))
+        else:
+            stage = self._frozen_stage()
+            if stage is None:
+                raise ValueError("frozen features given, but feature_extractor is selected")
+            shape = (self._params["ln_gamma"].shape[0], self.output_length(len(x)))
+            if frozen.shape != shape:
+                raise ValueError(f"frozen features shape {frozen.shape} != {shape}")
+            cache = {stage: frozen}
+        if "h3" not in cache:
+            cache["h3"] = self._ln_affine(cache["xhat"])
+        p = self._params
+        cache["z"] = cache["h3"].T @ p["head_w"].T + p["head_b"][None, :]
+        return cache
+
+    def forward(self, w: Waveform, frozen: np.ndarray | None = None) -> LogitMatrix:
+        """Logits for ``w``; ``frozen`` is ``frozen_features(w)``, or None to run every layer."""
         self._check_rate(w)
         self.output_length(len(w.samples))  # raises AudioTooShortError early
-        cache = self._forward_cached(w.samples)
+        cache = self._forward_cached(w.samples, frozen)
         return LogitMatrix(values=cache["z"], blank_index=self._vocab.blank_index)
 
     def gradient(
-        self, w: Waveform, loss_fn: LossFunctional
+        self, w: Waveform, loss_fn: LossFunctional, frozen: np.ndarray | None = None
     ) -> tuple[object, dict[str, np.ndarray]]:
+        """Loss record and selected-group gradients; ``frozen`` as in ``forward``."""
         self._check_rate(w)
         self.output_length(len(w.samples))
-        cache = self._forward_cached(w.samples)
+        cache = self._forward_cached(w.samples, frozen)
         record, dz = loss_fn(LogitMatrix(values=cache["z"], blank_index=self._vocab.blank_index))
         dz = np.asarray(dz, dtype=np.float64)
         if dz.shape != cache["z"].shape:
@@ -214,23 +279,23 @@ class ReferenceModel:
             return record, grads
         dh3 = p["head_w"].T @ dz.T
         # layer norm (statistics over the channel axis, per frame)
-        xhat, inv = cache["xhat"], cache["inv"]
+        xhat = cache["xhat"]
         if "layer_norm" in selected:
             grads["ln_gamma"] = (dh3 * xhat).sum(axis=1)
             grads["ln_beta"] = dh3.sum(axis=1)
         if "feature_extractor" not in selected:
             return record, grads
         dxhat = dh3 * p["ln_gamma"][:, None]
-        dh2 = inv[None, :] * (
+        dh2 = cache["inv"][None, :] * (
             dxhat
             - dxhat.mean(axis=0, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=0, keepdims=True)
         )
         # conv stack; conv1's input is the waveform, whose gradient nothing uses
-        da2 = dh2 * _gelu_grad(cache["a2"])
+        da2 = dh2 * _gelu_grad(cache["a2"], cache["erf2"])
         dh1, dw2, db2 = _conv1d_backward(cache["h1"], p["conv2_w"], self.S2, da2)
         grads["conv2_w"], grads["conv2_b"] = dw2, db2
-        da1 = dh1 * _gelu_grad(cache["a1"])
+        da1 = dh1 * _gelu_grad(cache["a1"], cache["erf1"])
         _, dw1, db1 = _conv1d_backward(cache["x"][None, :], p["conv1_w"], self.S1, da1, False)
         grads["conv1_w"], grads["conv1_b"] = dw1, db1
         return record, grads

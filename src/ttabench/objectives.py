@@ -116,9 +116,16 @@ def mcc_loss(p: ProbMatrix) -> float:
 
 def renyi_entropy_loss(p: ProbMatrix, rho: float) -> float:
     """Mean per-frame Renyi entropy of order rho (rho > 0, rho != 1)."""
+    return _renyi_from_sums(_renyi_row_sums(p.values, rho), rho)
+
+
+def _renyi_row_sums(v: np.ndarray, rho: float) -> np.ndarray:
     if rho <= 0 or rho == 1.0:
         raise ValueError("rho must be positive and != 1")
-    s = np.power(p.values, rho).sum(axis=1)
+    return np.power(v, rho).sum(axis=1)
+
+
+def _renyi_from_sums(s: np.ndarray, rho: float) -> float:
     return float((np.log(s) / (1.0 - rho)).mean())
 
 
@@ -128,13 +135,17 @@ def negative_sampling_loss(p: ProbMatrix, k: int) -> float:
     Per frame, with M the mass outside the top-k classes, the penalty is
     -log(1 - M + 1e-12); the mean over frames is returned.
     """
-    if not 1 <= k < p.n_classes:
-        raise ValueError("need 1 <= k < C")
-    retained = _topk_mass(p.values, k)
+    return _negative_sampling_from_retained(_topk_mass(p.values, k))
+
+
+def _negative_sampling_from_retained(retained: np.ndarray) -> float:
     return float(-np.log(retained + _NS_EPS).mean())
 
 
 def _topk_mass(v: np.ndarray, k: int) -> np.ndarray:
+    """Per-row sum of the k largest entries (1 <= k < C)."""
+    if not 1 <= k < v.shape[1]:
+        raise ValueError("need 1 <= k < C")
     part = np.partition(v, v.shape[1] - k, axis=1)
     return part[:, v.shape[1] - k :].sum(axis=1)
 
@@ -162,18 +173,6 @@ def mcc_grad(p: ProbMatrix) -> np.ndarray:
     denom = mass + _MCC_EPS
     # d/dp[i,c] of (mass_c - K_cc) / denom_c, then averaged over classes
     return ((1.0 - 2.0 * v) * denom - (mass - k_diag)) / (denom**2) / c
-
-
-def renyi_entropy_grad(p: ProbMatrix, rho: float) -> np.ndarray:
-    v = p.values
-    s = np.power(v, rho).sum(axis=1, keepdims=True)
-    return rho * np.power(v, rho - 1.0) / s / (1.0 - rho) / v.shape[0]
-
-
-def negative_sampling_grad(p: ProbMatrix, k: int) -> np.ndarray:
-    v = p.values
-    retained = _topk_mass(v, k)[:, None]
-    return -_topk_mask(v, k).astype(np.float64) / (retained + _NS_EPS) / v.shape[0]
 
 
 def softmax_grad_to_logits(p: ProbMatrix, grad_p: np.ndarray) -> np.ndarray:
@@ -241,8 +240,12 @@ def sgem_loss_and_grad(
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     p, rows = _masked_probs(z, temperature, frame_mask)
-    gem = renyi_entropy_loss(p, rho)
-    ns = negative_sampling_loss(p, neg_k)
+    v = p.values
+    # shared by the value and the gradient
+    s = _renyi_row_sums(v, rho)
+    retained = _topk_mass(v, neg_k)
+    gem = _renyi_from_sums(s, rho)
+    ns = _negative_sampling_from_retained(retained)
     value = TtaLossValue(
         total=gem + lam * ns,
         components={"gem": gem, "ns": ns},
@@ -250,7 +253,10 @@ def sgem_loss_and_grad(
     )
     if not need_grad:
         return value, None
-    grad_p = renyi_entropy_grad(p, rho) + lam * negative_sampling_grad(p, neg_k)
+    n = v.shape[0]
+    gem_grad = rho * np.power(v, rho - 1.0) / s[:, None] / (1.0 - rho) / n
+    ns_grad = -_topk_mask(v, neg_k).astype(np.float64) / (retained[:, None] + _NS_EPS) / n
+    grad_p = gem_grad + lam * ns_grad
     return value, _expand_rows(softmax_grad_to_logits(p, grad_p), rows, z.values.shape)
 
 

@@ -647,6 +647,17 @@ def test_analyze_empty_manifest_is_validation_error(tmp_path, capsys, projection
     assert not (tmp_path / "a" / "speaker_metrics.csv").exists()
 
 
+def test_analyze_single_utterance_speaker_names_speaker_and_metric(tmp_path, capsys):
+    manifest_path = write_tone_corpus(tmp_path, {"spk00": ["ad"], "spk01": ["ga", "jm"]})
+
+    code = cli.main(["analyze", "--manifest", str(manifest_path), "--out", str(tmp_path / "a")])
+
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'spk00'" in err and "within_variance" in err and "2 utterances" in err
+    assert "Traceback" not in err
+
+
 # --- report ---------------------------------------------------------------------
 
 

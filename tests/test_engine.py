@@ -285,17 +285,81 @@ def test_adapt_utterance_runs_one_forward_per_chunk(model, monkeypatch):
     forward = model.forward
     calls = []
 
-    def counted(chunk):
-        calls.append(chunk)
-        return forward(chunk)
+    def counted(chunk, frozen=None):
+        calls.append(frozen)
+        return forward(chunk, frozen)
 
     monkeypatch.setattr(model, "forward", counted)
     _, trace = adapt_utterance(model, w, config)
     assert len(calls) == len(chunks)
+    assert all(frozen is not None for frozen in calls)
     assert trace.n_steps == 2 * len(chunks)
     # continual mode keeps the updates, so a fresh forward sees the decode's parameters
     loss_fn = runner._loss_functional(config)
     assert trace.final_total == loss_fn(forward(chunks[-1]))[0].total
+
+
+def _chunked_config(groups, method="sgem", mode="continual"):
+    return AdaptationConfig(
+        method=method,
+        mode=mode,
+        steps_n=3,
+        adapted_groups=groups,
+        learning_rate=1e-2,
+        max_utterance_s=1.0,
+        chunk_target_s=0.5,
+    )
+
+
+@pytest.mark.parametrize(
+    "groups,convs_per_chunk",
+    [(("layer_norm",), 2), (("head",), 2), (("feature_extractor", "layer_norm"), 2 * (3 + 1))],
+    ids=lambda g: "+".join(g) if isinstance(g, tuple) else str(g),
+)
+def test_adapt_utterance_runs_the_frozen_conv_stack_once_per_chunk(
+    model, monkeypatch, groups, convs_per_chunk
+):
+    from ttabench.model import reference
+
+    config = _chunked_config(groups)
+    w = noise(1.2, rms=0.1, seed=8)
+    n_chunks = len(split_waveform(w, config.max_utterance_s, config.chunk_target_s))
+    assert n_chunks >= 2
+    conv1d = reference._conv1d
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return conv1d(*args)
+
+    monkeypatch.setattr(reference, "_conv1d", counted)
+    adapt_utterance(model, w, config)
+    # conv1 and conv2 once per chunk when frozen; once per step and per decode otherwise
+    assert len(calls) == convs_per_chunk * n_chunks
+
+
+@pytest.mark.parametrize("groups", [("layer_norm",), ("head",), ("layer_norm", "head")], ids="+".join)
+@pytest.mark.parametrize("method", ["suta", "sgem"])
+@pytest.mark.parametrize("mode", ["episodic", "continual"])
+def test_frozen_features_leave_adaptation_bitwise_unchanged(monkeypatch, groups, method, mode):
+    config = _chunked_config(groups, method, mode)
+    utterances = [noise(1.2, rms=0.1, seed=8), noise(0.4, rms=0.2, seed=9)]
+
+    def run(model):
+        optimizer = build_optimizer("adam", config.learning_rate) if mode == "continual" else None
+        out = [adapt_utterance(model, w, config, optimizer=optimizer) for w in utterances]
+        return out, _params(model)
+
+    reused, reused_params = run(build_reference_model(seed=3))
+    full_model = build_reference_model(seed=3)
+    monkeypatch.setattr(full_model, "frozen_features", lambda w: None)
+    full, full_params = run(full_model)
+    for (hyp_a, trace_a), (hyp_b, trace_b) in zip(reused, full):
+        assert hyp_a == hyp_b
+        assert [s.total for s in trace_a.steps] == [s.total for s in trace_b.steps]
+        assert trace_a.final_total == trace_b.final_total
+    for name in reused_params:
+        assert np.array_equal(reused_params[name], full_params[name]), name
 
 
 # --- speaker loop ------------------------------------------------------------------

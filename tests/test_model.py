@@ -113,6 +113,46 @@ def test_forward_is_deterministic(model):
     assert np.array_equal(a, b)
 
 
+def test_gelu_matches_closed_form_bitwise():
+    x = np.concatenate(
+        [np.linspace(-40.0, 40.0, 4001), [-1e300, -1e10, -5e-324, -0.0, 0.0, 5e-324, 1e10, 1e300]]
+    )
+    h, one_plus_erf = reference._gelu(x)
+    erf_term = 1.0 + reference.erf(x / np.sqrt(2.0))
+    assert h.tobytes() == (0.5 * x * erf_term).tobytes()
+    assert one_plus_erf.tobytes() == erf_term.tobytes()
+
+
+@pytest.mark.parametrize(
+    "groups,stage",
+    [(("layer_norm",), "xhat"), (("layer_norm", "head"), "xhat"), (("head",), "h3")],
+    ids="+".join,
+)
+def test_frozen_features_are_the_deepest_unselected_activation(model, groups, stage):
+    w = noise(0.1, seed=5)
+    model.select_adaptable(list(groups))
+    frozen = model.frozen_features(w)
+    assert np.array_equal(frozen, model._forward_cached(w.samples, None)[stage])
+    assert model.forward(w, frozen).values.tobytes() == model.forward(w).values.tobytes()
+    loss_fn = make_loss_functional("sgem")
+    record, grads = model.gradient(w, loss_fn, frozen)
+    full_record, full_grads = model.gradient(w, loss_fn)
+    assert record.total == full_record.total
+    assert all(grads[k].tobytes() == full_grads[k].tobytes() for k in full_grads)
+
+
+def test_frozen_features_none_when_feature_extractor_selected(model):
+    w = noise(0.1, seed=5)
+    assert model.frozen_features(w) is None
+    model.select_adaptable(["layer_norm"])
+    frozen = model.frozen_features(w)
+    with pytest.raises(ValueError, match="shape"):
+        model.forward(noise(0.2, seed=5), frozen)
+    model.select_adaptable(["feature_extractor", "layer_norm"])
+    with pytest.raises(ValueError, match="feature_extractor"):
+        model.forward(w, frozen)
+
+
 # --- parameter management ---------------------------------------------------------
 
 
