@@ -203,7 +203,7 @@ def adapt_utterance(
                     model.apply_update(optimizer.step(grads))
                 logits = model.forward(chunk, frozen)
                 parts.append(greedy_ctc_decode(logits, vocab))
-            final_value, _ = loss_fn(logits)
+            final_value, _ = loss_fn(logits, need_grad=False)
         final_total = final_value.total
     except NonFiniteLossError:
         non_finite = True

@@ -9,6 +9,13 @@ Both operate on temperature-smoothed softmax probabilities of the logits.
 Every loss has a closed-form gradient; ``*_loss_and_grad`` returns the loss
 record together with d(loss)/d(logits) so a model can backpropagate it.
 
+Probabilities are stored class-major: ``softmax_temperature`` fills one
+C-contiguous C x L buffer and ``ProbMatrix.values`` is its L x C transpose.
+With C = 29 classes, a per-frame reduction over the classes then runs as C
+vectorised passes over all frames, not L short inner loops. The interface
+stays L x C: ``values``, the logits and the returned gradients (F-ordered
+L x C views) are indexed [frame, class].
+
 Gradient formulas assume strictly positive probabilities, which softmax
 guarantees; hand-built probability matrices with exact zeros are fine for
 the value functions only.
@@ -31,7 +38,11 @@ _NS_EPS = 1e-12
 
 @dataclass(frozen=True)
 class ProbMatrix:
-    """Row-stochastic L x C matrix plus the smoothing temperature that made it."""
+    """Row-stochastic L x C matrix plus the smoothing temperature that made it.
+
+    ``values`` is indexed [frame, class] whatever its memory order; from
+    ``softmax_temperature`` it is the transpose of a C-contiguous C x L buffer.
+    """
 
     values: np.ndarray
     temperature_used: float
@@ -76,24 +87,30 @@ class TtaLossValue:
 
 
 def softmax_temperature(z: LogitMatrix, temperature: float) -> ProbMatrix:
-    """Row-wise softmax of z / T, stabilized by per-row max subtraction."""
+    """Row-wise softmax of z / T, stabilized by per-row max subtraction; stored class-major."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    scaled = z.values / temperature
-    scaled = scaled - scaled.max(axis=1, keepdims=True)
-    e = np.exp(scaled)
-    p = e / e.sum(axis=1, keepdims=True)
-    return ProbMatrix(values=p, temperature_used=temperature)
+    buf = np.divide(z.values.T, temperature, order="C")
+    buf -= buf.max(axis=0)
+    np.exp(buf, out=buf)
+    buf /= buf.sum(axis=0)
+    return ProbMatrix(values=buf.T, temperature_used=temperature)
 
 
 # --- individual losses (values) ------------------------------------------------
+# The helpers take class-major C x L arrays (``p.values.T``), so their
+# reductions over classes run along axis 0 and their reductions over frames
+# along axis 1.
 
 
 def entropy_loss(p: ProbMatrix) -> float:
     """Mean per-frame Shannon entropy, with 0 log 0 := 0."""
-    v = p.values
-    plogp = v * np.log(np.where(v > 0, v, 1.0))
-    return float(-plogp.sum(axis=1).mean())
+    vt = p.values.T
+    return _entropy(vt, np.log(np.where(vt > 0, vt, 1.0)))
+
+
+def _entropy(vt: np.ndarray, log_vt: np.ndarray) -> float:
+    return float(-np.einsum("cl,cl->l", vt, log_vt).mean())
 
 
 def mcc_loss(p: ProbMatrix) -> float:
@@ -104,29 +121,34 @@ def mcc_loss(p: ProbMatrix) -> float:
     is returned. Zero when every frame is one-hot on a single class;
     (C-1)/C at the uniform distribution.
     """
-    v = p.values
-    mass = v.sum(axis=0)  # row sums of K
+    return _mcc(*_confusion_sums(p.values.T))
+
+
+def _confusion_sums(vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per class: the row sum of K (the class's mass) and its diagonal K[c, c]."""
+    mass = vt.sum(axis=1)
     if np.any(mass <= 0):
         logger.warning("class-confusion matrix has an all-zero class column; using 1e-12 guard")
-    k_diag = (v * v).sum(axis=0)
-    denom = mass + _MCC_EPS
-    off_diag = (mass - k_diag) / denom
-    return float(off_diag.mean())
+    return mass, np.einsum("cl,cl->c", vt, vt)
+
+
+def _mcc(mass: np.ndarray, k_diag: np.ndarray) -> float:
+    return float(((mass - k_diag) / (mass + _MCC_EPS)).mean())
 
 
 def renyi_entropy_loss(p: ProbMatrix, rho: float) -> float:
     """Mean per-frame Renyi entropy of order rho (rho > 0, rho != 1)."""
-    return _renyi_from_sums(_renyi_row_sums(p.values, rho), rho)
+    return _renyi(_renyi_powers(p.values.T, rho).sum(axis=0), rho)
 
 
-def _renyi_row_sums(v: np.ndarray, rho: float) -> np.ndarray:
+def _renyi_powers(vt: np.ndarray, rho: float) -> np.ndarray:
     if rho <= 0 or rho == 1.0:
         raise ValueError("rho must be positive and != 1")
-    return np.power(v, rho).sum(axis=1)
+    return vt**rho
 
 
-def _renyi_from_sums(s: np.ndarray, rho: float) -> float:
-    return float((np.log(s) / (1.0 - rho)).mean())
+def _renyi(frame_sums: np.ndarray, rho: float) -> float:
+    return float((np.log(frame_sums) / (1.0 - rho)).mean())
 
 
 def negative_sampling_loss(p: ProbMatrix, k: int) -> float:
@@ -135,51 +157,57 @@ def negative_sampling_loss(p: ProbMatrix, k: int) -> float:
     Per frame, with M the mass outside the top-k classes, the penalty is
     -log(1 - M + 1e-12); the mean over frames is returned.
     """
-    return _negative_sampling_from_retained(_topk_mass(p.values, k))
+    return _negative_sampling(_topk_partition(p.values, k)[:, -k:].sum(axis=1))
 
 
-def _negative_sampling_from_retained(retained: np.ndarray) -> float:
+def _negative_sampling(retained: np.ndarray) -> float:
     return float(-np.log(retained + _NS_EPS).mean())
 
 
-def _topk_mass(v: np.ndarray, k: int) -> np.ndarray:
-    """Per-row sum of the k largest entries (1 <= k < C)."""
+def _topk_partition(v: np.ndarray, k: int) -> np.ndarray:
+    """Row-major copy of the L x C ``v`` with each row's k largest entries last.
+
+    Column C-k holds each row's k-th largest value (1 <= k < C).
+    """
     if not 1 <= k < v.shape[1]:
         raise ValueError("need 1 <= k < C")
-    part = np.partition(v, v.shape[1] - k, axis=1)
-    return part[:, v.shape[1] - k :].sum(axis=1)
+    part = np.array(v, order="C")  # partitioning contiguous rows is the fastest layout
+    part.partition(v.shape[1] - k, axis=1)
+    return part
 
 
-def _topk_mask(v: np.ndarray, k: int) -> np.ndarray:
-    idx = np.argpartition(-v, k - 1, axis=1)[:, :k]
-    mask = np.zeros_like(v, dtype=bool)
-    np.put_along_axis(mask, idx, True, axis=1)
+def _topk_mask(vt: np.ndarray, part: np.ndarray, k: int) -> np.ndarray:
+    """Class-major C x L mask of each frame's k largest classes.
+
+    ``part`` is ``_topk_partition(vt.T, k)``. A frame whose k-th largest value
+    is tied with a smaller-ranked one falls back to ``argpartition``, which
+    picks exactly k of the tied classes.
+    """
+    mask = vt >= part[:, vt.shape[0] - k]
+    ties = np.flatnonzero(np.count_nonzero(mask, axis=0) != k)
+    if ties.size:
+        tied = np.zeros((vt.shape[0], ties.size), dtype=bool)
+        idx = np.argpartition(-vt[:, ties], k - 1, axis=0)[:k]
+        np.put_along_axis(tied, idx, True, axis=0)
+        mask[:, ties] = tied
     return mask
 
 
-# --- gradients with respect to the probability matrix ---------------------------
-
-
-def entropy_grad(p: ProbMatrix) -> np.ndarray:
-    v = p.values
-    return -(np.log(v) + 1.0) / v.shape[0]
-
-
-def mcc_grad(p: ProbMatrix) -> np.ndarray:
-    v = p.values
-    c = v.shape[1]
-    mass = v.sum(axis=0)
-    k_diag = (v * v).sum(axis=0)
-    denom = mass + _MCC_EPS
-    # d/dp[i,c] of (mass_c - K_cc) / denom_c, then averaged over classes
-    return ((1.0 - 2.0 * v) * denom - (mass - k_diag)) / (denom**2) / c
+# --- gradients with respect to the logits ----------------------------------------
 
 
 def softmax_grad_to_logits(p: ProbMatrix, grad_p: np.ndarray) -> np.ndarray:
     """Chain a d(loss)/d(prob) through the temperature softmax to the logits."""
-    v = p.values
-    inner = (v * grad_p).sum(axis=1, keepdims=True)
-    return v * (grad_p - inner) / p.temperature_used
+    g = np.array(grad_p.T, dtype=np.float64, order="C")
+    return _softmax_chain(p.values.T, g, p.temperature_used).T
+
+
+def _softmax_chain(vt: np.ndarray, g: np.ndarray, temperature: float) -> np.ndarray:
+    """``softmax_grad_to_logits`` on class-major arrays, overwriting ``g``."""
+    g -= np.einsum("cl,cl->l", vt, g)
+    g *= vt
+    g /= temperature
+    return g
 
 
 # --- composite objectives --------------------------------------------------------
@@ -211,12 +239,23 @@ def suta_loss_and_grad(
     temperature: float = 2.5,
     need_grad: bool = True,
     frame_mask: np.ndarray | None = None,
+    blank_dominance: float | None = None,
 ) -> tuple[TtaLossValue, np.ndarray | None]:
+    """``suta_loss`` and its gradient with respect to the logits.
+
+    Only frames where ``frame_mask`` is True contribute; ``blank_dominance``
+    instead keeps the frames ``blank_frame_mask`` would, from the same softmax.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    p, rows = _masked_probs(z, temperature, frame_mask)
-    em = entropy_loss(p)
-    mcc = mcc_loss(p)
+    p, cols = _masked_probs(z, temperature, frame_mask, blank_dominance)
+    vt = p.values.T
+    log_vt = np.log(vt)
+    em = _entropy(vt, log_vt)
+    if np.isnan(em):  # a probability underflowed to 0, where 0 log 0 := 0
+        em = entropy_loss(p)
+    mass, k_diag = _confusion_sums(vt)
+    mcc = _mcc(mass, k_diag)
     value = TtaLossValue(
         total=alpha * em + (1.0 - alpha) * mcc,
         components={"em": em, "mcc": mcc},
@@ -224,8 +263,16 @@ def suta_loss_and_grad(
     )
     if not need_grad:
         return value, None
-    grad_p = alpha * entropy_grad(p) + (1.0 - alpha) * mcc_grad(p)
-    return value, _expand_rows(softmax_grad_to_logits(p, grad_p), rows, z.values.shape)
+    c, n = vt.shape
+    # alpha * d em/dp = -alpha (log p + 1) / n; (1 - alpha) * d mcc/dp, per
+    # class, is ((1 - 2p) denom - (mass - K_cc)) / denom^2 / C * (1 - alpha)
+    denom = mass + _MCC_EPS
+    scale = (1.0 - alpha) / (denom * denom) / c
+    g = log_vt
+    g *= -alpha / n
+    g += ((denom - (mass - k_diag)) * scale - alpha / n)[:, None]
+    g -= (2.0 * denom * scale)[:, None] * vt
+    return value, _to_logits(vt, g, temperature, cols, z.n_frames)
 
 
 def sgem_loss_and_grad(
@@ -236,16 +283,20 @@ def sgem_loss_and_grad(
     neg_k: int = 5,
     need_grad: bool = True,
     frame_mask: np.ndarray | None = None,
+    blank_dominance: float | None = None,
 ) -> tuple[TtaLossValue, np.ndarray | None]:
+    """``sgem_loss`` and its gradient; frames selected as in ``suta_loss_and_grad``."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    p, rows = _masked_probs(z, temperature, frame_mask)
-    v = p.values
-    # shared by the value and the gradient
-    s = _renyi_row_sums(v, rho)
-    retained = _topk_mass(v, neg_k)
-    gem = _renyi_from_sums(s, rho)
-    ns = _negative_sampling_from_retained(retained)
+    p, cols = _masked_probs(z, temperature, frame_mask, blank_dominance)
+    vt = p.values.T
+    # p^rho and the top-k partition serve the value and the gradient
+    pw = _renyi_powers(vt, rho)
+    frame_sums = pw.sum(axis=0)
+    part = _topk_partition(p.values, neg_k)
+    retained = part[:, -neg_k:].sum(axis=1)
+    gem = _renyi(frame_sums, rho)
+    ns = _negative_sampling(retained)
     value = TtaLossValue(
         total=gem + lam * ns,
         components={"gem": gem, "ns": ns},
@@ -253,39 +304,50 @@ def sgem_loss_and_grad(
     )
     if not need_grad:
         return value, None
-    n = v.shape[0]
-    gem_grad = rho * np.power(v, rho - 1.0) / s[:, None] / (1.0 - rho) / n
-    ns_grad = -_topk_mask(v, neg_k).astype(np.float64) / (retained[:, None] + _NS_EPS) / n
-    grad_p = gem_grad + lam * ns_grad
-    return value, _expand_rows(softmax_grad_to_logits(p, grad_p), rows, z.values.shape)
+    n = vt.shape[1]
+    # d gem/dp = rho p^(rho-1) / s / (1 - rho) / n, with p^(rho-1) = p^rho / p;
+    # d ns/dp = -1 / (retained + eps) / n on each frame's top-k classes
+    g = np.divide(pw, vt, out=pw)
+    g *= rho / (1.0 - rho) / n / frame_sums
+    g += _topk_mask(vt, part, neg_k) * (lam * (-1.0 / (retained + _NS_EPS) / n))
+    return value, _to_logits(vt, g, temperature, cols, z.n_frames)
 
 
 def _masked_probs(
-    z: LogitMatrix, temperature: float, frame_mask: np.ndarray | None
+    z: LogitMatrix,
+    temperature: float,
+    frame_mask: np.ndarray | None,
+    blank_dominance: float | None,
 ) -> tuple[ProbMatrix, np.ndarray | None]:
+    """Softmax of the kept frames, and their indices (None when all are kept)."""
     p = softmax_temperature(z, temperature)
+    if blank_dominance is not None:
+        if frame_mask is not None:
+            raise ValueError("give frame_mask or blank_dominance, not both")
+        frame_mask = p.values[:, z.blank_index] <= blank_dominance
     if frame_mask is None:
         return p, None
-    rows = np.flatnonzero(frame_mask)
-    if rows.size == 0:  # never optimize over an empty frame set
+    cols = np.flatnonzero(frame_mask)
+    if cols.size == 0:  # never optimize over an empty frame set
         return p, None
-    return ProbMatrix(values=p.values[rows], temperature_used=temperature), rows
+    return ProbMatrix(values=p.values.T[:, cols].T, temperature_used=temperature), cols
 
 
-def _expand_rows(
-    dz: np.ndarray, rows: np.ndarray | None, shape: tuple[int, ...]
+def _to_logits(
+    vt: np.ndarray, g: np.ndarray, temperature: float, cols: np.ndarray | None, n_frames: int
 ) -> np.ndarray:
-    if rows is None:
-        return dz
-    full = np.zeros(shape)
-    full[rows] = dz
-    return full
+    """L x C logit gradient from the class-major probability gradient ``g`` of the kept frames."""
+    g = _softmax_chain(vt, g, temperature)
+    if cols is None:
+        return g.T
+    full = np.zeros((g.shape[0], n_frames))
+    full[:, cols] = g
+    return full.T
 
 
 def blank_frame_mask(z: LogitMatrix, temperature: float, dominance: float = 0.9) -> np.ndarray:
     """True for frames that should be kept (blank probability <= dominance)."""
-    p = softmax_temperature(z, temperature)
-    return p.values[:, z.blank_index] <= dominance
+    return softmax_temperature(z, temperature).values[:, z.blank_index] <= dominance
 
 
 def make_loss_functional(
@@ -300,25 +362,27 @@ def make_loss_functional(
 ) -> LossFunctional:
     """Bind objective hyperparameters into a loss functional for a model.
 
-    The functional maps logits to (TtaLossValue, d total / d logits). With
-    ``exclude_blank_frames`` set, frames whose blank probability exceeds
-    ``blank_dominance`` contribute neither loss nor gradient (unless that
-    would leave no frames at all).
+    The functional maps logits to (TtaLossValue, d total / d logits); called
+    with ``need_grad=False`` it returns (TtaLossValue, None) and skips the
+    gradient. With ``exclude_blank_frames`` set, frames whose blank
+    probability exceeds ``blank_dominance`` contribute neither loss nor
+    gradient (unless that would leave no frames at all).
     """
     if method not in ("suta", "sgem"):
         raise ValueError(f"no loss functional for method {method!r}")
+    dominance = blank_dominance if exclude_blank_frames else None
 
-    def functional(z: LogitMatrix) -> tuple[TtaLossValue, np.ndarray]:
-        mask = (
-            blank_frame_mask(z, temperature, blank_dominance) if exclude_blank_frames else None
-        )
+    def functional(
+        z: LogitMatrix, need_grad: bool = True
+    ) -> tuple[TtaLossValue, np.ndarray | None]:
         if method == "suta":
-            value, dz = suta_loss_and_grad(z, alpha=alpha, temperature=temperature, frame_mask=mask)
-        else:
-            value, dz = sgem_loss_and_grad(
-                z, lam=lam, rho=rho, temperature=temperature, neg_k=neg_k, frame_mask=mask
+            return suta_loss_and_grad(
+                z, alpha=alpha, temperature=temperature, need_grad=need_grad,
+                blank_dominance=dominance,
             )
-        assert dz is not None
-        return value, dz
+        return sgem_loss_and_grad(
+            z, lam=lam, rho=rho, temperature=temperature, neg_k=neg_k, need_grad=need_grad,
+            blank_dominance=dominance,
+        )
 
     return functional

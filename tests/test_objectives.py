@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ttabench import objectives
 from ttabench.model.types import LogitMatrix
 from ttabench.objectives import (
     ProbMatrix,
@@ -68,6 +69,12 @@ def test_higher_temperature_flattens_distribution():
     sharp = entropy_loss(softmax_temperature(z, 1.0))
     smooth = entropy_loss(softmax_temperature(z, 5.0))
     assert smooth > sharp
+
+
+def test_softmax_stores_probabilities_class_major():
+    p = softmax_temperature(random_logits(0, n_frames=9, n_classes=29), 2.5)
+    assert p.values.shape == (9, 29)
+    assert p.values.T.flags.c_contiguous
 
 
 def test_softmax_requires_positive_temperature():
@@ -282,6 +289,24 @@ def test_masked_loss_equals_loss_on_kept_rows():
     assert np.all(dz[~mask] == 0.0)
 
 
+def test_sgem_masked_loss_equals_loss_on_kept_rows():
+    z = _blank_heavy_logits()
+    mask = blank_frame_mask(z, temperature=1.0, dominance=0.9)
+    masked, dz = sgem_loss_and_grad(z, temperature=1.0, neg_k=3, frame_mask=mask)
+    sub = LogitMatrix(values=z.values[mask], blank_index=0)
+    direct, direct_dz = sgem_loss_and_grad(sub, temperature=1.0, neg_k=3)
+    assert masked.total == pytest.approx(direct.total, abs=1e-12)
+    assert np.all(dz[~mask] == 0.0)
+    assert np.allclose(dz[mask], direct_dz, rtol=0.0, atol=1e-15)
+
+
+def test_frame_mask_and_blank_dominance_are_exclusive():
+    z = _blank_heavy_logits()
+    mask = blank_frame_mask(z, temperature=1.0, dominance=0.9)
+    with pytest.raises(ValueError):
+        sgem_loss_and_grad(z, frame_mask=mask, blank_dominance=0.9)
+
+
 def test_all_masked_frames_falls_back_to_full_matrix():
     z = random_logits(30)
     mask = np.zeros(z.values.shape[0], dtype=bool)
@@ -308,6 +333,141 @@ def test_make_loss_functional_matches_direct_calls():
     assert np.array_equal(dz, direct_dz)
 
 
+@pytest.mark.parametrize("method", ["suta", "sgem"])
+def test_functional_excluding_blank_frames_equals_blank_frame_mask(method):
+    z = _blank_heavy_logits()
+    fn = make_loss_functional(method, temperature=1.0, neg_k=3, exclude_blank_frames=True)
+    value, dz = fn(z)
+    mask = blank_frame_mask(z, temperature=1.0, dominance=0.9)
+    if method == "suta":
+        direct, direct_dz = suta_loss_and_grad(z, temperature=1.0, frame_mask=mask)
+    else:
+        direct, direct_dz = sgem_loss_and_grad(z, temperature=1.0, neg_k=3, frame_mask=mask)
+    assert value == direct
+    assert np.array_equal(dz, direct_dz)
+    no_grad_value, no_grad = fn(z, need_grad=False)
+    assert no_grad_value == direct
+    assert no_grad is None
+
+
 def test_make_loss_functional_rejects_unknown_method():
     with pytest.raises(ValueError):
         make_loss_functional("none")
+
+
+# --- agreement with the row-major formulas ------------------------------------------
+# The objectives compute on class-major probabilities; these are the same
+# losses and gradients written row-major, as plainly as possible.
+
+
+def _reference_softmax(v: np.ndarray, temperature: float) -> np.ndarray:
+    scaled = v / temperature
+    scaled = scaled - scaled.max(axis=1, keepdims=True)
+    e = np.exp(scaled)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _reference_topk_mask(v: np.ndarray, k: int) -> np.ndarray:
+    idx = np.argpartition(-v, k - 1, axis=1)[:, :k]
+    mask = np.zeros_like(v, dtype=bool)
+    np.put_along_axis(mask, idx, True, axis=1)
+    return mask
+
+
+def _reference_chain(v: np.ndarray, grad_p: np.ndarray, temperature: float) -> np.ndarray:
+    inner = (v * grad_p).sum(axis=1, keepdims=True)
+    return v * (grad_p - inner) / temperature
+
+
+def _reference_suta(v, alpha, temperature):
+    n, c = v.shape
+    em = float(-(v * np.log(np.where(v > 0, v, 1.0))).sum(axis=1).mean())
+    mass = v.sum(axis=0)
+    k_diag = (v * v).sum(axis=0)
+    denom = mass + 1e-12
+    mcc = float(((mass - k_diag) / denom).mean())
+    entropy_grad = -(np.log(v) + 1.0) / n
+    mcc_grad = ((1.0 - 2.0 * v) * denom - (mass - k_diag)) / (denom**2) / c
+    grad_p = alpha * entropy_grad + (1.0 - alpha) * mcc_grad
+    return {"em": em, "mcc": mcc}, alpha * em + (1.0 - alpha) * mcc, grad_p
+
+
+def _reference_sgem(v, lam, rho, k):
+    n, c = v.shape
+    s = np.power(v, rho).sum(axis=1)
+    gem = float((np.log(s) / (1.0 - rho)).mean())
+    retained = np.partition(v, c - k, axis=1)[:, c - k :].sum(axis=1)
+    ns = float(-np.log(retained + 1e-12).mean())
+    gem_grad = rho * np.power(v, rho - 1.0) / s[:, None] / (1.0 - rho) / n
+    ns_grad = -_reference_topk_mask(v, k).astype(np.float64) / (retained[:, None] + 1e-12) / n
+    return {"gem": gem, "ns": ns}, gem + lam * ns, gem_grad + lam * ns_grad
+
+
+def _reference_loss_and_grad(method, z, temperature, frame_mask):
+    v = _reference_softmax(z.values, temperature)
+    rows = None if frame_mask is None else np.flatnonzero(frame_mask)
+    if rows is not None and rows.size:
+        v = v[rows]
+    if method == "suta":
+        components, total, grad_p = _reference_suta(v, 0.3, temperature)
+    else:
+        components, total, grad_p = _reference_sgem(v, 0.3, 0.5, 5)
+    dz = _reference_chain(v, grad_p, temperature)
+    if rows is not None and rows.size:
+        full = np.zeros(z.values.shape)
+        full[rows] = dz
+        dz = full
+    return components, total, dz
+
+
+def _assert_matches_reference(method, z, frame_mask, need_grad):
+    loss_and_grad = suta_loss_and_grad if method == "suta" else sgem_loss_and_grad
+    value, dz = loss_and_grad(z, temperature=2.5, need_grad=need_grad, frame_mask=frame_mask)
+    components, total, ref_dz = _reference_loss_and_grad(method, z, 2.5, frame_mask)
+    assert abs(value.total - total) <= 1e-12 * abs(total)
+    for name, ref in components.items():
+        assert abs(value.components[name] - ref) <= 1e-12 * abs(ref)
+    if not need_grad:
+        assert dz is None
+        return
+    assert dz.shape == ref_dz.shape
+    assert np.max(np.abs(dz - ref_dz)) <= 1e-12 * np.max(np.abs(ref_dz))
+
+
+@pytest.mark.parametrize("method", ["suta", "sgem"])
+@pytest.mark.parametrize("n_frames", [1, 7, 4000])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("need_grad", [True, False])
+def test_objectives_match_row_major_reference(method, n_frames, masked, need_grad):
+    rng = np.random.default_rng(n_frames)
+    z = LogitMatrix(values=rng.normal(0.0, 3.0, (n_frames, 29)), blank_index=0)
+    mask = None
+    if masked:
+        mask = rng.random(n_frames) < 0.6
+        mask[0] = True
+    _assert_matches_reference(method, z, mask, need_grad)
+
+
+def _tied_logits(k: int) -> LogitMatrix:
+    rng = np.random.default_rng(7)
+    v = rng.normal(0.0, 3.0, (5, 29))
+    v[0] = 0.0  # uniform rows: every class ties
+    v[1] = 1.5
+    order = np.argsort(-v[2])
+    v[2, order[k]] = v[2, order[k - 1]]  # the k-th and (k+1)-th largest tie
+    order = np.argsort(-v[3])
+    v[3, order[1]] = v[3, order[0]]  # a tie inside the top k needs no fallback
+    return LogitMatrix(values=v, blank_index=0)
+
+
+@pytest.mark.parametrize("k", [1, 5, 28])
+def test_topk_mask_ties_keep_exactly_k_as_argpartition_does(k):
+    p = softmax_temperature(_tied_logits(k), 2.5)
+    part = objectives._topk_partition(p.values, k)
+    mask = objectives._topk_mask(p.values.T, part, k)
+    assert np.all(mask.sum(axis=0) == k)
+    assert np.array_equal(mask.T, _reference_topk_mask(p.values, k))
+
+
+def test_sgem_with_tied_rows_matches_row_major_reference():
+    _assert_matches_reference("sgem", _tied_logits(5), None, True)
