@@ -11,12 +11,16 @@ A run directory contains:
 
 ``results.jsonl`` is assembled from the per-speaker files in sorted speaker
 order once all speakers are done, so its bytes do not depend on scheduling.
+Every file is written whole to a temporary file beside it and then renamed
+over its final name, so a run that dies mid-write leaves the previous
+version (or nothing) under that name, never a truncated file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -43,6 +47,18 @@ def sha256_file(path: Path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same directory and
+    ``os.replace``, so ``path`` holds either its old contents or all of ``text``."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def record_to_dict(record: UtteranceRecord) -> dict:
@@ -116,7 +132,7 @@ class RunWriter:
                     f"{path} holds a different configuration; refusing to mix runs"
                 )
         else:
-            path.write_text(blob + "\n", encoding="utf-8")
+            _write_atomic(path, blob + "\n")
 
     def completed_speakers(self) -> dict[str, SpeakerRunResult]:
         """Load speakers already finished by an earlier invocation."""
@@ -137,12 +153,9 @@ class RunWriter:
 
     def speaker_done(self, result: SpeakerRunResult) -> None:
         rows_path = self.out_dir / SPEAKERS_DIR / f"{result.speaker_id}.jsonl"
-        with open(rows_path, "w", encoding="utf-8") as fh:
-            for record in result.records:
-                fh.write(canonical_json(record_to_dict(record)) + "\n")
+        _write_atomic(rows_path, _jsonl(result.records))
         self._timings[result.speaker_id] = result.wall_time_s
-        marker = rows_path.with_suffix(".done")
-        marker.write_text("", encoding="utf-8")
+        _write_atomic(rows_path.with_suffix(".done"), "")
 
     def finalize(
         self,
@@ -152,10 +165,7 @@ class RunWriter:
     ) -> Path:
         """Assemble results.jsonl in sorted speaker order and write the manifest."""
         results_path = self.out_dir / RESULTS_NAME
-        with open(results_path, "w", encoding="utf-8") as fh:
-            for speaker in result.speakers:
-                for record in speaker.records:
-                    fh.write(canonical_json(record_to_dict(record)) + "\n")
+        _write_atomic(results_path, _jsonl(r for s in result.speakers for r in s.records))
 
         finished_at = datetime.now(timezone.utc)
         run_manifest = {
@@ -169,10 +179,13 @@ class RunWriter:
             "n_speakers": len(result.speakers),
             "n_utterances": sum(len(s.records) for s in result.speakers),
         }
-        (self.out_dir / RUN_MANIFEST_NAME).write_text(
-            json.dumps(run_manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        blob = json.dumps(run_manifest, indent=2, sort_keys=True)
+        _write_atomic(self.out_dir / RUN_MANIFEST_NAME, blob + "\n")
         return results_path
+
+
+def _jsonl(records: Iterable[UtteranceRecord]) -> str:
+    return "".join(canonical_json(record_to_dict(r)) + "\n" for r in records)
 
 
 def read_run_config(run_dir: Path) -> AdaptationConfig:

@@ -26,6 +26,19 @@ The backward pass skips what frozen groups need: the head gradients without
 ``feature_extractor``, and always conv1's input gradient. GELU's derivative
 reuses the erf the forward pass computed.
 
+Each model keeps a scratch workspace between calls: named float64 buffers
+that every full-length activation, backward temporary and im2col window tile
+of one call is written into with ``out=``. Buffers whose contents are dead
+are handed on (h3, for example, takes h2's buffer), so the workspace holds
+one call's working set for the longest chunk seen so far, and is freed with
+the model. Without it every step would allocate and free about ten
+full-length arrays, which the C allocator returns to the kernel and then
+takes back page by page. Every call writes a buffer before reading it, so
+snapshot, restore and ``select_adaptable`` need no invalidation. Nothing
+that leaves the model is a view into the workspace: the logits,
+``frozen_features`` and the gradients are newly allocated arrays the caller
+owns. One model must not be called from two threads at once.
+
 All math is float64 numpy; forward is deterministic and snapshot/restore is
 bit-exact by construction.
 """
@@ -34,6 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -57,78 +71,168 @@ _LN_EPS = 1e-5
 _TILE_FRAMES = 16384
 
 
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GELU of x, and 1 + erf(x / sqrt 2) (twice the normal CDF) for ``_gelu_grad``."""
-    one_plus_erf = 1.0 + erf(x / _SQRT2)
-    return 0.5 * x * one_plus_erf, one_plus_erf
+class _Workspace:
+    """Named float64 scratch buffers that persist between calls.
+
+    ``get(name, shape)`` returns a C-contiguous view of the first
+    ``prod(shape)`` entries of the buffer called ``name``. A buffer grows to
+    the largest size asked of it and never shrinks; its contents are whatever
+    its last user wrote, so every caller writes a view before reading it.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        if name not in self._buffers or self._buffers[name].size < size:
+            self._buffers.pop(name, None)  # free the old buffer before allocating its successor
+            self._buffers[name] = np.empty(size)
+        return self._buffers[name][:size].reshape(shape)
 
 
-def _gelu_grad(x: np.ndarray, one_plus_erf: np.ndarray) -> np.ndarray:
-    return 0.5 * one_plus_erf + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+def _gelu(
+    x: np.ndarray, out: np.ndarray, one_plus_erf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of x into ``out``, and 1 + erf(x / sqrt 2) (twice the normal CDF) into
+    ``one_plus_erf`` for ``_gelu_backward``; returns both."""
+    np.divide(x, _SQRT2, out=one_plus_erf)
+    erf(one_plus_erf, out=one_plus_erf)
+    np.add(1.0, one_plus_erf, out=one_plus_erf)
+    np.multiply(0.5, x, out=out)
+    return np.multiply(out, one_plus_erf, out=out), one_plus_erf
 
 
-def _layer_norm_stats(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame normalization over the channel axis: (xhat, 1 / std)."""
-    mu = h.mean(axis=0)
-    var = h.var(axis=0)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    return (h - mu) * inv, inv
+def _gelu_backward(
+    dh: np.ndarray, x: np.ndarray, one_plus_erf: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """dh * GELU'(x), written over ``dh``; ``one_plus_erf`` and ``tmp`` are overwritten.
+
+    GELU'(x) = 0.5 * (1 + erf(x / sqrt 2)) + x * exp(-x^2 / 2) / sqrt(2 pi).
+    """
+    np.multiply(-0.5, x, out=tmp)
+    np.multiply(tmp, x, out=tmp)
+    np.exp(tmp, out=tmp)
+    np.multiply(x, tmp, out=tmp)
+    np.multiply(tmp, _INV_SQRT_2PI, out=tmp)
+    np.multiply(0.5, one_plus_erf, out=one_plus_erf)
+    np.add(one_plus_erf, tmp, out=tmp)
+    return np.multiply(dh, tmp, out=dh)
 
 
-def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> np.ndarray:
-    """Strided valid cross-correlation; x (Cin, N), w (Cout, Cin, K) -> (Cout, T)."""
-    cin, n = x.shape
+def _layer_norm_stats(
+    h: np.ndarray, xhat: np.ndarray, inv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame normalization of h (C, L) over the channel axis into ``xhat``, and
+    1 / std into ``inv`` (L,); returns both and leaves ``h - mean`` in ``h``.
+
+    The arithmetic is ``(h - h.mean(0)) / sqrt(h.var(0) + eps)`` step for step,
+    without the temporaries ``np.var`` allocates.
+    """
+    np.mean(h, axis=0, out=inv)
+    np.subtract(h, inv, out=h)
+    np.multiply(h, h, out=xhat)
+    np.sum(xhat, axis=0, out=inv)
+    np.divide(inv, h.shape[0], out=inv)
+    np.add(inv, _LN_EPS, out=inv)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    return np.multiply(h, inv, out=xhat), inv
+
+
+def _layer_norm_backward(
+    dxhat: np.ndarray, xhat: np.ndarray, inv: np.ndarray, tmp: np.ndarray, ws: _Workspace
+) -> np.ndarray:
+    """Gradient through ``_layer_norm_stats``, written over ``dxhat``; ``tmp`` is overwritten:
+    inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), means over channels."""
+    means = ws.get("ln_means", (2, 1, dxhat.shape[1]))
+    np.mean(dxhat, axis=0, keepdims=True, out=means[0])
+    np.mean(np.multiply(dxhat, xhat, out=tmp), axis=0, keepdims=True, out=means[1])
+    np.subtract(dxhat, means[0], out=dxhat)
+    np.subtract(dxhat, np.multiply(xhat, means[1], out=tmp), out=dxhat)
+    return np.multiply(inv, dxhat, out=dxhat)
+
+
+def _windows(x: np.ndarray, k: int, stride: int, t0: int, t1: int) -> np.ndarray:
+    """The (Cin, t1 - t0, K) view of x's input windows for output frames t0..t1-1."""
+    span = x[:, t0 * stride : (t1 - 1) * stride + k]
+    return sliding_window_view(span, k, axis=1)[:, ::stride, :]
+
+
+def _as_matrix(a: np.ndarray, shape: tuple[int, int], ws: _Workspace) -> np.ndarray:
+    """``a.reshape(shape)`` without allocating: the view when one exists (one input
+    channel), else a copy in ``ws``'s tile-sized window buffer. Either way it is the
+    array ``reshape`` returns, laid out the same, so matmul takes the same path."""
+    try:
+        return a.reshape(shape, copy=False)
+    except ValueError:
+        out = ws.get("window", shape)
+        np.copyto(out.reshape(a.shape), a)
+        return out
+
+
+def _conv1d(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, out: np.ndarray, ws: _Workspace
+) -> np.ndarray:
+    """Strided valid cross-correlation into ``out``; x (Cin, N), w (Cout, Cin, K),
+    out (Cout, T) with T = (N - K) // stride + 1. Tiles go through ``ws``'s window."""
+    cin = x.shape[0]
     cout, _, k = w.shape
-    t_total = (n - k) // stride + 1
+    t_total = out.shape[1]
     w2 = w.reshape(cout, cin * k)
-    out = np.empty((cout, t_total))
     for t0 in range(0, t_total, _TILE_FRAMES):
         t1 = min(t0 + _TILE_FRAMES, t_total)
-        span = x[:, t0 * stride : (t1 - 1) * stride + k]
-        win = sliding_window_view(span, k, axis=1)[:, ::stride, :]
-        winmat = win.transpose(1, 0, 2).reshape(t1 - t0, cin * k)
-        out[:, t0:t1] = w2 @ winmat.T
-    return out + b[:, None]
+        win = _windows(x, k, stride, t0, t1).transpose(1, 0, 2)
+        np.matmul(w2, _as_matrix(win, (t1 - t0, cin * k), ws).T, out=out[:, t0:t1])
+    return np.add(out, b[:, None], out=out)
 
 
-def _conv1d_input_grad(w: np.ndarray, stride: int, dout: np.ndarray, n: int) -> np.ndarray:
-    """Input gradient of the strided cross-correlation, as a polyphase transposed
-    convolution (needs K % S == 0): with Q = K // S, one matmul per tile of u gives
-    dx[c, S*u + r] = sum_{o,q} dout[o, u - q] * w[o, c, S*q + r]."""
+def _conv1d_input_grad(
+    w: np.ndarray, stride: int, dout: np.ndarray, dx: np.ndarray, ws: _Workspace, pad: str, tile: str
+) -> np.ndarray:
+    """Input gradient of the strided cross-correlation into ``dx`` (Cin, N), as a
+    polyphase transposed convolution (needs K % S == 0): with Q = K // S, one matmul
+    per tile of u gives dx[c, S*u + r] = sum_{o,q} dout[o, u - q] * w[o, c, S*q + r].
+
+    ``pad`` and ``tile`` name the workspace buffers for the zero-padded ``dout``
+    and each tile's matmul result, so a caller can hand over buffers it is done with.
+    """
     cout, cin, k = w.shape
     q = k // stride
+    t_total = dout.shape[1]
     # wmat[(c, r), (o, m)] = w[o, c, S*(Q-1-m) + r]
     wmat = w.reshape(cout, cin, q, stride)[:, :, ::-1, :].transpose(1, 3, 0, 2)
     wmat = wmat.reshape(cin * stride, cout * q)
-    dpad = np.pad(dout, ((0, 0), (q - 1, q - 1)))
-    u_total = dout.shape[1] + q - 1  # samples at S * u_total and beyond feed no output
-    dx = np.zeros((cin, n))
+    dpad = ws.get(pad, (cout, t_total + 2 * (q - 1)))
+    dpad[:, : q - 1] = 0.0
+    dpad[:, q - 1 : q - 1 + t_total] = dout
+    dpad[:, q - 1 + t_total :] = 0.0
+    u_total = t_total + q - 1  # samples at S * u_total and beyond feed no output
+    dx[:, u_total * stride :] = 0.0
     for u0 in range(0, u_total, _TILE_FRAMES):
         u1 = min(u0 + _TILE_FRAMES, u_total)
-        win = sliding_window_view(dpad[:, u0 : u1 + q - 1], q, axis=1)
-        g = (wmat @ win.transpose(0, 2, 1).reshape(cout * q, u1 - u0)).reshape(cin, stride, -1)
-        dx[:, u0 * stride : u1 * stride] = g.transpose(0, 2, 1).reshape(cin, -1)
+        win = sliding_window_view(dpad[:, u0 : u1 + q - 1], q, axis=1).transpose(0, 2, 1)
+        g = ws.get(tile, (cin * stride, u1 - u0))
+        np.matmul(wmat, _as_matrix(win, (cout * q, u1 - u0), ws), out=g)
+        dx_tile = dx[:, u0 * stride : u1 * stride].reshape((cin, u1 - u0, stride), copy=False)
+        np.copyto(dx_tile, g.reshape(cin, stride, u1 - u0).transpose(0, 2, 1))
     return dx
 
 
-def _conv1d_backward(
-    x: np.ndarray, w: np.ndarray, stride: int, dout: np.ndarray, need_dx: bool = True
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of the strided cross-correlation; dx is None unless need_dx."""
-    cin, n = x.shape
+def _conv1d_weight_grad(
+    x: np.ndarray, w: np.ndarray, stride: int, dout: np.ndarray, ws: _Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (dw, db) of the strided cross-correlation, newly allocated."""
+    cin = x.shape[0]
     cout, _, k = w.shape
     t_total = dout.shape[1]
-    # first, so its tiles are freed before the weight gradient's
-    dx = _conv1d_input_grad(w, stride, dout, n) if need_dx else None
     dw = np.zeros_like(w)
     db = dout.sum(axis=1)
     for t0 in range(0, t_total, _TILE_FRAMES):
         t1 = min(t0 + _TILE_FRAMES, t_total)
-        span = x[:, t0 * stride : (t1 - 1) * stride + k]
-        win = sliding_window_view(span, k, axis=1)[:, ::stride, :]
-        winmat = win.transpose(0, 2, 1).reshape(cin * k, t1 - t0)
-        dw += (dout[:, t0:t1] @ winmat.T).reshape(cout, cin, k)
-    return dx, dw, db
+        win = _windows(x, k, stride, t0, t1).transpose(0, 2, 1)
+        dw += (dout[:, t0:t1] @ _as_matrix(win, (cin * k, t1 - t0), ws).T).reshape(cout, cin, k)
+    return dw, db
 
 
 class ReferenceModel:
@@ -149,6 +253,11 @@ class ReferenceModel:
     and ``gradient(w, loss_fn, frozen)`` given that value return bitwise the
     same as without it, as long as the selection and the unselected groups
     have not changed since it was computed.
+
+    Between calls the model keeps a private workspace (one call's working
+    set for the longest chunk seen so far, freed with the model). The
+    arrays ``forward``, ``frozen_features`` and ``gradient`` return are
+    newly allocated and owned by the caller; later calls never write to them.
     """
 
     K1, S1 = 32, 2
@@ -181,6 +290,7 @@ class ReferenceModel:
         }
         self._selected: tuple[str, ...] = ("feature_extractor", "layer_norm")
         self.sample_rate_hz = 16000
+        self._ws = _Workspace()
 
     # --- shape arithmetic ---------------------------------------------------
 
@@ -200,15 +310,19 @@ class ReferenceModel:
     # --- forward / backward ---------------------------------------------------
 
     def _conv_stack(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        p = self._params
-        a1 = _conv1d(x[None, :], p["conv1_w"], p["conv1_b"], self.S1)
-        h1, erf1 = _gelu(a1)
-        a2 = _conv1d(h1, p["conv2_w"], p["conv2_b"], self.S2)
-        h2, erf2 = _gelu(a2)
+        p, ws = self._params, self._ws
+        n1 = (len(x) - self.K1) // self.S1 + 1
+        shape1 = (p["conv1_w"].shape[0], n1)
+        shape2 = (p["conv2_w"].shape[0], (n1 - self.K2) // self.S2 + 1)
+        a1 = _conv1d(x[None, :], p["conv1_w"], p["conv1_b"], self.S1, ws.get("a1", shape1), ws)
+        h1, erf1 = _gelu(a1, ws.get("h1", shape1), ws.get("erf1", shape1))
+        a2 = _conv1d(h1, p["conv2_w"], p["conv2_b"], self.S2, ws.get("a2", shape2), ws)
+        h2, erf2 = _gelu(a2, ws.get("h2", shape2), ws.get("erf2", shape2))
         return {"x": x, "a1": a1, "erf1": erf1, "h1": h1, "a2": a2, "erf2": erf2, "h2": h2}
 
-    def _ln_affine(self, xhat: np.ndarray) -> np.ndarray:
-        return self._params["ln_gamma"][:, None] * xhat + self._params["ln_beta"][:, None]
+    def _ln_affine(self, xhat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(self._params["ln_gamma"][:, None], xhat, out=out)
+        return np.add(out, self._params["ln_beta"][:, None], out=out)
 
     def _frozen_stage(self) -> str | None:
         selected = set(self._selected)
@@ -223,19 +337,27 @@ class ReferenceModel:
         ``h3`` the layer-norm output (see the class docstring for which one).
         Pass it to ``forward`` and ``gradient`` for the same waveform under
         the same selection; updates of the selected groups keep it valid.
+        The array is newly allocated and owned by the caller.
         """
         stage = self._frozen_stage()
         if stage is None:
             return None
         self._check_rate(w)
         self.output_length(len(w.samples))
-        xhat, _ = _layer_norm_stats(self._conv_stack(w.samples)["h2"])
-        return xhat if stage == "xhat" else self._ln_affine(xhat)
+        h2 = self._conv_stack(w.samples)["h2"]
+        xhat, _ = _layer_norm_stats(h2, np.empty(h2.shape), self._ws.get("inv", h2.shape[1:]))
+        return xhat if stage == "xhat" else self._ln_affine(xhat, xhat)
 
     def _forward_cached(self, x: np.ndarray, frozen: np.ndarray | None) -> dict[str, np.ndarray]:
+        """Every activation the backward pass reads; all but ``z`` and ``frozen``
+        are views into the workspace, valid until the next call."""
+        ws = self._ws
         if frozen is None:
             cache = self._conv_stack(x)
-            cache["xhat"], cache["inv"] = _layer_norm_stats(cache.pop("h2"))
+            h2 = cache.pop("h2")
+            cache["xhat"], cache["inv"] = _layer_norm_stats(
+                h2, ws.get("xhat", h2.shape), ws.get("inv", h2.shape[1:])
+            )
         else:
             stage = self._frozen_stage()
             if stage is None:
@@ -245,9 +367,11 @@ class ReferenceModel:
                 raise ValueError(f"frozen features shape {frozen.shape} != {shape}")
             cache = {stage: frozen}
         if "h3" not in cache:
-            cache["h3"] = self._ln_affine(cache["xhat"])
+            # h2 is spent once the statistics are taken; its buffer takes h3
+            cache["h3"] = self._ln_affine(cache["xhat"], ws.get("h2", cache["xhat"].shape))
         p = self._params
-        cache["z"] = cache["h3"].T @ p["head_w"].T + p["head_b"][None, :]
+        z = np.matmul(cache["h3"].T, p["head_w"].T)
+        cache["z"] = np.add(z, p["head_b"][None, :], out=z)
         return cache
 
     def forward(self, w: Waveform, frozen: np.ndarray | None = None) -> LogitMatrix:
@@ -269,7 +393,7 @@ class ReferenceModel:
         if dz.shape != cache["z"].shape:
             raise ValueError(f"loss gradient shape {dz.shape} != logits shape {cache['z'].shape}")
 
-        p = self._params
+        p, ws = self._params, self._ws
         selected = set(self._selected)
         grads: dict[str, np.ndarray] = {}
         if "head" in selected:
@@ -277,27 +401,30 @@ class ReferenceModel:
             grads["head_b"] = dz.sum(axis=0)
         if not selected & {"layer_norm", "feature_extractor"}:
             return record, grads
-        dh3 = p["head_w"].T @ dz.T
-        # layer norm (statistics over the channel axis, per frame)
+        # each buffer below takes over from an activation the backward pass has
+        # finished with: h3 (in "h2") once the head gradient is taken, a2, erf2
+        # and xhat once da2 is formed
         xhat = cache["xhat"]
+        dh3 = np.matmul(p["head_w"].T, dz.T, out=ws.get("h2", xhat.shape))
+        tmp = ws.get("tmp", xhat.shape)
+        # layer norm (statistics over the channel axis, per frame)
         if "layer_norm" in selected:
-            grads["ln_gamma"] = (dh3 * xhat).sum(axis=1)
+            grads["ln_gamma"] = np.multiply(dh3, xhat, out=tmp).sum(axis=1)
             grads["ln_beta"] = dh3.sum(axis=1)
         if "feature_extractor" not in selected:
             return record, grads
-        dxhat = dh3 * p["ln_gamma"][:, None]
-        dh2 = cache["inv"][None, :] * (
-            dxhat
-            - dxhat.mean(axis=0, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=0, keepdims=True)
-        )
+        dxhat = np.multiply(dh3, p["ln_gamma"][:, None], out=dh3)
+        dh2 = _layer_norm_backward(dxhat, xhat, cache["inv"], tmp, ws)
         # conv stack; conv1's input is the waveform, whose gradient nothing uses
-        da2 = dh2 * _gelu_grad(cache["a2"], cache["erf2"])
-        dh1, dw2, db2 = _conv1d_backward(cache["h1"], p["conv2_w"], self.S2, da2)
-        grads["conv2_w"], grads["conv2_b"] = dw2, db2
-        da1 = dh1 * _gelu_grad(cache["a1"], cache["erf1"])
-        _, dw1, db1 = _conv1d_backward(cache["x"][None, :], p["conv1_w"], self.S1, da1, False)
-        grads["conv1_w"], grads["conv1_b"] = dw1, db1
+        da2 = _gelu_backward(dh2, cache["a2"], cache["erf2"], tmp)
+        h1 = cache["h1"]
+        dh1 = _conv1d_input_grad(
+            p["conv2_w"], self.S2, da2, ws.get("erf2", h1.shape), ws, pad="a2", tile="xhat"
+        )
+        grads["conv2_w"], grads["conv2_b"] = _conv1d_weight_grad(h1, p["conv2_w"], self.S2, da2, ws)
+        da1 = _gelu_backward(dh1, cache["a1"], cache["erf1"], ws.get("tmp", h1.shape))
+        x = cache["x"][None, :]
+        grads["conv1_w"], grads["conv1_b"] = _conv1d_weight_grad(x, p["conv1_w"], self.S1, da1, ws)
         return record, grads
 
     # --- parameter management -------------------------------------------------

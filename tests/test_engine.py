@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 
@@ -529,6 +530,46 @@ def test_run_writer_resume_and_finalize(tmp_path, model):
     records = read_run_records(out)
     wers = speaker_wers_from_records(records)
     assert wers == pytest.approx(result.speaker_wers())
+
+
+def test_run_writer_failing_midway_leaves_the_earlier_files_whole(tmp_path, monkeypatch):
+    from ttabench.engine import artifacts
+
+    manifest = _experiment_fixture(tmp_path / "corpus")
+    config = _suta_config()
+    out = tmp_path / "run"
+    writer = RunWriter(out, config)
+    factory = functools.partial(build_reference_model, 3)
+    result = run_experiment(
+        factory, manifest, config, workers=1, on_speaker_done=writer.speaker_done
+    )
+    results_path = writer.finalize(result)
+    before = results_path.read_bytes()
+    files = sorted(p.relative_to(out) for p in out.rglob("*"))
+
+    # the second speaker's last record cannot be serialized, so writing stops partway
+    last = result.speakers[-1]
+    bad = dataclasses.replace(last.records[-1], hypothesis=object())
+    broken_last = dataclasses.replace(last, records=(*last.records[:-1], bad))
+    broken = dataclasses.replace(result, speakers=(*result.speakers[:-1], broken_last))
+    with pytest.raises(TypeError):
+        writer.finalize(broken)
+    assert results_path.read_bytes() == before
+    speaker_path = out / "speakers" / f"{last.speaker_id}.jsonl"
+    speaker_rows = speaker_path.read_bytes()
+    with pytest.raises(TypeError):
+        writer.speaker_done(broken.speakers[-1])
+    assert speaker_path.read_bytes() == speaker_rows
+
+    # the rename fails after the new, shorter text is in the temporary file
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(artifacts.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        writer.finalize(dataclasses.replace(result, speakers=result.speakers[:1]))
+    assert results_path.read_bytes() == before
+    assert sorted(p.relative_to(out) for p in out.rglob("*")) == files
 
 
 def test_run_writer_rejects_config_mixing(tmp_path):

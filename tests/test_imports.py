@@ -9,7 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import ttabench
+from ttabench.corpus.audio import Waveform
 
 _IMPORT_EACH_ALONE = """
 import importlib
@@ -45,13 +48,28 @@ def test_benchmark_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
     layers = importlib.import_module("perfbench.layers")
     tracer = importlib.import_module("perfbench.tracer").Tracer(tmp_path / "spans")
     from ttabench import analysis, cli, evaluation
+    from ttabench.model.reference import ReferenceModel, build_reference_model
+    from ttabench.objectives import make_loss_functional
 
     originals = [cli.cmd_analyze, cli.cmd_report, evaluation.build_delta_table, analysis.project_2d]
+    methods = [ReferenceModel.forward, ReferenceModel.gradient]
+    model = build_reference_model(seed=0)
+    wave = Waveform(samples=np.zeros(400), sample_rate_hz=16000)
     try:
         layers.install(tracer)
         wrapped = [cli.cmd_analyze, cli.cmd_report, evaluation.build_delta_table, cli.project_2d]
         assert all(w is not o for w, o in zip(wrapped, originals))
+        # one traced call through each wrapped model method, with the arguments
+        # the benchmark's counters read
+        tracer.active = True
+        model.forward(wave)
+        model.gradient(wave, make_loss_functional("suta"))
     finally:
+        tracer.active = False
         tracer.uninstall()
+    spans = {s["name"]: s for s in tracer.collect()}
+    assert {"model.forward", "model.gradient"} <= set(spans)
+    assert spans["model.gradient"]["frames"] == model.output_length(400)
+    assert [ReferenceModel.forward, ReferenceModel.gradient] == methods
     restored = [cli.cmd_analyze, cli.cmd_report, evaluation.build_delta_table, cli.project_2d]
     assert all(r is o for r, o in zip(restored, originals))

@@ -6,6 +6,7 @@ from ttabench.errors import (
     AudioTooShortError,
     CheckpointError,
     FrozenParameterError,
+    NonFiniteLogitsError,
     ShapeMismatchError,
     UnknownGroupError,
 )
@@ -117,10 +118,15 @@ def test_gelu_matches_closed_form_bitwise():
     x = np.concatenate(
         [np.linspace(-40.0, 40.0, 4001), [-1e300, -1e10, -5e-324, -0.0, 0.0, 5e-324, 1e10, 1e300]]
     )
-    h, one_plus_erf = reference._gelu(x)
+    h, one_plus_erf = reference._gelu(x, np.empty_like(x), np.empty_like(x))
     erf_term = 1.0 + reference.erf(x / np.sqrt(2.0))
     assert h.tobytes() == (0.5 * x * erf_term).tobytes()
     assert one_plus_erf.tobytes() == erf_term.tobytes()
+    dh = np.random.default_rng(0).normal(size=x.shape)
+    with np.errstate(over="ignore"):
+        expected = dh * (0.5 * erf_term + x * np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi)))
+        da = reference._gelu_backward(dh.copy(), x, one_plus_erf, np.empty_like(x))
+    assert da.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -264,33 +270,49 @@ def test_gradient_matches_finite_differences(groups):
     assert _fd_check(model, w, loss_fn, grads) < 1e-6
 
 
-def _conv1d_backward_per_tap(x, w, stride, dout):
-    """Reference gradients of the strided cross-correlation, one kernel tap at a time."""
+def _conv1d_per_tap(x, w, b, stride):
+    """Reference forward and gradients of the strided cross-correlation, one kernel tap at a time."""
     k = w.shape[2]
-    span = stride * dout.shape[1]
-    dx = np.zeros_like(x)
-    dw = np.zeros_like(w)
-    for kk in range(k):
-        dx[:, kk : kk + span : stride] += w[:, :, kk].T @ dout
-        dw[:, :, kk] = dout @ x[:, kk : kk + span : stride].T
-    return dx, dw, dout.sum(axis=1)
+    t_total = (x.shape[1] - k) // stride + 1
+    span = stride * t_total
+
+    def backward(dout):
+        dx = np.zeros_like(x)
+        dw = np.zeros_like(w)
+        for kk in range(k):
+            dx[:, kk : kk + span : stride] += w[:, :, kk].T @ dout
+            dw[:, :, kk] = dout @ x[:, kk : kk + span : stride].T
+        return dx, dw, dout.sum(axis=1)
+
+    out = sum(w[:, :, kk] @ x[:, kk : kk + span : stride] for kk in range(k)) + b[:, None]
+    return out, backward
 
 
-@pytest.mark.parametrize("cin,cout,k,stride", [(3, 4, 6, 2), (4, 8, 16, 2), (2, 3, 9, 3)])
+@pytest.mark.parametrize(
+    "cin,cout,k,stride", [(3, 4, 6, 2), (4, 8, 16, 2), (2, 3, 9, 3), (1, 4, 8, 2)]
+)
 def test_conv1d_backward_matches_per_tap_across_tiles(monkeypatch, cin, cout, k, stride):
     monkeypatch.setattr(reference, "_TILE_FRAMES", 5)
     rng = np.random.default_rng(11)
     n = 151  # odd, and leaves input samples past the last window
     x = rng.normal(size=(cin, n))
     w = rng.normal(size=(cout, cin, k))
-    dout = rng.normal(size=(cout, (n - k) // stride + 1))
-    dx, dw, db = reference._conv1d_backward(x, w, stride, dout)
-    ref_dx, ref_dw, ref_db = _conv1d_backward_per_tap(x, w, stride, dout)
+    b = rng.normal(size=cout)
+    t_total = (n - k) // stride + 1
+    dout = rng.normal(size=(cout, t_total))
+    ref_out, ref_backward = _conv1d_per_tap(x, w, b, stride)
+    ref_dx, ref_dw, ref_db = ref_backward(dout)
+    ws = reference._Workspace()
+    # outputs start as NaN, so an entry the helpers leave unwritten shows
+    out = reference._conv1d(x, w, b, stride, np.full((cout, t_total), np.nan), ws)
+    dx = reference._conv1d_input_grad(w, stride, dout, np.full((cin, n), np.nan), ws, "pad", "tile")
+    dw, db = reference._conv1d_weight_grad(x, w, stride, dout, ws)
+    np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(db, ref_db, rtol=1e-12, atol=1e-12)
-    no_dx, dw2, db2 = reference._conv1d_backward(x, w, stride, dout, need_dx=False)
-    assert no_dx is None
+    # the weight gradient alone, on a fresh workspace, is bitwise the same
+    dw2, db2 = reference._conv1d_weight_grad(x, w, stride, dout, reference._Workspace())
     assert np.array_equal(dw2, dw) and np.array_equal(db2, db)
 
 
@@ -312,6 +334,94 @@ def test_gradient_returns_only_selected_groups(model):
     model.select_adaptable(["head"])
     _, head_only = model.gradient(w, loss_fn)
     assert set(head_only) == {"head_w", "head_b"}
+
+
+# --- scratch workspace ------------------------------------------------------------------
+
+_SELECTIONS = (("feature_extractor", "layer_norm"), ("layer_norm",), ("head",))
+
+
+def _calls(model, w):
+    """forward, frozen_features and gradient of ``w`` under each selection, as named arrays."""
+    loss_fn = make_loss_functional("sgem")
+    out = {}
+    for groups in _SELECTIONS:
+        model.select_adaptable(list(groups))
+        key = "+".join(groups)
+        frozen = model.frozen_features(w)
+        if frozen is not None:
+            out[f"{key}/frozen"] = frozen
+        out[f"{key}/forward"] = model.forward(w).values
+        out[f"{key}/forward_frozen"] = model.forward(w, frozen).values
+        record, grads = model.gradient(w, loss_fn)
+        out[f"{key}/loss"] = np.array(record.total)
+        out.update({f"{key}/grad/{k}": v for k, v in grads.items()})
+        _, grads = model.gradient(w, loss_fn, frozen)
+        out.update({f"{key}/grad_frozen/{k}": v for k, v in grads.items()})
+    model.select_adaptable(list(_SELECTIONS[0]))
+    return out
+
+
+def _fresh_twin(model):
+    twin = build_reference_model(seed=3)
+    twin.restore(model.snapshot())
+    return twin
+
+
+def _assert_bitwise(got, expected):
+    assert set(got) == set(expected)
+    for name, value in expected.items():
+        assert got[name].tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("tile_frames", [None, 5])
+def test_workspace_leaves_no_stale_state_between_chunks(model, monkeypatch, tile_frames):
+    if tile_frames is not None:
+        monkeypatch.setattr(reference, "_TILE_FRAMES", tile_frames)
+    # long, short, long: the short chunk leaves the tails of grown buffers untouched
+    chunks = [noise(d, rms=0.1, seed=s) for d, s in ((0.12, 1), (0.02, 2), (0.1, 3))]
+    for w in chunks:
+        _assert_bitwise(_calls(model, w), _calls(_fresh_twin(model), w))
+    # an update that makes the logits non-finite fills the buffers with inf and NaN
+    snap = model.snapshot()
+    model.apply_update({"conv2_b": np.full(32, 1e308)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteLogitsError):
+            model.forward(chunks[0])
+        with pytest.raises(NonFiniteLogitsError):
+            model.gradient(chunks[0], make_loss_functional("sgem"))
+    model.restore(snap)
+    for w in chunks:
+        _assert_bitwise(_calls(model, w), _calls(_fresh_twin(model), w))
+
+
+def test_returned_arrays_are_owned_by_the_caller(model):
+    first = _calls(model, noise(0.1, rms=0.1, seed=4))
+    kept = {name: value.copy() for name, value in first.items()}
+    buffers = list(model._ws._buffers.values())
+    assert buffers
+    for name, value in first.items():
+        assert not any(np.shares_memory(value, buf) for buf in buffers), name
+    for w in (noise(0.15, rms=0.1, seed=5), noise(0.03, rms=0.1, seed=6)):
+        _calls(model, w)
+    _assert_bitwise(first, kept)
+
+
+def test_warm_gradient_allocates_a_fraction_of_the_cold_call(model):
+    import tracemalloc
+
+    w = noise(0.73, rms=0.1, seed=7)  # 2,905 logit frames
+    loss_fn = make_loss_functional("sgem")
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            model.gradient(w, loss_fn)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    cold, warm = peaks
+    assert warm <= 0.4 * cold, (cold, warm)
 
 
 # --- checkpoints ----------------------------------------------------------------------
