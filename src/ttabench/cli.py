@@ -33,7 +33,6 @@ from .analysis import (
 from .corpus.audio import read_audio
 from .corpus.manifest import (
     CorpusManifest,
-    Split,
     Utterance,
     duration_stats,
     filter_max_duration,
@@ -47,7 +46,7 @@ from .engine.artifacts import (
     sha256_file,
     speaker_wers_from_records,
 )
-from .engine.config import AdaptationConfig, resolve_config
+from .engine.config import AdaptationConfig, AdaptationMethod, resolve_config
 from .engine.runner import run_experiment
 from .errors import (
     AnalysisError,
@@ -105,7 +104,7 @@ class RunConfig:
         if not self.methods:
             raise ConfigError("at least one method is required")
         for m in self.methods:
-            if m not in ("none", "suta", "sgem"):
+            if m not in {k.value for k in AdaptationMethod}:
                 raise ConfigError(f"unknown method {m!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
@@ -124,7 +123,6 @@ class RunConfig:
 # the keys an ``adapt --config`` file may hold, with the JSON type of each
 _CONFIG_FILE_KEYS = {
     "adaptation": dict,
-    "seed": int,
     "methods": list,
     "manifest_path": str,
     "checkpoint_ref": str,
@@ -188,11 +186,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raise ConfigError("exactly one of --source or --from-manifest is required")
     if args.max_duration is not None and not args.max_duration > 0:
         raise ConfigError(f"--max-duration must be positive, got {args.max_duration}")
-    split = Split(args.split)
     if args.source:
-        manifest = CorpusManifest(split=split, utterances=tuple(_discover_source(Path(args.source))))
+        manifest = CorpusManifest(utterances=tuple(_discover_source(Path(args.source))))
     else:
-        manifest = load_manifest(Path(args.from_manifest), split=split)
+        manifest = load_manifest(Path(args.from_manifest))
     if args.max_duration is not None:
         manifest = filter_max_duration(manifest, args.max_duration)
         if not manifest.utterances:
@@ -203,7 +200,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     stats = duration_stats(manifest)
     print(f"wrote {out}")
     print(
-        f"split={manifest.split.value} utterances={len(manifest)} "
+        f"utterances={len(manifest)} "
         f"speakers={stats.n_speakers} "
         f"duration mean={stats.mean_duration_s:.2f}s sd={stats.sd_duration_s:.2f}s "
         f"total={stats.total_hours:.3f}h"
@@ -216,9 +213,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = _load_config_file(args.config)
-    adaptation_base = dict(file_cfg.get("adaptation", {}))
-    if "seed" in file_cfg and "seed" not in adaptation_base:
-        adaptation_base["seed"] = file_cfg["seed"]
+    adaptation_base = file_cfg.get("adaptation", {})
+    if "method" in adaptation_base:
+        # each method of a run gets its own config, so a single one here would go unread
+        raise ConfigError(
+            "config key 'adaptation.method' is not read; list methods in 'methods' or pass --method"
+        )
     overrides = {
         "steps_n": args.steps,
         "alpha": args.alpha,
@@ -464,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="build or validate a corpus manifest")
     p.add_argument("--source", help="directory of <speaker>/<utterance>.wav + .txt files")
     p.add_argument("--from-manifest", help="existing manifest to validate/filter")
-    p.add_argument("--split", default="test", choices=[s.value for s in Split])
     p.add_argument("--max-duration", type=float, default=None, help="keep utterances < this many seconds")
     p.add_argument("--out", help="output manifest path")
     p.set_defaults(func=cmd_ingest)

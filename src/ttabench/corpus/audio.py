@@ -8,15 +8,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import resample_poly
 
 from ..errors import CorruptFileError, UnreadableFileError, UnsupportedFormatError
 
 CANONICAL_RATE_HZ = 16000
+# declared sample rates outside this range are treated as a damaged header
+_MIN_RATE_HZ = 1000
+_MAX_RATE_HZ = 192000
 
 _INT_SCALES = {
     np.dtype(np.int16): 32768.0,
     np.dtype(np.int32): 2147483648.0,
+    np.dtype(np.int64): 9223372036854775808.0,
 }
 
 
@@ -47,17 +50,18 @@ class Waveform:
         return len(self.samples)
 
 
-def read_audio(path: str | os.PathLike, target_rate_hz: int = CANONICAL_RATE_HZ) -> Waveform:
+def read_audio(path: str | os.PathLike) -> Waveform:
     """Read a PCM (or IEEE-float) WAV file as 16 kHz mono in [-1, 1].
 
     Multichannel input is mean-downmixed; integer PCM is scaled by its full
-    range; other rates are polyphase-resampled to the target rate.
+    range; other rates are polyphase-resampled to 16 kHz.
 
     Raises:
         UnreadableFileError: file missing or unreadable.
         UnsupportedFormatError: not a RIFF/WAVE file.
-        CorruptFileError: WAVE file that cannot be parsed, or whose float
-            samples include NaN or infinity.
+        CorruptFileError: WAVE file that cannot be parsed, that declares a
+            sample rate outside 1-192 kHz, or whose float samples include
+            NaN or infinity.
     """
     try:
         with open(path, "rb") as f:
@@ -71,6 +75,10 @@ def read_audio(path: str | os.PathLike, target_rate_hz: int = CANONICAL_RATE_HZ)
         rate, data = wavfile.read(path)
     except Exception as exc:
         raise CorruptFileError(f"cannot parse WAV file {path}: {exc}") from exc
+    if not _MIN_RATE_HZ <= rate <= _MAX_RATE_HZ:
+        raise CorruptFileError(
+            f"{path} declares sample rate {rate} Hz, outside {_MIN_RATE_HZ}-{_MAX_RATE_HZ} Hz"
+        )
 
     x = np.asarray(data)
     if x.size == 0:
@@ -87,14 +95,17 @@ def read_audio(path: str | os.PathLike, target_rate_hz: int = CANONICAL_RATE_HZ)
         x = x / _INT_SCALES[data.dtype]
     # float32 / float64 WAVs are already nominally in [-1, 1]
 
-    if rate != target_rate_hz:
-        g = math.gcd(int(rate), target_rate_hz)
-        x = resample_poly(x, target_rate_hz // g, int(rate) // g)
+    if rate != CANONICAL_RATE_HZ:
+        # imported here: scipy.signal is slow to import and 16 kHz input never needs it
+        from scipy.signal import resample_poly
+
+        g = math.gcd(int(rate), CANONICAL_RATE_HZ)
+        x = resample_poly(x, CANONICAL_RATE_HZ // g, int(rate) // g)
         if x.size == 0:
             raise CorruptFileError(f"{path} too short to resample")
     # resampling and downmix can overshoot slightly
     x = np.clip(x, -1.0, 1.0)
-    return Waveform(samples=x, sample_rate_hz=target_rate_hz)
+    return Waveform(samples=x, sample_rate_hz=CANONICAL_RATE_HZ)
 
 
 def write_wav(path: str | os.PathLike, w: Waveform) -> None:

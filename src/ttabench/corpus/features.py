@@ -15,14 +15,17 @@ from ..errors import AudioTooShortError
 from .audio import Waveform
 
 LOG_FLOOR = 1e-10
+_N_COEFFS = 13
+_N_MELS = 26
+_FRAME_LEN_S = 0.025
+_FRAME_HOP_S = 0.010
 
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """T x D frame-level features plus the hop used to produce them."""
+    """T x D frame-level features, one row per 10 ms hop."""
 
     frames: np.ndarray
-    frame_hop_s: float
 
     def __post_init__(self) -> None:
         frames = np.asarray(self.frames, dtype=np.float64)
@@ -30,8 +33,6 @@ class FeatureMatrix:
             raise ValueError("frames must be a T x D matrix with T, D >= 1")
         if not np.all(np.isfinite(frames)):
             raise ValueError("frames must contain no NaN/Inf")
-        if self.frame_hop_s <= 0:
-            raise ValueError("frame_hop_s must be positive")
         object.__setattr__(self, "frames", frames)
 
     @property
@@ -74,28 +75,18 @@ def mel_filterbank(n_filters: int, nfft: int, sample_rate_hz: int) -> np.ndarray
     return fb
 
 
-def compute_mfcc(
-    w: Waveform,
-    n_coeffs: int = 13,
-    frame_len_s: float = 0.025,
-    frame_hop_s: float = 0.010,
-    n_mels: int = 26,
-) -> FeatureMatrix:
-    """Mel-frequency cepstral coefficients of a waveform.
+def compute_mfcc(w: Waveform) -> FeatureMatrix:
+    """The 13 mel-frequency cepstral coefficients of each 25 ms frame, at a 10 ms hop.
 
-    Hamming window, power spectrum, triangular mel filterbank, log with a
-    1e-10 floor (so all-zero audio stays finite), orthonormal DCT-II.
+    Hamming window, power spectrum, 26-band triangular mel filterbank, log
+    with a 1e-10 floor (so all-zero audio stays finite), orthonormal DCT-II.
 
     Raises:
         AudioTooShortError: fewer samples than one analysis frame.
     """
-    if n_coeffs < 1 or n_mels < n_coeffs:
-        raise ValueError("need 1 <= n_coeffs <= n_mels")
-    if frame_len_s < frame_hop_s:
-        raise ValueError("frame_len_s must be >= frame_hop_s")
     sr = w.sample_rate_hz
-    frame_len = int(round(frame_len_s * sr))
-    hop = int(round(frame_hop_s * sr))
+    frame_len = int(round(_FRAME_LEN_S * sr))
+    hop = int(round(_FRAME_HOP_S * sr))
 
     frames = frame_signal(w.samples, frame_len, hop)
     nfft = 1
@@ -103,7 +94,7 @@ def compute_mfcc(
         nfft *= 2
     windowed = frames * np.hamming(frame_len)
     power = np.abs(np.fft.rfft(windowed, n=nfft)) ** 2 / nfft
-    fb = mel_filterbank(n_mels, nfft, sr)
+    fb = mel_filterbank(_N_MELS, nfft, sr)
     energies = np.log(np.maximum(power @ fb.T, LOG_FLOOR))
-    coeffs = dct(energies, type=2, axis=1, norm="ortho")[:, :n_coeffs]
-    return FeatureMatrix(frames=coeffs, frame_hop_s=frame_hop_s)
+    coeffs = dct(energies, type=2, axis=1, norm="ortho")[:, :_N_COEFFS]
+    return FeatureMatrix(frames=coeffs)

@@ -29,6 +29,8 @@ MANIFEST_FIELDS = ("utterance_id", "speaker_id", "audio_path", "transcript", "du
 
 
 class Split(Enum):
+    """A corpus split label. No command acts on it and manifests do not store it."""
+
     TRAIN = "train"
     VALIDATION = "validation"
     TEST = "test"
@@ -55,8 +57,8 @@ class Utterance:
 
 @dataclass(frozen=True)
 class CorpusManifest:
-    split: Split
     utterances: tuple[Utterance, ...]
+    split: Split = Split.TEST
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -79,18 +81,8 @@ class CorpusManifest:
         return groups
 
 
-def _infer_split(path: str | os.PathLike) -> Split:
-    stem = Path(path).stem.lower()
-    for s in Split:
-        if stem == s.value:
-            return s
-    return Split.TEST
-
-
-def load_manifest(path: str | os.PathLike, split: Split | None = None) -> CorpusManifest:
+def load_manifest(path: str | os.PathLike) -> CorpusManifest:
     """Parse a JSON-lines manifest, preserving file order.
-
-    ``split`` defaults to the file stem when it names a split, else ``test``.
 
     Raises:
         UnreadableManifestError: file missing or undecodable.
@@ -139,7 +131,7 @@ def load_manifest(path: str | os.PathLike, split: Split | None = None) -> Corpus
         except ValueError as exc:
             raise InvalidFieldError("record", lineno, str(exc)) from exc
 
-    return CorpusManifest(split=split or _infer_split(path), utterances=tuple(utterances))
+    return CorpusManifest(utterances=tuple(utterances))
 
 
 def save_manifest(manifest: CorpusManifest, path: str | os.PathLike) -> None:
@@ -161,7 +153,7 @@ def filter_max_duration(manifest: CorpusManifest, max_s: float) -> CorpusManifes
     if not max_s > 0:
         raise ValueError("max_s must be positive")
     kept = tuple(u for u in manifest.utterances if u.duration_s < max_s)
-    return CorpusManifest(split=manifest.split, utterances=kept)
+    return CorpusManifest(utterances=kept)
 
 
 @dataclass(frozen=True)

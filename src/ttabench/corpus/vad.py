@@ -8,25 +8,24 @@ speech segments closer than 200 ms are merged (hangover).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .audio import Waveform
 from .features import frame_signal
 
-
-class SegmentLabel(Enum):
-    SPEECH = "speech"
-    NONSPEECH = "nonspeech"
+_FRAME_LEN_S = 0.030
+_FRAME_HOP_S = 0.010
+_RELATIVE_THRESHOLD = 0.05
+_ABSOLUTE_FLOOR = 1e-4
+_HANGOVER_S = 0.200
 
 
 @dataclass(frozen=True)
 class SegmentList:
-    """Sorted, non-overlapping (start_s, end_s) intervals with one label."""
+    """Sorted, non-overlapping (start_s, end_s) intervals."""
 
     segments: tuple[tuple[float, float], ...]
-    label: SegmentLabel
 
     def __post_init__(self) -> None:
         prev_end = -np.inf
@@ -43,61 +42,48 @@ class SegmentList:
         return len(self.segments)
 
 
-@dataclass(frozen=True)
-class EnergyVad:
-    """Dependency-free frame-RMS voice activity detector."""
+def _speech_segments(w: Waveform) -> SegmentList:
+    """The frame-RMS voice activity detector's speech segments, hangover merged."""
+    sr = w.sample_rate_hz
+    frame_len = int(round(_FRAME_LEN_S * sr))
+    hop = int(round(_FRAME_HOP_S * sr))
+    if len(w.samples) < frame_len:
+        frames = w.samples[None, :]
+    else:
+        frames = frame_signal(w.samples, frame_len, hop)
+    rms = np.sqrt(np.mean(frames**2, axis=1))
+    threshold = max(_ABSOLUTE_FLOOR, _RELATIVE_THRESHOLD * float(np.median(rms)))
+    active = rms >= threshold
 
-    frame_len_s: float = 0.030
-    frame_hop_s: float = 0.010
-    relative_threshold: float = 0.05
-    absolute_floor: float = 1e-4
-    hangover_s: float = 0.200
+    def span(first: int, last: int) -> tuple[float, float]:
+        return (first * hop / sr, min((last * hop + frame_len) / sr, w.duration_s))
 
-    def __call__(self, w: Waveform) -> SegmentList:
-        sr = w.sample_rate_hz
-        frame_len = int(round(self.frame_len_s * sr))
-        hop = int(round(self.frame_hop_s * sr))
-        if len(w.samples) < frame_len:
-            frames = w.samples[None, :]
+    segments: list[tuple[float, float]] = []
+    start = None
+    for i, a in enumerate(active):
+        if a and start is None:
+            start = i
+        elif not a and start is not None:
+            segments.append(span(start, i - 1))
+            start = None
+    if start is not None:
+        segments.append(span(start, len(active) - 1))
+
+    merged: list[tuple[float, float]] = []
+    for seg in segments:
+        if merged and seg[0] - merged[-1][1] < _HANGOVER_S:
+            merged[-1] = (merged[-1][0], seg[1])
         else:
-            frames = frame_signal(w.samples, frame_len, hop)
-        rms = np.sqrt(np.mean(frames**2, axis=1))
-        threshold = max(self.absolute_floor, self.relative_threshold * float(np.median(rms)))
-        active = rms >= threshold
-
-        segments: list[tuple[float, float]] = []
-        start = None
-        for i, a in enumerate(active):
-            if a and start is None:
-                start = i
-            elif not a and start is not None:
-                segments.append(self._span(start, i - 1, hop, frame_len, sr, w.duration_s))
-                start = None
-        if start is not None:
-            segments.append(self._span(start, len(active) - 1, hop, frame_len, sr, w.duration_s))
-
-        merged: list[tuple[float, float]] = []
-        for seg in segments:
-            if merged and seg[0] - merged[-1][1] < self.hangover_s:
-                merged[-1] = (merged[-1][0], seg[1])
-            else:
-                merged.append(seg)
-        return SegmentList(segments=tuple(merged), label=SegmentLabel.SPEECH)
-
-    @staticmethod
-    def _span(
-        first: int, last: int, hop: int, frame_len: int, sr: int, duration_s: float
-    ) -> tuple[float, float]:
-        return (first * hop / sr, min((last * hop + frame_len) / sr, duration_s))
+            merged.append(seg)
+    return SegmentList(segments=tuple(merged))
 
 
-def detect_nonspeech(w: Waveform, min_segment_s: float = 0.030) -> SegmentList:
+def detect_nonspeech(w: Waveform) -> SegmentList:
     """Complement of the energy VAD's speech segments within [0, duration].
 
-    Non-speech gaps shorter than ``min_segment_s`` (one VAD frame) are
-    dropped.
+    Non-speech gaps shorter than one VAD frame (30 ms) are dropped.
     """
-    speech = EnergyVad()(w)
+    speech = _speech_segments(w)
     duration = w.duration_s
     gaps: list[tuple[float, float]] = []
     cursor = 0.0
@@ -107,8 +93,8 @@ def detect_nonspeech(w: Waveform, min_segment_s: float = 0.030) -> SegmentList:
         cursor = max(cursor, end)
     if cursor < duration:
         gaps.append((cursor, duration))
-    kept = tuple(g for g in gaps if g[1] - g[0] >= min_segment_s and g[1] <= duration + 1e-9)
-    return SegmentList(segments=kept, label=SegmentLabel.NONSPEECH)
+    kept = tuple(g for g in gaps if g[1] - g[0] >= _FRAME_LEN_S and g[1] <= duration + 1e-9)
+    return SegmentList(segments=kept)
 
 
 @dataclass(frozen=True)

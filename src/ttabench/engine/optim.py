@@ -12,6 +12,10 @@ from typing import Mapping, Protocol
 
 import numpy as np
 
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
 
 class Optimizer(Protocol):
     def step(self, grads: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]: ...
@@ -28,21 +32,12 @@ class Sgd:
 
 
 class Adam:
-    def __init__(
-        self,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    """Adam with beta1 0.9, beta2 0.999 and eps 1e-8."""
+
+    def __init__(self, learning_rate: float) -> None:
         if learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t = 0
@@ -50,21 +45,21 @@ class Adam:
     def step(self, grads: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         self._t += 1
         deltas: dict[str, np.ndarray] = {}
-        bc1 = 1.0 - self.beta1**self._t
-        bc2 = 1.0 - self.beta2**self._t
+        bc1 = 1.0 - _BETA1**self._t
+        bc2 = 1.0 - _BETA2**self._t
         for name, g in grads.items():
             m = self._m.get(name)
             v = self._v.get(name)
             if m is None:
                 m = np.zeros_like(g)
                 v = np.zeros_like(g)
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+            m = _BETA1 * m + (1.0 - _BETA1) * g
+            v = _BETA2 * v + (1.0 - _BETA2) * (g * g)
             self._m[name] = m
             self._v[name] = v
             m_hat = m / bc1
             v_hat = v / bc2
-            deltas[name] = -self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            deltas[name] = -self.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
         return deltas
 
 

@@ -2,12 +2,13 @@
 
 Two composite losses, each built from independently testable parts:
 
-* ``suta_loss``:  alpha * entropy + (1 - alpha) * class-confusion.
-* ``sgem_loss``:  Renyi entropy + lambda * negative-sampling penalty.
+* ``suta_loss_and_grad``:  alpha * entropy + (1 - alpha) * class-confusion.
+* ``sgem_loss_and_grad``:  Renyi entropy + lambda * negative-sampling penalty.
 
 Both operate on temperature-smoothed softmax probabilities of the logits.
 Every loss has a closed-form gradient; ``*_loss_and_grad`` returns the loss
-record together with d(loss)/d(logits) so a model can backpropagate it.
+record together with d(loss)/d(logits) so a model can backpropagate it, or
+the record alone with ``need_grad=False``.
 
 Probabilities are stored class-major: ``softmax_temperature`` fills one
 C-contiguous C x L buffer and ``ProbMatrix.values`` is its L x C transpose.
@@ -34,6 +35,8 @@ logger = logging.getLogger(__name__)
 
 _MCC_EPS = 1e-12
 _NS_EPS = 1e-12
+# with blank frames excluded, a frame whose blank probability exceeds this is left out
+_BLANK_DOMINANCE = 0.9
 
 
 @dataclass(frozen=True)
@@ -196,14 +199,9 @@ def _topk_mask(vt: np.ndarray, part: np.ndarray, k: int) -> np.ndarray:
 # --- gradients with respect to the logits ----------------------------------------
 
 
-def softmax_grad_to_logits(p: ProbMatrix, grad_p: np.ndarray) -> np.ndarray:
-    """Chain a d(loss)/d(prob) through the temperature softmax to the logits."""
-    g = np.array(grad_p.T, dtype=np.float64, order="C")
-    return _softmax_chain(p.values.T, g, p.temperature_used).T
-
-
 def _softmax_chain(vt: np.ndarray, g: np.ndarray, temperature: float) -> np.ndarray:
-    """``softmax_grad_to_logits`` on class-major arrays, overwriting ``g``."""
+    """Chain the class-major d(loss)/d(prob) ``g`` through the temperature softmax
+    to the logits, overwriting ``g``."""
     g -= np.einsum("cl,cl->l", vt, g)
     g *= vt
     g /= temperature
@@ -213,42 +211,22 @@ def _softmax_chain(vt: np.ndarray, g: np.ndarray, temperature: float) -> np.ndar
 # --- composite objectives --------------------------------------------------------
 
 
-def suta_loss(z: LogitMatrix, alpha: float = 0.3, temperature: float = 2.5) -> TtaLossValue:
-    """Entropy-plus-class-confusion objective: alpha*em + (1-alpha)*mcc."""
-    value, _ = suta_loss_and_grad(z, alpha=alpha, temperature=temperature, need_grad=False)
-    return value
-
-
-def sgem_loss(
-    z: LogitMatrix,
-    lam: float = 0.3,
-    rho: float = 0.5,
-    temperature: float = 2.5,
-    neg_k: int = 5,
-) -> TtaLossValue:
-    """Renyi-entropy-plus-negative-sampling objective: gem + lambda*ns."""
-    value, _ = sgem_loss_and_grad(
-        z, lam=lam, rho=rho, temperature=temperature, neg_k=neg_k, need_grad=False
-    )
-    return value
-
-
 def suta_loss_and_grad(
     z: LogitMatrix,
     alpha: float = 0.3,
     temperature: float = 2.5,
     need_grad: bool = True,
-    frame_mask: np.ndarray | None = None,
     blank_dominance: float | None = None,
 ) -> tuple[TtaLossValue, np.ndarray | None]:
-    """``suta_loss`` and its gradient with respect to the logits.
+    """Entropy-plus-class-confusion objective alpha*em + (1-alpha)*mcc, and its
+    gradient with respect to the logits.
 
-    Only frames where ``frame_mask`` is True contribute; ``blank_dominance``
-    instead keeps the frames ``blank_frame_mask`` would, from the same softmax.
+    With ``blank_dominance`` set, only frames whose blank probability is at
+    most that value contribute (all frames, if none is).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    p, cols = _masked_probs(z, temperature, frame_mask, blank_dominance)
+    p, cols = _masked_probs(z, temperature, blank_dominance)
     vt = p.values.T
     log_vt = np.log(vt)
     em = _entropy(vt, log_vt)
@@ -282,13 +260,13 @@ def sgem_loss_and_grad(
     temperature: float = 2.5,
     neg_k: int = 5,
     need_grad: bool = True,
-    frame_mask: np.ndarray | None = None,
     blank_dominance: float | None = None,
 ) -> tuple[TtaLossValue, np.ndarray | None]:
-    """``sgem_loss`` and its gradient; frames selected as in ``suta_loss_and_grad``."""
+    """Renyi-entropy-plus-negative-sampling objective gem + lambda*ns, and its
+    gradient; frames selected as in ``suta_loss_and_grad``."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    p, cols = _masked_probs(z, temperature, frame_mask, blank_dominance)
+    p, cols = _masked_probs(z, temperature, blank_dominance)
     vt = p.values.T
     # p^rho and the top-k partition serve the value and the gradient
     pw = _renyi_powers(vt, rho)
@@ -314,20 +292,13 @@ def sgem_loss_and_grad(
 
 
 def _masked_probs(
-    z: LogitMatrix,
-    temperature: float,
-    frame_mask: np.ndarray | None,
-    blank_dominance: float | None,
+    z: LogitMatrix, temperature: float, blank_dominance: float | None
 ) -> tuple[ProbMatrix, np.ndarray | None]:
     """Softmax of the kept frames, and their indices (None when all are kept)."""
     p = softmax_temperature(z, temperature)
-    if blank_dominance is not None:
-        if frame_mask is not None:
-            raise ValueError("give frame_mask or blank_dominance, not both")
-        frame_mask = p.values[:, z.blank_index] <= blank_dominance
-    if frame_mask is None:
+    if blank_dominance is None:
         return p, None
-    cols = np.flatnonzero(frame_mask)
+    cols = np.flatnonzero(p.values[:, z.blank_index] <= blank_dominance)
     if cols.size == 0:  # never optimize over an empty frame set
         return p, None
     return ProbMatrix(values=p.values.T[:, cols].T, temperature_used=temperature), cols
@@ -345,11 +316,6 @@ def _to_logits(
     return full.T
 
 
-def blank_frame_mask(z: LogitMatrix, temperature: float, dominance: float = 0.9) -> np.ndarray:
-    """True for frames that should be kept (blank probability <= dominance)."""
-    return softmax_temperature(z, temperature).values[:, z.blank_index] <= dominance
-
-
 def make_loss_functional(
     method: str,
     alpha: float = 0.3,
@@ -358,19 +324,18 @@ def make_loss_functional(
     temperature: float = 2.5,
     neg_k: int = 5,
     exclude_blank_frames: bool = False,
-    blank_dominance: float = 0.9,
 ) -> LossFunctional:
     """Bind objective hyperparameters into a loss functional for a model.
 
     The functional maps logits to (TtaLossValue, d total / d logits); called
     with ``need_grad=False`` it returns (TtaLossValue, None) and skips the
     gradient. With ``exclude_blank_frames`` set, frames whose blank
-    probability exceeds ``blank_dominance`` contribute neither loss nor
-    gradient (unless that would leave no frames at all).
+    probability exceeds 0.9 contribute neither loss nor gradient (unless
+    that would leave no frames at all).
     """
     if method not in ("suta", "sgem"):
         raise ValueError(f"no loss functional for method {method!r}")
-    dominance = blank_dominance if exclude_blank_frames else None
+    dominance = _BLANK_DOMINANCE if exclude_blank_frames else None
 
     def functional(
         z: LogitMatrix, need_grad: bool = True

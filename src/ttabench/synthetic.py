@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus.audio import CANONICAL_RATE_HZ, Waveform, write_wav
-from .corpus.manifest import CorpusManifest, Split, Utterance, save_manifest
+from .corpus.manifest import CorpusManifest, Utterance, save_manifest
 from .errors import EmptyTranscriptError
 from .evaluation import normalize_text
 from .model.reference import ReferenceModel
@@ -36,6 +36,8 @@ RAMP_S = 0.004
 AMPLITUDE = 0.4
 BASE_FREQ_HZ = 500.0
 FREQ_STEP_HZ = 250.0
+_N_WORDS = 24
+_WORD_SEED = 20240801
 
 
 def symbol_frequency(symbol_index: int) -> float:
@@ -133,12 +135,12 @@ class TrainingExample:
     transcript: str
 
 
-def make_word_list(n_words: int = 24, seed: int = 20240801) -> list[str]:
-    """Deterministic pseudo-words over the tone-friendly letter subset."""
-    rng = np.random.default_rng(seed)
+def make_word_list() -> list[str]:
+    """The corpus vocabulary: 24 fixed pseudo-words over the tone-friendly letter subset."""
+    rng = np.random.default_rng(_WORD_SEED)
     words: list[str] = []
     seen = set()
-    while len(words) < n_words:
+    while len(words) < _N_WORDS:
         length = int(rng.integers(2, 5))
         word = "".join(rng.choice(list(TONE_LETTERS), size=length))
         if word not in seen:
@@ -147,10 +149,9 @@ def make_word_list(n_words: int = 24, seed: int = 20240801) -> list[str]:
     return words
 
 
-def make_sentences(
-    n: int, rng: np.random.Generator, word_list: list[str] | None = None
-) -> list[str]:
-    words = word_list if word_list is not None else make_word_list()
+def make_sentences(n: int, rng: np.random.Generator) -> list[str]:
+    """n sentences of 3-5 words drawn from ``make_word_list``."""
+    words = make_word_list()
     out = []
     for _ in range(n):
         k = int(rng.integers(3, 6))
@@ -289,7 +290,7 @@ def build_shifted_corpus(
             )
         )
 
-    manifest = CorpusManifest(split=Split.TEST, utterances=tuple(utterances))
+    manifest = CorpusManifest(utterances=tuple(utterances))
     manifest_path = out_dir / "manifest.jsonl"
     save_manifest(manifest, manifest_path)
     meta = {
@@ -304,15 +305,3 @@ def build_shifted_corpus(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return manifest_path, shifts
-
-
-def decode_accuracy(model: ReferenceModel, examples: list[TrainingExample]) -> float:
-    """Fraction of examples the model transcribes exactly (sanity metric)."""
-    from .model.decode import greedy_ctc_decode
-
-    vocab = model.vocabulary()
-    hits = 0
-    for ex in examples:
-        if greedy_ctc_decode(model.forward(ex.waveform), vocab) == ex.transcript:
-            hits += 1
-    return hits / len(examples)

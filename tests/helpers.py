@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from ttabench.corpus.audio import CANONICAL_RATE_HZ, Waveform, write_wav
-from ttabench.corpus.manifest import CorpusManifest, Split, Utterance, save_manifest
+from ttabench.corpus.manifest import CorpusManifest, Utterance, save_manifest
 from ttabench.synthetic import render_transcript
 
 
@@ -35,7 +35,6 @@ def noise(
 def write_tone_corpus(
     root: Path,
     transcripts_by_speaker: dict[str, list[str]],
-    split: Split = Split.TEST,
 ) -> Path:
     """Render tone utterances to WAV files and save a manifest next to them."""
     audio_dir = root / "audio"
@@ -56,7 +55,7 @@ def write_tone_corpus(
                     duration_s=rendered.waveform.duration_s,
                 )
             )
-    manifest = CorpusManifest(split=split, utterances=tuple(utterances))
+    manifest = CorpusManifest(utterances=tuple(utterances))
     path = root / "manifest.jsonl"
     save_manifest(manifest, path)
     return path

@@ -22,7 +22,7 @@ from ttabench.analysis import (
 )
 from ttabench.corpus.audio import read_audio
 from ttabench.corpus.features import compute_mfcc
-from ttabench.corpus.manifest import CorpusManifest, Split, load_manifest, word_duration
+from ttabench.corpus.manifest import CorpusManifest, load_manifest, word_duration
 from ttabench.errors import (
     DimensionMismatchError,
     InvalidPError,
@@ -209,7 +209,7 @@ def test_speaker_shift_metrics_reads_audio_only_when_needed(tmp_path, monkeypatc
 
 def test_speaker_shift_metrics_rejects_empty_manifest():
     with pytest.raises(ManifestError):
-        speaker_shift_metrics(CorpusManifest(split=Split.TEST, utterances=()), ["word_duration_s"])
+        speaker_shift_metrics(CorpusManifest(utterances=()), ["word_duration_s"])
 
 
 # --- rank correlation -------------------------------------------------------------------

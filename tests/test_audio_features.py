@@ -4,14 +4,9 @@ from scipy.io import wavfile
 
 from helpers import noise, sine
 from ttabench.corpus.audio import CANONICAL_RATE_HZ, Waveform, read_audio, write_wav
+from ttabench.corpus import vad
 from ttabench.corpus.features import compute_mfcc, frame_signal, mel_filterbank
-from ttabench.corpus.vad import (
-    EnergyVad,
-    SegmentLabel,
-    SegmentList,
-    detect_nonspeech,
-    ems_energy,
-)
+from ttabench.corpus.vad import SegmentList, detect_nonspeech, ems_energy
 from ttabench.errors import (
     AudioTooShortError,
     CorruptFileError,
@@ -110,6 +105,25 @@ def test_read_audio_rejects_non_finite_float_samples(tmp_path, bad_value, rate_h
         read_audio(path)
 
 
+@pytest.mark.parametrize("rate_hz", [0, 1, 200_000])
+def test_read_audio_rejects_implausible_declared_rate(tmp_path, rate_hz):
+    # rate 0 used to reach the resampler and raise ValueError; rate 1 would be
+    # upsampled 16,000-fold before any length check
+    path = tmp_path / "rate.wav"
+    wavfile.write(path, rate_hz, np.full(100, 1000, dtype=np.int16))
+    with pytest.raises(CorruptFileError, match=f"sample rate {rate_hz} Hz"):
+        read_audio(path)
+
+
+def test_read_audio_scales_int64_pcm(tmp_path):
+    t = np.arange(1600) / CANONICAL_RATE_HZ
+    x = 0.5 * np.sin(2 * np.pi * 440 * t)
+    path = tmp_path / "pcm64.wav"
+    wavfile.write(path, CANONICAL_RATE_HZ, (x * 2.0**63).astype(np.int64))
+    back = read_audio(path)
+    assert np.max(np.abs(back.samples - x)) < 1e-12
+
+
 # --- framing and MFCC ---------------------------------------------------------------
 
 
@@ -132,7 +146,6 @@ def test_mfcc_shape_for_one_second():
     fm = compute_mfcc(sine(440, 1.0))
     assert fm.frames.shape == (98, 13)
     assert fm.dim == 13
-    assert fm.frame_hop_s == pytest.approx(0.010)
 
 
 def test_mfcc_finite_on_silence():
@@ -163,8 +176,7 @@ def _speech_with_silent_edges(edge_s: float = 0.3, tone_s: float = 0.6) -> Wavef
 
 def test_energy_vad_finds_the_tone():
     w = _speech_with_silent_edges()
-    speech = EnergyVad()(w)
-    assert speech.label is SegmentLabel.SPEECH
+    speech = vad._speech_segments(w)
     assert len(speech) == 1
     start, end = speech.segments[0]
     assert start == pytest.approx(0.3, abs=0.05)
@@ -174,7 +186,6 @@ def test_energy_vad_finds_the_tone():
 def test_detect_nonspeech_complements_speech():
     w = _speech_with_silent_edges()
     nonspeech = detect_nonspeech(w)
-    assert nonspeech.label is SegmentLabel.NONSPEECH
     assert len(nonspeech) >= 1
     assert nonspeech.segments[0][0] == 0.0
     for start, end in nonspeech.segments:
@@ -198,7 +209,7 @@ def test_ems_energy_matches_known_noise_floor():
 
 def test_ems_energy_empty_region_flag():
     w = sine(500, 0.4, amplitude=0.5)
-    empty = SegmentList(segments=(), label=SegmentLabel.NONSPEECH)
+    empty = SegmentList(segments=())
     result = ems_energy(w, empty)
     assert result.empty_region
     assert result.value == 0.0

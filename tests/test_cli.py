@@ -9,13 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from helpers import sine, write_tone_corpus
 from ttabench import cli
 from ttabench.corpus.audio import Waveform, write_wav
 from ttabench.corpus.manifest import (
     CorpusManifest,
-    Split,
     Utterance,
     load_manifest,
     save_manifest,
@@ -108,7 +108,6 @@ def test_ingest_discovers_speaker_directories(tmp_path, capsys):
     manifest = load_manifest(out)
     assert len(manifest) == 2
     assert sorted(manifest.speakers()) == ["spk1", "spk2"]
-    assert manifest.split is Split.TEST
     assert manifest.utterances[0].transcript == "hello there"
 
 
@@ -255,7 +254,6 @@ def test_adapt_flags_short_audio_and_reports_partial(checkpoint, tmp_path):
     write_wav(short_path, Waveform(samples=np.full(50, 0.01), sample_rate_hz=16000))
     base = load_manifest(manifest_path)
     extended = CorpusManifest(
-        split=base.split,
         utterances=(
             *base.utterances,
             Utterance(
@@ -306,6 +304,26 @@ def test_adapt_resume_skips_completed_speakers(checkpoint, tmp_path):
     assert cli.main(argv) == 0
     assert (out / "results.jsonl").read_bytes() == first
     assert cli.main(argv + ["--no-resume"]) == 3
+
+
+def test_adapt_wav_declaring_rate_zero_is_a_runtime_error(checkpoint, tmp_path, capsys):
+    manifest_path = write_tone_corpus(tmp_path, {"alpha": ["ad"]})
+    wav = next((tmp_path / "audio").glob("*.wav"))
+    wavfile.write(wav, 0, wavfile.read(wav)[1])
+    out = tmp_path / "run"
+
+    code = cli.main(
+        [
+            "adapt",
+            "--manifest", str(manifest_path),
+            "--checkpoint", str(checkpoint),
+            "--out", str(out),
+            "--method", "none",
+        ]
+    )
+
+    assert code == 3
+    assert "sample rate 0 Hz" in capsys.readouterr().err
 
 
 def test_adapt_same_seed_reproduces_results_bytes(checkpoint, tmp_path):
@@ -380,8 +398,7 @@ def test_adapt_reads_config_file_with_flag_overrides(corpus, checkpoint, tmp_pat
     cfg.write_text(
         json.dumps(
             {
-                "adaptation": {"steps_n": 2},
-                "seed": 4,
+                "adaptation": {"steps_n": 2, "seed": 4},
                 "methods": ["none"],
                 "manifest_path": str(manifest_path),
                 "checkpoint_ref": str(checkpoint),
@@ -418,6 +435,7 @@ def test_adapt_config_file_errors_are_validation_errors(corpus, checkpoint, tmp_
         ("adaptation", "fast"),
         ("adaptation", [1, 2]),
         ("methods", "none"),
+        ("seed", 4),
         ("analyze_ems", False),
         ("analyze_distances", True),
         ("unknown_knob", 1),
@@ -426,6 +444,28 @@ def test_adapt_config_file_errors_are_validation_errors(corpus, checkpoint, tmp_
         capsys.readouterr()
         assert cli.main(["adapt", "--config", str(bad)]) == 2, (key, value)
         assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_adapt_config_file_method_is_a_validation_error(corpus, checkpoint, tmp_path, capsys):
+    # methods come from "methods" or --method; a method inside "adaptation" would go unread
+    _, manifest_path = corpus
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "adaptation": {"method": "sgem"},
+                "manifest_path": str(manifest_path),
+                "checkpoint_ref": str(checkpoint),
+                "output_dir": str(tmp_path / "run"),
+            }
+        ),
+        encoding="utf-8",
+    )
+
+    assert cli.main(["adapt", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "adaptation.method" in err and "methods" in err and "--method" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -458,7 +498,7 @@ def test_adapt_with_no_scoreable_utterance_is_validation_error(checkpoint, tmp_p
     manifest_path = write_tone_corpus(tmp_path, {"solo": ["ad"]})
     base = load_manifest(manifest_path)
     unscoreable = dataclasses.replace(base.utterances[0], transcript="?!")
-    save_manifest(CorpusManifest(split=base.split, utterances=(unscoreable,)), manifest_path)
+    save_manifest(CorpusManifest(utterances=(unscoreable,)), manifest_path)
 
     code = cli.main(
         [

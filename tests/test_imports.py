@@ -73,3 +73,15 @@ def test_benchmark_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
     assert [ReferenceModel.forward, ReferenceModel.gradient] == methods
     restored = [cli.cmd_analyze, cli.cmd_report, evaluation.build_delta_table, cli.project_2d]
     assert all(r is o for r, o in zip(restored, originals))
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is most of the CLI's cold start and only resampling needs it
+    src = str(Path(ttabench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, ttabench.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

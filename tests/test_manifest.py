@@ -4,7 +4,6 @@ import pytest
 
 from ttabench.corpus.manifest import (
     CorpusManifest,
-    Split,
     Utterance,
     duration_stats,
     filter_max_duration,
@@ -45,36 +44,22 @@ def test_utterance_validation():
 
 def test_manifest_rejects_duplicate_ids():
     with pytest.raises(ValueError):
-        CorpusManifest(split=Split.TEST, utterances=(_utt(1), _utt(1)))
+        CorpusManifest(utterances=(_utt(1), _utt(1)))
 
 
 def test_speakers_groups_in_manifest_order():
-    m = CorpusManifest(
-        split=Split.TEST,
-        utterances=(_utt(1, "b"), _utt(2, "a"), _utt(3, "b")),
-    )
+    m = CorpusManifest(utterances=(_utt(1, "b"), _utt(2, "a"), _utt(3, "b")))
     groups = m.speakers()
     assert list(groups) == ["b", "a"]
     assert [u.utterance_id for u in groups["b"]] == ["u1", "u3"]
 
 
 def test_save_load_round_trip(tmp_path):
-    m = CorpusManifest(
-        split=Split.VALIDATION,
-        utterances=(_utt(1, duration=1.5), _utt(2, "spk2", duration=3.25)),
-    )
+    m = CorpusManifest(utterances=(_utt(1, duration=1.5), _utt(2, "spk2", duration=3.25)))
     path = tmp_path / "validation.jsonl"
     save_manifest(m, path)
     loaded = load_manifest(path)
-    assert loaded.split is Split.VALIDATION  # inferred from file stem
     assert loaded.utterances == m.utterances
-
-
-def test_load_split_override_beats_inference(tmp_path):
-    path = tmp_path / "whatever.jsonl"
-    save_manifest(CorpusManifest(split=Split.TEST, utterances=(_utt(1),)), path)
-    assert load_manifest(path, split=Split.TRAIN).split is Split.TRAIN
-    assert load_manifest(path).split is Split.TEST
 
 
 def test_load_missing_file_raises(tmp_path):
@@ -127,7 +112,7 @@ def test_load_rejects_invalid_json(tmp_path):
 
 def test_load_skips_blank_lines(tmp_path):
     path = tmp_path / "sparse.jsonl"
-    m = CorpusManifest(split=Split.TEST, utterances=(_utt(1),))
+    m = CorpusManifest(utterances=(_utt(1),))
     save_manifest(m, path)
     path.write_text("\n" + path.read_text() + "\n\n")
     assert len(load_manifest(path)) == 1
@@ -135,7 +120,6 @@ def test_load_skips_blank_lines(tmp_path):
 
 def test_filter_max_duration_is_strict(tmp_path):
     m = CorpusManifest(
-        split=Split.TEST,
         utterances=(_utt(1, duration=1.0), _utt(2, duration=2.0), _utt(3, duration=3.0)),
     )
     kept = filter_max_duration(m, 2.0)
@@ -146,7 +130,6 @@ def test_filter_max_duration_is_strict(tmp_path):
 
 def test_duration_stats_hand_computed():
     m = CorpusManifest(
-        split=Split.TEST,
         utterances=(
             _utt(1, "a", duration=2.0),
             _utt(2, "a", duration=4.0),
@@ -165,7 +148,7 @@ def test_duration_stats_hand_computed():
 
 
 def test_duration_stats_empty_manifest():
-    stats = duration_stats(CorpusManifest(split=Split.TEST, utterances=()))
+    stats = duration_stats(CorpusManifest(utterances=()))
     assert stats.n_utterances == 0
     assert stats.total_hours == 0.0
 

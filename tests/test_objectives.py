@@ -11,17 +11,13 @@ from ttabench.model.types import LogitMatrix
 from ttabench.objectives import (
     ProbMatrix,
     TtaLossValue,
-    blank_frame_mask,
     entropy_loss,
     make_loss_functional,
     mcc_loss,
     negative_sampling_loss,
     renyi_entropy_loss,
-    sgem_loss,
     sgem_loss_and_grad,
-    softmax_grad_to_logits,
     softmax_temperature,
-    suta_loss,
     suta_loss_and_grad,
 )
 
@@ -146,13 +142,15 @@ def test_negative_sampling_rejects_bad_k():
 
 
 def test_suta_total_is_exact_weighted_sum():
-    value = suta_loss(random_logits(5), alpha=0.3, temperature=2.5)
+    value, _ = suta_loss_and_grad(random_logits(5), alpha=0.3, temperature=2.5, need_grad=False)
     assert value.total == 0.3 * value.components["em"] + 0.7 * value.components["mcc"]
     assert value.weights == {"em": 0.3, "mcc": 0.7}
 
 
 def test_sgem_total_is_exact_weighted_sum():
-    value = sgem_loss(random_logits(6), lam=0.3, rho=0.5, temperature=2.5, neg_k=3)
+    value, _ = sgem_loss_and_grad(
+        random_logits(6), lam=0.3, rho=0.5, temperature=2.5, neg_k=3, need_grad=False
+    )
     assert value.total == value.components["gem"] + 0.3 * value.components["ns"]
     assert value.weights == {"gem": 1.0, "ns": 0.3}
 
@@ -191,7 +189,8 @@ def test_suta_gradient_matches_finite_differences(seed):
     _, dz = suta_loss_and_grad(z, alpha=0.3, temperature=2.5)
 
     def fn(v):
-        return suta_loss(LogitMatrix(values=v, blank_index=0), alpha=0.3, temperature=2.5).total
+        z = LogitMatrix(values=v, blank_index=0)
+        return suta_loss_and_grad(z, alpha=0.3, temperature=2.5, need_grad=False)[0].total
 
     assert _rel_err(dz, _fd_grad(fn, z.values)) < 1e-7
 
@@ -202,9 +201,10 @@ def test_sgem_gradient_matches_finite_differences(seed):
     _, dz = sgem_loss_and_grad(z, lam=0.3, rho=0.5, temperature=2.5, neg_k=3)
 
     def fn(v):
-        return sgem_loss(
-            LogitMatrix(values=v, blank_index=0), lam=0.3, rho=0.5, temperature=2.5, neg_k=3
-        ).total
+        z = LogitMatrix(values=v, blank_index=0)
+        return sgem_loss_and_grad(
+            z, lam=0.3, rho=0.5, temperature=2.5, neg_k=3, need_grad=False
+        )[0].total
 
     assert _rel_err(dz, _fd_grad(fn, z.values)) < 1e-7
 
@@ -217,7 +217,7 @@ def test_softmax_chain_rule_matches_finite_differences():
 
     # loss = sum(w * p) exercises the softmax Jacobian alone
     p = softmax_temperature(z, temperature)
-    dz = softmax_grad_to_logits(p, w)
+    dz = objectives._softmax_chain(p.values.T, np.array(w.T, order="C"), temperature).T
 
     def fn(v):
         q = softmax_temperature(LogitMatrix(values=v, blank_index=0), temperature)
@@ -274,44 +274,38 @@ def _blank_heavy_logits() -> LogitMatrix:
 
 
 def test_blank_frame_mask_flags_dominant_blank_frames():
+    # frames 0 and 2 are blank-dominated, so they get no gradient; 1 and 3 do
     z = _blank_heavy_logits()
-    mask = blank_frame_mask(z, temperature=1.0, dominance=0.9)
-    assert mask.tolist() == [False, True, False, True]
+    for loss_and_grad in (suta_loss_and_grad, sgem_loss_and_grad):
+        _, dz = loss_and_grad(z, temperature=1.0, blank_dominance=0.9)
+        assert np.any(dz != 0.0, axis=1).tolist() == [False, True, False, True]
 
 
 def test_masked_loss_equals_loss_on_kept_rows():
     z = _blank_heavy_logits()
-    mask = blank_frame_mask(z, temperature=1.0, dominance=0.9)
-    masked, dz = suta_loss_and_grad(z, alpha=0.3, temperature=1.0, frame_mask=mask)
-    sub = LogitMatrix(values=z.values[mask], blank_index=0)
-    direct = suta_loss(sub, alpha=0.3, temperature=1.0)
+    masked, dz = suta_loss_and_grad(z, alpha=0.3, temperature=1.0, blank_dominance=0.9)
+    sub = LogitMatrix(values=z.values[[1, 3]], blank_index=0)
+    direct, _ = suta_loss_and_grad(sub, alpha=0.3, temperature=1.0, need_grad=False)
     assert masked.total == pytest.approx(direct.total, abs=1e-12)
-    assert np.all(dz[~mask] == 0.0)
+    assert np.all(dz[[0, 2]] == 0.0)
 
 
 def test_sgem_masked_loss_equals_loss_on_kept_rows():
     z = _blank_heavy_logits()
-    mask = blank_frame_mask(z, temperature=1.0, dominance=0.9)
-    masked, dz = sgem_loss_and_grad(z, temperature=1.0, neg_k=3, frame_mask=mask)
-    sub = LogitMatrix(values=z.values[mask], blank_index=0)
+    masked, dz = sgem_loss_and_grad(z, temperature=1.0, neg_k=3, blank_dominance=0.9)
+    sub = LogitMatrix(values=z.values[[1, 3]], blank_index=0)
     direct, direct_dz = sgem_loss_and_grad(sub, temperature=1.0, neg_k=3)
     assert masked.total == pytest.approx(direct.total, abs=1e-12)
-    assert np.all(dz[~mask] == 0.0)
-    assert np.allclose(dz[mask], direct_dz, rtol=0.0, atol=1e-15)
-
-
-def test_frame_mask_and_blank_dominance_are_exclusive():
-    z = _blank_heavy_logits()
-    mask = blank_frame_mask(z, temperature=1.0, dominance=0.9)
-    with pytest.raises(ValueError):
-        sgem_loss_and_grad(z, frame_mask=mask, blank_dominance=0.9)
+    assert np.all(dz[[0, 2]] == 0.0)
+    assert np.allclose(dz[[1, 3]], direct_dz, rtol=0.0, atol=1e-15)
 
 
 def test_all_masked_frames_falls_back_to_full_matrix():
-    z = random_logits(30)
-    mask = np.zeros(z.values.shape[0], dtype=bool)
-    masked, _ = suta_loss_and_grad(z, frame_mask=mask)
-    full, _ = suta_loss_and_grad(z, frame_mask=None)
+    v = random_logits(30).values
+    v[:, 0] = 30.0  # blank dominates every frame
+    z = LogitMatrix(values=v, blank_index=0)
+    masked, _ = suta_loss_and_grad(z, blank_dominance=0.9)
+    full, _ = suta_loss_and_grad(z)
     assert masked.total == pytest.approx(full.total, abs=1e-12)
 
 
@@ -338,11 +332,10 @@ def test_functional_excluding_blank_frames_equals_blank_frame_mask(method):
     z = _blank_heavy_logits()
     fn = make_loss_functional(method, temperature=1.0, neg_k=3, exclude_blank_frames=True)
     value, dz = fn(z)
-    mask = blank_frame_mask(z, temperature=1.0, dominance=0.9)
     if method == "suta":
-        direct, direct_dz = suta_loss_and_grad(z, temperature=1.0, frame_mask=mask)
+        direct, direct_dz = suta_loss_and_grad(z, temperature=1.0, blank_dominance=0.9)
     else:
-        direct, direct_dz = sgem_loss_and_grad(z, temperature=1.0, neg_k=3, frame_mask=mask)
+        direct, direct_dz = sgem_loss_and_grad(z, temperature=1.0, neg_k=3, blank_dominance=0.9)
     assert value == direct
     assert np.array_equal(dz, direct_dz)
     no_grad_value, no_grad = fn(z, need_grad=False)
@@ -403,9 +396,11 @@ def _reference_sgem(v, lam, rho, k):
     return {"gem": gem, "ns": ns}, gem + lam * ns, gem_grad + lam * ns_grad
 
 
-def _reference_loss_and_grad(method, z, temperature, frame_mask):
+def _reference_loss_and_grad(method, z, temperature, blank_dominance):
     v = _reference_softmax(z.values, temperature)
-    rows = None if frame_mask is None else np.flatnonzero(frame_mask)
+    rows = None
+    if blank_dominance is not None:
+        rows = np.flatnonzero(v[:, z.blank_index] <= blank_dominance)
     if rows is not None and rows.size:
         v = v[rows]
     if method == "suta":
@@ -420,10 +415,12 @@ def _reference_loss_and_grad(method, z, temperature, frame_mask):
     return components, total, dz
 
 
-def _assert_matches_reference(method, z, frame_mask, need_grad):
+def _assert_matches_reference(method, z, blank_dominance, need_grad):
     loss_and_grad = suta_loss_and_grad if method == "suta" else sgem_loss_and_grad
-    value, dz = loss_and_grad(z, temperature=2.5, need_grad=need_grad, frame_mask=frame_mask)
-    components, total, ref_dz = _reference_loss_and_grad(method, z, 2.5, frame_mask)
+    value, dz = loss_and_grad(
+        z, temperature=2.5, need_grad=need_grad, blank_dominance=blank_dominance
+    )
+    components, total, ref_dz = _reference_loss_and_grad(method, z, 2.5, blank_dominance)
     assert abs(value.total - total) <= 1e-12 * abs(total)
     for name, ref in components.items():
         assert abs(value.components[name] - ref) <= 1e-12 * abs(ref)
@@ -440,12 +437,16 @@ def _assert_matches_reference(method, z, frame_mask, need_grad):
 @pytest.mark.parametrize("need_grad", [True, False])
 def test_objectives_match_row_major_reference(method, n_frames, masked, need_grad):
     rng = np.random.default_rng(n_frames)
-    z = LogitMatrix(values=rng.normal(0.0, 3.0, (n_frames, 29)), blank_index=0)
-    mask = None
+    values = rng.normal(0.0, 3.0, (n_frames, 29))
+    blank_dominance = None
     if masked:
-        mask = rng.random(n_frames) < 0.6
-        mask[0] = True
-    _assert_matches_reference(method, z, mask, need_grad)
+        # make blank dominate about 40% of the frames, never frame 0, so they are excluded
+        dominated = rng.random(n_frames) >= 0.6
+        dominated[0] = False
+        values[dominated, 0] += 40.0
+        blank_dominance = 0.9
+    z = LogitMatrix(values=values, blank_index=0)
+    _assert_matches_reference(method, z, blank_dominance, need_grad)
 
 
 def _tied_logits(k: int) -> LogitMatrix:

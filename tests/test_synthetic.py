@@ -14,7 +14,6 @@ from ttabench.synthetic import (
     TONE_S,
     build_shifted_corpus,
     build_training_set,
-    decode_accuracy,
     frame_ce_functional,
     frame_labels_for,
     make_sentences,
@@ -144,12 +143,6 @@ def test_training_reduces_frame_loss(model):
     assert len(history) == 3
     assert history[-1] < history[0]
     assert model.selected_groups == ("feature_extractor", "layer_norm")
-
-
-def test_decode_accuracy_bounds(model):
-    examples = build_training_set(model, n_utterances=2, seed=6)
-    acc = decode_accuracy(model, examples)
-    assert 0.0 <= acc <= 1.0
 
 
 # --- shifted benchmark corpus ----------------------------------------------------------
