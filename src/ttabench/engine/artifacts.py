@@ -5,7 +5,8 @@ A run directory contains:
 * ``config.json``       fully resolved configuration (canonical JSON)
 * ``results.jsonl``     one line per utterance, deterministic given the run
                         inputs (no timestamps or timings)
-* ``run_manifest.json`` timestamps, input hashes, timings, library version
+* ``run_manifest.json`` timestamps, input hashes, timings, library version,
+                        and the BLAS thread count the run used
 * ``speakers/``         one ``<speaker_id>.jsonl`` plus ``<speaker_id>.done``
                         marker per completed speaker, enabling resume
 
@@ -27,6 +28,7 @@ from typing import Iterable, Mapping
 
 from ..errors import ConfigError
 from ..evaluation import WerCount, speaker_wer
+from ..model.threads import blas_threads
 from .config import AdaptationConfig
 from .runner import AdaptationTrace, ExperimentResult, SpeakerRunResult, StepRecord, UtteranceRecord
 
@@ -178,6 +180,7 @@ class RunWriter:
             "speaker_wall_time_s": {k: self._timings.get(k) for k in sorted(self._timings)},
             "n_speakers": len(result.speakers),
             "n_utterances": sum(len(s.records) for s in result.speakers),
+            "blas_threads": blas_threads(),
         }
         blob = json.dumps(run_manifest, indent=2, sort_keys=True)
         _write_atomic(self.out_dir / RUN_MANIFEST_NAME, blob + "\n")

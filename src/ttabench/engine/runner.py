@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ import numpy as np
 from ..corpus.audio import Waveform, read_audio
 from ..corpus.manifest import CorpusManifest, Utterance
 from ..corpus.vad import detect_nonspeech
-from ..errors import AudioTooShortError, NonFiniteLossError
+from ..errors import AudioTooShortError, CorruptFileError, NonFiniteLossError
 from ..evaluation import WerCount, normalize_text, speaker_wer, unweighted_mean_wer, wer
 from ..model.decode import greedy_ctc_decode
 from ..model.reference import ReferenceModel
@@ -22,6 +23,8 @@ from ..model.types import LossFunctional
 from ..objectives import TtaLossValue, make_loss_functional
 from .config import AdaptationConfig, AdaptationMethod, AdaptationMode
 from .optim import Optimizer, build_optimizer
+
+logger = logging.getLogger(__name__)
 
 ModelFactory = Callable[[], ReferenceModel]
 
@@ -54,6 +57,12 @@ class AdaptationTrace:
     @property
     def n_steps(self) -> int:
         return len(self.steps)
+
+
+# the trace of an utterance whose audio could not be adapted on
+_NOT_ADAPTED = AdaptationTrace(
+    steps=(), initial_total=None, final_total=None, wall_time_s=0.0, parameters_restored=False
+)
 
 
 @dataclass(frozen=True)
@@ -236,9 +245,11 @@ def adapt_speaker(
     """Run one speaker's utterances through the adaptation loop in order.
 
     In continual mode one optimizer persists across the speaker's utterances;
-    in episodic mode each utterance starts fresh. The model is left in its
-    post-run state; callers that reuse it across speakers must restore their
-    own base snapshot between speakers.
+    in episodic mode each utterance starts fresh. An utterance whose audio is
+    too short or cannot be decoded is flagged (``audio_too_short``,
+    ``corrupt_audio``) with an empty hypothesis, and the rest still adapt. The
+    model is left in its post-run state; callers that reuse it across speakers
+    must restore their own base snapshot between speakers.
     """
     t0 = time.perf_counter()
     persistent: Optimizer | None = None
@@ -249,16 +260,15 @@ def adapt_speaker(
     for u in utterances:
         flags: list[str] = []
         reference = normalize_text(u.transcript)
+        hypothesis, trace = "", _NOT_ADAPTED
         try:
             w = read_audio(Path(u.audio_path))
             hypothesis, trace = adapt_utterance(model, w, config, optimizer=persistent)
         except AudioTooShortError:
             flags.append("audio_too_short")
-            hypothesis = ""
-            trace = AdaptationTrace(
-                steps=(), initial_total=None, final_total=None,
-                wall_time_s=0.0, parameters_restored=False,
-            )
+        except CorruptFileError as exc:
+            logger.warning("utterance %s flagged corrupt_audio: %s", u.utterance_id, exc)
+            flags.append("corrupt_audio")
         if trace.non_finite:
             flags.append("non_finite_loss")
         count: WerCount | None = None

@@ -26,7 +26,8 @@ def greedy_ctc_decode(z: LogitMatrix, v: Vocabulary) -> str:
         raise ShapeMismatchError(
             f"logits use blank {z.blank_index} but vocabulary uses {v.blank_index}"
         )
-    labels = collapse_ctc_labels(np.argmax(z.values, axis=1).tolist(), v.blank_index)
+    # over axis 0 of the C x L transpose, which is contiguous for the model's logits
+    labels = collapse_ctc_labels(np.argmax(z.values.T, axis=0).tolist(), v.blank_index)
     return "".join(" " if idx == v.word_delimiter_index else v.symbols[idx] for idx in labels)
 
 

@@ -14,7 +14,9 @@ Stride arithmetic (total stride 4):
 
 The forward pass runs in three stages: the conv stack (conv1, GELU, conv2,
 GELU), the layer-norm statistics (giving ``xhat``), and the layer-norm
-affine plus the head (giving ``h3``, then the logits). ``frozen_features``
+affine plus the head (giving ``h3``, then the logits, stored class-major: a
+C-contiguous C x L array whose transpose is ``LogitMatrix.values``, the
+layout the objectives compute in). ``frozen_features
 returns the deepest activation no selected group changes: ``xhat`` without
 ``feature_extractor``, ``h3`` when only ``head`` is selected, None otherwise.
 ``forward`` and ``gradient`` accept it and start from there, so repeated
@@ -24,18 +26,39 @@ once.
 The backward pass skips what frozen groups need: the head gradients without
 ``head``, everything below the layer-norm gradients without
 ``feature_extractor``, and always conv1's input gradient. GELU's derivative
-reuses the erf the forward pass computed.
+reuses the erf the forward pass computed, and conv2's weight gradient the
+im2col matrix its forward pass built, when one tile covered the frames.
 
-Each model keeps a scratch workspace between calls: named float64 buffers
-that every full-length activation, backward temporary and im2col window tile
-of one call is written into with ``out=``. Buffers whose contents are dead
-are handed on (h3, for example, takes h2's buffer), so the workspace holds
-one call's working set for the longest chunk seen so far, and is freed with
-the model. Without it every step would allocate and free about ten
+Threads. Importing this module pins numpy's OpenBLAS to one thread (see
+``threads``), so no result depends on the BLAS thread count. The conv stack
+runs on two threads instead: each chunk of L output frames is cut into two
+frame spans, [0, L // 2) and [L // 2, L) (one span when L < 2). The caller's
+thread runs span 0 and the module-level helper thread runs span 1, at the
+same time, with numpy releasing the GIL inside each array operation. A span
+reads only the samples its frames see, [S t0, S (t1 - 1) + R) with S the
+total stride and R the receptive field, so neighbouring spans share a few
+conv1 frames. Per span, the forward pass runs conv1, GELU, conv2, GELU and
+the layer-norm statistics, writing its columns of one full-length ``xhat``;
+the backward pass runs the layer-norm backward, both GELU backwards, conv2's
+input gradient and both conv layers' weight and bias gradients. Everything
+else (layer-norm affine, head, loss, head and layer-norm gradients) runs on
+the whole chunk in the caller's thread, and each conv gradient is span 0's
+plus span 1's, in that order, so results do not depend on which thread
+finishes first. ``frozen_features`` runs the same span code, which keeps
+``forward(w, frozen)`` bitwise equal to ``forward(w)``. The helper runs only
+private functions, under the caller's numpy ``errstate``.
+
+Each span keeps a scratch workspace between calls: named float64 buffers
+that its activations, backward temporaries and im2col window tiles are
+written into with ``out=``; span 0's also holds the whole-chunk arrays
+(``xhat``, ``h3`` and their gradients). Buffers whose contents are dead are
+handed on (dxhat, for example, takes h2's buffer), so the workspaces hold
+one call's working set for the longest chunk seen so far, and are freed
+with the model. Without them every step would allocate and free about ten
 full-length arrays, which the C allocator returns to the kernel and then
 takes back page by page. Every call writes a buffer before reading it, so
 snapshot, restore and ``select_adaptable`` need no invalidation. Nothing
-that leaves the model is a view into the workspace: the logits,
+that leaves the model is a view into a workspace: the logits,
 ``frozen_features`` and the gradients are newly allocated arrays the caller
 owns. One model must not be called from two threads at once.
 
@@ -45,10 +68,12 @@ bit-exact by construction.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from pathlib import Path
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -61,6 +86,7 @@ from ..errors import (
     FrozenParameterError,
     UnknownGroupError,
 )
+from . import threads
 from .types import LogitMatrix, LossFunctional, ModelSnapshot, Vocabulary, default_vocabulary
 
 CHECKPOINT_MAGIC = "ttabench-refmodel-v1"
@@ -69,6 +95,8 @@ _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 _LN_EPS = 1e-5
 _TILE_FRAMES = 16384
+
+_T = TypeVar("_T")
 
 
 class _Workspace:
@@ -171,20 +199,41 @@ def _as_matrix(a: np.ndarray, shape: tuple[int, int], ws: _Workspace) -> np.ndar
         return out
 
 
+def _frame_spans(n_frames: int) -> list[tuple[int, int]]:
+    """The frame spans a chunk of ``n_frames`` output frames is cut into:
+    [0, L // 2) and [L // 2, L), or the whole chunk when L < 2."""
+    if n_frames < 2:
+        return [(0, n_frames)]
+    mid = n_frames // 2
+    return [(0, mid), (mid, n_frames)]
+
+
+def _run_spans(tasks: Iterable[Callable[[], _T]]) -> list[_T]:
+    """Each task's result, in order; the second of two runs on the helper thread."""
+    tasks = list(tasks)
+    if len(tasks) == 1:
+        return [tasks[0]()]
+    return list(threads.in_parallel(*tasks))
+
+
 def _conv1d(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, out: np.ndarray, ws: _Workspace
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Strided valid cross-correlation into ``out``; x (Cin, N), w (Cout, Cin, K),
-    out (Cout, T) with T = (N - K) // stride + 1. Tiles go through ``ws``'s window."""
+    out (Cout, T) with T = (N - K) // stride + 1. Tiles go through ``ws``'s window.
+
+    Returns ``out`` and, when one tile covers all T frames, x's (Cin K, T) im2col
+    matrix, which stays valid until ``ws``'s window is next written; else None.
+    """
     cin = x.shape[0]
     cout, _, k = w.shape
     t_total = out.shape[1]
     w2 = w.reshape(cout, cin * k)
     for t0 in range(0, t_total, _TILE_FRAMES):
         t1 = min(t0 + _TILE_FRAMES, t_total)
-        win = _windows(x, k, stride, t0, t1).transpose(1, 0, 2)
-        np.matmul(w2, _as_matrix(win, (t1 - t0, cin * k), ws).T, out=out[:, t0:t1])
-    return np.add(out, b[:, None], out=out)
+        cols = _as_matrix(_windows(x, k, stride, t0, t1).transpose(0, 2, 1), (cin * k, t1 - t0), ws)
+        np.matmul(w2, cols, out=out[:, t0:t1])
+    return np.add(out, b[:, None], out=out), cols if t_total <= _TILE_FRAMES else None
 
 
 def _conv1d_input_grad(
@@ -220,9 +269,16 @@ def _conv1d_input_grad(
 
 
 def _conv1d_weight_grad(
-    x: np.ndarray, w: np.ndarray, stride: int, dout: np.ndarray, ws: _Workspace
+    x: np.ndarray,
+    w: np.ndarray,
+    stride: int,
+    dout: np.ndarray,
+    ws: _Workspace,
+    cols: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (dw, db) of the strided cross-correlation, newly allocated."""
+    """Gradients (dw, db) of the strided cross-correlation, newly allocated. ``cols``
+    is x's (Cin K, T) im2col matrix of every frame, when the caller still has it
+    from ``_conv1d``; without it each tile's is built again in ``ws``'s window."""
     cin = x.shape[0]
     cout, _, k = w.shape
     t_total = dout.shape[1]
@@ -230,8 +286,12 @@ def _conv1d_weight_grad(
     db = dout.sum(axis=1)
     for t0 in range(0, t_total, _TILE_FRAMES):
         t1 = min(t0 + _TILE_FRAMES, t_total)
-        win = _windows(x, k, stride, t0, t1).transpose(0, 2, 1)
-        dw += (dout[:, t0:t1] @ _as_matrix(win, (cin * k, t1 - t0), ws).T).reshape(cout, cin, k)
+        if cols is None:
+            win = _windows(x, k, stride, t0, t1).transpose(0, 2, 1)
+            tile = _as_matrix(win, (cin * k, t1 - t0), ws)
+        else:
+            tile = cols[:, t0:t1]
+        dw += (dout[:, t0:t1] @ tile.T).reshape(cout, cin, k)
     return dw, db
 
 
@@ -254,14 +314,17 @@ class ReferenceModel:
     same as without it, as long as the selection and the unselected groups
     have not changed since it was computed.
 
-    Between calls the model keeps a private workspace (one call's working
-    set for the longest chunk seen so far, freed with the model). The
+    Between calls the model keeps a private workspace per frame span (one
+    call's working set for the longest chunk seen so far, freed with the
+    model); see the module docstring for the spans and their threads. The
     arrays ``forward``, ``frozen_features`` and ``gradient`` return are
     newly allocated and owned by the caller; later calls never write to them.
     """
 
     K1, S1 = 32, 2
     K2, S2 = 16, 2
+    _HOP = S1 * S2  # samples between consecutive output frames
+    _FIELD = (K2 - 1) * S1 + K1  # samples one output frame reads
 
     def __init__(self, seed: int, vocab: Vocabulary | None = None, feature_dim: int = 32):
         if feature_dim < 4:
@@ -290,13 +353,13 @@ class ReferenceModel:
         }
         self._selected: tuple[str, ...] = ("feature_extractor", "layer_norm")
         self.sample_rate_hz = 16000
-        self._ws = _Workspace()
+        self._span_ws = (_Workspace(), _Workspace())  # one per frame span
 
     # --- shape arithmetic ---------------------------------------------------
 
     @property
     def min_input_samples(self) -> int:
-        return (self.K2 - 1) * self.S1 + self.K1
+        return self._FIELD
 
     def output_length(self, n_samples: int) -> int:
         """Number of logit frames produced for an input of ``n_samples``."""
@@ -309,16 +372,78 @@ class ReferenceModel:
 
     # --- forward / backward ---------------------------------------------------
 
-    def _conv_stack(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        p, ws = self._params, self._ws
-        n1 = (len(x) - self.K1) // self.S1 + 1
+    def _span_forward(
+        self, x: np.ndarray, t0: int, t1: int, ws: _Workspace, xhat: np.ndarray, inv: np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """Conv stack and layer-norm statistics of output frames t0..t1-1, from the
+        samples they read; writes ``xhat[:, t0:t1]`` and ``inv[t0:t1]``. Returns what
+        the span's backward pass reads, as views into ``ws``."""
+        p = self._params
+        xs = x[self._HOP * t0 : self._HOP * (t1 - 1) + self._FIELD]
+        n1 = (len(xs) - self.K1) // self.S1 + 1
         shape1 = (p["conv1_w"].shape[0], n1)
-        shape2 = (p["conv2_w"].shape[0], (n1 - self.K2) // self.S2 + 1)
-        a1 = _conv1d(x[None, :], p["conv1_w"], p["conv1_b"], self.S1, ws.get("a1", shape1), ws)
+        shape2 = (p["conv2_w"].shape[0], t1 - t0)
+        a1, _ = _conv1d(xs[None, :], p["conv1_w"], p["conv1_b"], self.S1, ws.get("a1", shape1), ws)
         h1, erf1 = _gelu(a1, ws.get("h1", shape1), ws.get("erf1", shape1))
-        a2 = _conv1d(h1, p["conv2_w"], p["conv2_b"], self.S2, ws.get("a2", shape2), ws)
+        a2, cols2 = _conv1d(h1, p["conv2_w"], p["conv2_b"], self.S2, ws.get("a2", shape2), ws)
         h2, erf2 = _gelu(a2, ws.get("h2", shape2), ws.get("erf2", shape2))
-        return {"x": x, "a1": a1, "erf1": erf1, "h1": h1, "a2": a2, "erf2": erf2, "h2": h2}
+        _layer_norm_stats(h2, xhat[:, t0:t1], inv[t0:t1])
+        # nothing writes the window again before the backward pass takes conv2's
+        # weight gradient from cols2
+        return {
+            "x": xs, "a1": a1, "erf1": erf1, "h1": h1, "a2": a2, "erf2": erf2, "cols2": cols2
+        }
+
+    def _span_backward(
+        self,
+        span: dict[str, np.ndarray],
+        dh3: np.ndarray,
+        xhat: np.ndarray,
+        inv: np.ndarray,
+        t0: int,
+        t1: int,
+        ws: _Workspace,
+    ) -> dict[str, np.ndarray]:
+        """The conv gradients of output frames t0..t1-1, newly allocated; ``span`` is
+        what ``_span_forward`` returned for them.
+
+        Spans share conv1 frames near their border, so each span's conv1 gradients
+        cover only its own conv2 frames' share; the sum over spans is the whole.
+        """
+        p = self._params
+        shape2 = (dh3.shape[0], t1 - t0)
+        # each buffer below takes over from an activation the backward pass has
+        # finished with: h2 once the statistics are taken, then a2, erf2 and tmp
+        # once da2 is formed
+        dxhat = np.multiply(dh3[:, t0:t1], p["ln_gamma"][:, None], out=ws.get("h2", shape2))
+        tmp = ws.get("tmp", shape2)
+        dh2 = _layer_norm_backward(dxhat, xhat[:, t0:t1], inv[t0:t1], tmp, ws)
+        da2 = _gelu_backward(dh2, span["a2"], span["erf2"], tmp)
+        h1 = span["h1"]
+        # conv2's weight gradient before its input gradient, which writes the window
+        # that cols2 is a view of; popped, cols2 no longer keeps the window's old
+        # buffer alive when the input gradient grows it
+        grads: dict[str, np.ndarray] = {}
+        grads["conv2_w"], grads["conv2_b"] = _conv1d_weight_grad(
+            h1, p["conv2_w"], self.S2, da2, ws, span.pop("cols2")
+        )
+        dh1 = _conv1d_input_grad(
+            p["conv2_w"], self.S2, da2, ws.get("erf2", h1.shape), ws, pad="a2", tile="tmp"
+        )
+        # conv1's input is the waveform, whose gradient nothing uses
+        da1 = _gelu_backward(dh1, span["a1"], span["erf1"], ws.get("tmp", h1.shape))
+        x = span["x"][None, :]
+        grads["conv1_w"], grads["conv1_b"] = _conv1d_weight_grad(x, p["conv1_w"], self.S1, da1, ws)
+        return grads
+
+    def _conv_features(
+        self, x: np.ndarray, xhat: np.ndarray, inv: np.ndarray
+    ) -> list[dict[str, np.ndarray]]:
+        """``_span_forward`` of every frame span, in parallel; fills ``xhat`` and ``inv``."""
+        return _run_spans(
+            functools.partial(self._span_forward, x, t0, t1, ws, xhat, inv)
+            for (t0, t1), ws in zip(_frame_spans(xhat.shape[1]), self._span_ws)
+        )
 
     def _ln_affine(self, xhat: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(self._params["ln_gamma"][:, None], xhat, out=out)
@@ -329,6 +454,9 @@ class ReferenceModel:
         if "feature_extractor" in selected:
             return None
         return "xhat" if "layer_norm" in selected else "h3"
+
+    def _features_shape(self, n_samples: int) -> tuple[int, int]:
+        return self._params["ln_gamma"].shape[0], self.output_length(n_samples)
 
     def frozen_features(self, w: Waveform) -> np.ndarray | None:
         """The deepest activation of ``w`` that no selected group changes, or None.
@@ -343,88 +471,80 @@ class ReferenceModel:
         if stage is None:
             return None
         self._check_rate(w)
-        self.output_length(len(w.samples))
-        h2 = self._conv_stack(w.samples)["h2"]
-        xhat, _ = _layer_norm_stats(h2, np.empty(h2.shape), self._ws.get("inv", h2.shape[1:]))
+        shape = self._features_shape(len(w.samples))
+        xhat = np.empty(shape)
+        self._conv_features(w.samples, xhat, self._span_ws[0].get("inv", shape[1:]))
         return xhat if stage == "xhat" else self._ln_affine(xhat, xhat)
 
     def _forward_cached(self, x: np.ndarray, frozen: np.ndarray | None) -> dict[str, np.ndarray]:
-        """Every activation the backward pass reads; all but ``z`` and ``frozen``
-        are views into the workspace, valid until the next call."""
-        ws = self._ws
+        """Every activation the backward pass reads, and the class-major C x L logits
+        ``z``; all but ``z`` and ``frozen`` are views into the workspaces, valid until
+        the next call."""
+        ws = self._span_ws[0]
+        shape = self._features_shape(len(x))
         if frozen is None:
-            cache = self._conv_stack(x)
-            h2 = cache.pop("h2")
-            cache["xhat"], cache["inv"] = _layer_norm_stats(
-                h2, ws.get("xhat", h2.shape), ws.get("inv", h2.shape[1:])
-            )
+            xhat, inv = ws.get("xhat", shape), ws.get("inv", shape[1:])
+            cache: dict = {"xhat": xhat, "inv": inv, "spans": self._conv_features(x, xhat, inv)}
         else:
             stage = self._frozen_stage()
             if stage is None:
                 raise ValueError("frozen features given, but feature_extractor is selected")
-            shape = (self._params["ln_gamma"].shape[0], self.output_length(len(x)))
             if frozen.shape != shape:
                 raise ValueError(f"frozen features shape {frozen.shape} != {shape}")
             cache = {stage: frozen}
         if "h3" not in cache:
-            # h2 is spent once the statistics are taken; its buffer takes h3
-            cache["h3"] = self._ln_affine(cache["xhat"], ws.get("h2", cache["xhat"].shape))
+            cache["h3"] = self._ln_affine(cache["xhat"], ws.get("h3", shape))
         p = self._params
-        z = np.matmul(cache["h3"].T, p["head_w"].T)
-        cache["z"] = np.add(z, p["head_b"][None, :], out=z)
+        z = np.matmul(p["head_w"], cache["h3"])
+        cache["z"] = np.add(z, p["head_b"][:, None], out=z)
         return cache
 
     def forward(self, w: Waveform, frozen: np.ndarray | None = None) -> LogitMatrix:
         """Logits for ``w``; ``frozen`` is ``frozen_features(w)``, or None to run every layer."""
         self._check_rate(w)
-        self.output_length(len(w.samples))  # raises AudioTooShortError early
         cache = self._forward_cached(w.samples, frozen)
-        return LogitMatrix(values=cache["z"], blank_index=self._vocab.blank_index)
+        return LogitMatrix(values=cache["z"].T, blank_index=self._vocab.blank_index)
 
     def gradient(
         self, w: Waveform, loss_fn: LossFunctional, frozen: np.ndarray | None = None
     ) -> tuple[object, dict[str, np.ndarray]]:
         """Loss record and selected-group gradients; ``frozen`` as in ``forward``."""
         self._check_rate(w)
-        self.output_length(len(w.samples))
         cache = self._forward_cached(w.samples, frozen)
-        record, dz = loss_fn(LogitMatrix(values=cache["z"], blank_index=self._vocab.blank_index))
+        z = cache["z"].T
+        record, dz = loss_fn(LogitMatrix(values=z, blank_index=self._vocab.blank_index))
         dz = np.asarray(dz, dtype=np.float64)
-        if dz.shape != cache["z"].shape:
-            raise ValueError(f"loss gradient shape {dz.shape} != logits shape {cache['z'].shape}")
+        if dz.shape != z.shape:
+            raise ValueError(f"loss gradient shape {dz.shape} != logits shape {z.shape}")
 
-        p, ws = self._params, self._ws
+        p, ws = self._params, self._span_ws[0]
+        dzt = dz.T  # class-major, as the objectives return it
         selected = set(self._selected)
         grads: dict[str, np.ndarray] = {}
         if "head" in selected:
-            grads["head_w"] = dz.T @ cache["h3"].T
-            grads["head_b"] = dz.sum(axis=0)
+            grads["head_w"] = dzt @ cache["h3"].T
+            grads["head_b"] = dzt.sum(axis=1)
         if not selected & {"layer_norm", "feature_extractor"}:
             return record, grads
-        # each buffer below takes over from an activation the backward pass has
-        # finished with: h3 (in "h2") once the head gradient is taken, a2, erf2
-        # and xhat once da2 is formed
         xhat = cache["xhat"]
-        dh3 = np.matmul(p["head_w"].T, dz.T, out=ws.get("h2", xhat.shape))
-        tmp = ws.get("tmp", xhat.shape)
+        # h3 is spent once the head gradient is taken; its buffer takes dh3
+        dh3 = np.matmul(p["head_w"].T, dzt, out=ws.get("h3", xhat.shape))
         # layer norm (statistics over the channel axis, per frame)
         if "layer_norm" in selected:
-            grads["ln_gamma"] = np.multiply(dh3, xhat, out=tmp).sum(axis=1)
+            grads["ln_gamma"] = np.einsum("cl,cl->c", dh3, xhat)
             grads["ln_beta"] = dh3.sum(axis=1)
         if "feature_extractor" not in selected:
             return record, grads
-        dxhat = np.multiply(dh3, p["ln_gamma"][:, None], out=dh3)
-        dh2 = _layer_norm_backward(dxhat, xhat, cache["inv"], tmp, ws)
-        # conv stack; conv1's input is the waveform, whose gradient nothing uses
-        da2 = _gelu_backward(dh2, cache["a2"], cache["erf2"], tmp)
-        h1 = cache["h1"]
-        dh1 = _conv1d_input_grad(
-            p["conv2_w"], self.S2, da2, ws.get("erf2", h1.shape), ws, pad="a2", tile="xhat"
+        parts = _run_spans(
+            functools.partial(self._span_backward, span, dh3, xhat, cache["inv"], t0, t1, ws_i)
+            for span, (t0, t1), ws_i in zip(
+                cache["spans"], _frame_spans(xhat.shape[1]), self._span_ws
+            )
         )
-        grads["conv2_w"], grads["conv2_b"] = _conv1d_weight_grad(h1, p["conv2_w"], self.S2, da2, ws)
-        da1 = _gelu_backward(dh1, cache["a1"], cache["erf1"], ws.get("tmp", h1.shape))
-        x = cache["x"][None, :]
-        grads["conv1_w"], grads["conv1_b"] = _conv1d_weight_grad(x, p["conv1_w"], self.S1, da1, ws)
+        grads.update(parts[0])
+        for part in parts[1:]:
+            for name, g in part.items():
+                grads[name] += g
         return record, grads
 
     # --- parameter management -------------------------------------------------

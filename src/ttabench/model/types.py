@@ -12,7 +12,11 @@ from ..errors import NonFiniteLogitsError
 
 @dataclass(frozen=True)
 class LogitMatrix:
-    """L x C frame-level class scores (C includes the blank)."""
+    """L x C frame-level class scores (C includes the blank).
+
+    ``values`` is indexed [frame, class] whatever its memory order; from
+    ``ReferenceModel`` it is the transpose of a C-contiguous C x L array.
+    """
 
     values: np.ndarray
     blank_index: int

@@ -119,7 +119,7 @@ def frame_ce_functional(labels: np.ndarray) -> LossFunctional:
         p = softmax_temperature(z, 1.0).values
         rows = np.arange(z.n_frames)
         ce = float(-np.log(p[rows, labels] + 1e-300).mean())
-        dz = p.copy()
+        dz = p.copy(order="K")  # class-major like p, the layout the model's backward reads
         dz[rows, labels] -= 1.0
         dz /= z.n_frames
         value = TtaLossValue(total=ce, components={"ce": ce}, weights={"ce": 1.0})

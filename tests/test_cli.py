@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,7 @@ import pytest
 from scipy.io import wavfile
 
 from helpers import sine, write_tone_corpus
+import ttabench
 from ttabench import cli
 from ttabench.corpus.audio import Waveform, write_wav
 from ttabench.corpus.manifest import (
@@ -306,9 +311,9 @@ def test_adapt_resume_skips_completed_speakers(checkpoint, tmp_path):
     assert cli.main(argv + ["--no-resume"]) == 3
 
 
-def test_adapt_wav_declaring_rate_zero_is_a_runtime_error(checkpoint, tmp_path, capsys):
-    manifest_path = write_tone_corpus(tmp_path, {"alpha": ["ad"]})
-    wav = next((tmp_path / "audio").glob("*.wav"))
+def test_adapt_wav_declaring_rate_zero_is_a_flagged_record(checkpoint, tmp_path, caplog):
+    manifest_path = write_tone_corpus(tmp_path, {"alpha": ["ad", "ga"], "bravo": ["da"]})
+    wav = tmp_path / "audio" / "alpha-000.wav"
     wavfile.write(wav, 0, wavfile.read(wav)[1])
     out = tmp_path / "run"
 
@@ -318,12 +323,21 @@ def test_adapt_wav_declaring_rate_zero_is_a_runtime_error(checkpoint, tmp_path, 
             "--manifest", str(manifest_path),
             "--checkpoint", str(checkpoint),
             "--out", str(out),
-            "--method", "none",
+            "--method", "suta",
+            "--steps", "2",
         ]
     )
 
-    assert code == 3
-    assert "sample rate 0 Hz" in capsys.readouterr().err
+    # the corrupt utterance is flagged; the others, its speaker's included, still adapt
+    assert code == 4
+    records = {r.utterance_id: r for r in read_run_records(out)}
+    assert sorted(records) == ["alpha-000", "alpha-001", "bravo-000"]
+    assert records["alpha-000"].flags == ("corrupt_audio",)
+    assert records["alpha-000"].hypothesis == ""
+    for utt in ("alpha-001", "bravo-000"):
+        assert records[utt].flags == ()
+        assert records[utt].trace.n_steps == 2
+    assert "sample rate 0 Hz" in caplog.text
 
 
 def test_adapt_same_seed_reproduces_results_bytes(checkpoint, tmp_path):
@@ -350,6 +364,10 @@ def test_adapt_worker_count_does_not_change_run_files(corpus, checkpoint, tmp_pa
     _, manifest_path = corpus
     outs = {workers: tmp_path / f"w{workers}" for workers in (1, 2)}
     for workers, out in outs.items():
+        if workers == 2:
+            # the in-process run started the model's helper thread, which the
+            # forked pool workers do not inherit and must replace
+            assert any(t.name.startswith("ttabench-span") for t in threading.enumerate())
         code = cli.main(
             [
                 "adapt",
@@ -368,6 +386,37 @@ def test_adapt_worker_count_does_not_change_run_files(corpus, checkpoint, tmp_pa
     assert sorted(p.name for p in (outs[2] / "speakers").glob("*.jsonl")) == names
     for rel in ["results.jsonl"] + [f"speakers/{n}" for n in names]:
         assert (outs[1] / rel).read_bytes() == (outs[2] / rel).read_bytes(), rel
+
+
+def test_adapt_results_do_not_depend_on_blas_thread_count(corpus, checkpoint, tmp_path):
+    _, manifest_path = corpus
+    src = str(Path(ttabench.__file__).resolve().parents[1])
+    outs = {}
+    for n_threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": n_threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        outs[n_threads] = tmp_path / f"blas{n_threads}"
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "ttabench.cli", "adapt",
+                "--manifest", str(manifest_path),
+                "--checkpoint", str(checkpoint),
+                "--out", str(outs[n_threads]),
+                "--method", "none,suta,sgem",
+                "--steps", "3",
+            ],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+
+    for method in ("none", "suta", "sgem"):
+        a, b = (outs[n] / method for n in ("1", "2"))
+        assert (a / "results.jsonl").read_bytes() == (b / "results.jsonl").read_bytes(), method
+        for run in (a, b):
+            assert json.loads((run / "run_manifest.json").read_text())["blas_threads"] == 1
 
 
 def test_adapt_multiple_methods_nest_output_directories(corpus, checkpoint, tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import json
@@ -335,8 +336,11 @@ def test_adapt_utterance_runs_the_frozen_conv_stack_once_per_chunk(
 
     monkeypatch.setattr(reference, "_conv1d", counted)
     adapt_utterance(model, w, config)
-    # conv1 and conv2 once per chunk when frozen; once per step and per decode otherwise
-    assert len(calls) == convs_per_chunk * n_chunks
+    # each chunk runs as two frame spans, each with its own workspace (the last
+    # argument); per span, conv1 and conv2 once per chunk when frozen, once per
+    # step and per decode otherwise
+    per_span = collections.Counter(id(args[-1]) for args in calls)
+    assert sorted(per_span.values()) == [convs_per_chunk * n_chunks] * 2
 
 
 @pytest.mark.parametrize("groups", [("layer_norm",), ("head",), ("layer_norm", "head")], ids="+".join)

@@ -85,3 +85,32 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_traced_gradient_is_one_span_whatever_its_helper_thread_runs(tmp_path, monkeypatch):
+    # the helper thread runs only private functions: a wrapped one called there
+    # would add a span to the stack the tracer shares between threads
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    layers = importlib.import_module("perfbench.layers")
+    tracer = importlib.import_module("perfbench.tracer").Tracer(tmp_path / "spans")
+    from ttabench.model.reference import build_reference_model
+    from ttabench.objectives import make_loss_functional
+
+    model = build_reference_model(seed=0)
+    wave = Waveform(samples=np.random.default_rng(0).normal(0.0, 0.1, 4000), sample_rate_hz=16000)
+    loss_fn = make_loss_functional("sgem")
+    try:
+        layers.install(tracer)
+        tracer.active = True
+        model.gradient(wave, loss_fn)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    spans = tracer.collect()
+    gradient = [s for s in spans if s["name"] == "model.gradient"]
+    assert len(gradient) == 1
+    assert gradient[0]["parent"] is None
+    assert [s["name"] for s in spans if s["parent"] == gradient[0]["id"]] == [
+        "objectives.sgem_loss_and_grad"
+    ]
+    assert len(spans) == 2

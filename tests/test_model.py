@@ -1,7 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from helpers import noise, sine
+from ttabench.corpus.audio import Waveform
 from ttabench.errors import (
     AudioTooShortError,
     CheckpointError,
@@ -11,7 +16,7 @@ from ttabench.errors import (
     UnknownGroupError,
 )
 from ttabench.model.decode import collapse_ctc_labels, greedy_ctc_decode
-from ttabench.model import reference
+from ttabench.model import reference, threads
 from ttabench.model.reference import (
     ReferenceModel,
     build_reference_model,
@@ -61,6 +66,18 @@ def test_greedy_decode_all_blank_is_empty():
 def test_greedy_decode_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         greedy_ctc_decode(_logits_for([1], n_classes=12), default_vocabulary())
+
+
+def test_greedy_decode_reads_class_major_logits():
+    # the model's logits are the transpose of a C-contiguous C x L array; ties
+    # between classes go to the lower index in either layout
+    labels = [0, 1, 1, 0, 2, 28, 3, 3]
+    z = _logits_for(labels).values
+    z[6, 5] = z[6, 3]
+    class_major = LogitMatrix(values=np.ascontiguousarray(z.T).T, blank_index=0)
+    assert not class_major.values.flags.c_contiguous
+    v = default_vocabulary()
+    assert greedy_ctc_decode(class_major, v) == greedy_ctc_decode(_logits_for(labels), v) == "ab c"
 
 
 def test_collapse_ctc_labels():
@@ -304,7 +321,7 @@ def test_conv1d_backward_matches_per_tap_across_tiles(monkeypatch, cin, cout, k,
     ref_dx, ref_dw, ref_db = ref_backward(dout)
     ws = reference._Workspace()
     # outputs start as NaN, so an entry the helpers leave unwritten shows
-    out = reference._conv1d(x, w, b, stride, np.full((cout, t_total), np.nan), ws)
+    out, _ = reference._conv1d(x, w, b, stride, np.full((cout, t_total), np.nan), ws)
     dx = reference._conv1d_input_grad(w, stride, dout, np.full((cin, n), np.nan), ws, "pad", "tile")
     dw, db = reference._conv1d_weight_grad(x, w, stride, dout, ws)
     np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
@@ -334,6 +351,125 @@ def test_gradient_returns_only_selected_groups(model):
     model.select_adaptable(["head"])
     _, head_only = model.gradient(w, loss_fn)
     assert set(head_only) == {"head_w", "head_b"}
+
+
+# --- frame spans ------------------------------------------------------------------
+
+
+def _wave_with_frames(n_frames: int, seed: int) -> Waveform:
+    """Noise giving ``n_frames`` logit frames, plus 3 trailing samples that feed none."""
+    n = ReferenceModel._HOP * (n_frames - 1) + ReferenceModel._FIELD + 3
+    x = np.random.default_rng(seed).normal(0.0, 0.1, n)
+    return Waveform(samples=x, sample_rate_hz=16000)
+
+
+def _whole_chunk_reference(params, x, dz):
+    """Logits and every gradient of the whole chunk in one pass on this thread, with the
+    per-tap convolution and textbook GELU and layer norm."""
+
+    def gelu(a):
+        cdf = 0.5 * (1.0 + erf(a / np.sqrt(2.0)))
+        return a * cdf, cdf + a * np.exp(-0.5 * a * a) / np.sqrt(2.0 * np.pi)
+
+    p = params
+    a1, back1 = _conv1d_per_tap(x[None, :], p["conv1_w"], p["conv1_b"], ReferenceModel.S1)
+    h1, dgelu1 = gelu(a1)
+    a2, back2 = _conv1d_per_tap(h1, p["conv2_w"], p["conv2_b"], ReferenceModel.S2)
+    h2, dgelu2 = gelu(a2)
+    inv = 1.0 / np.sqrt(h2.var(axis=0) + 1e-5)
+    xhat = (h2 - h2.mean(axis=0)) * inv
+    h3 = p["ln_gamma"][:, None] * xhat + p["ln_beta"][:, None]
+    z = (p["head_w"] @ h3 + p["head_b"][:, None]).T
+    dzt = dz.T
+    grads = {"head_w": dzt @ h3.T, "head_b": dzt.sum(axis=1)}
+    dh3 = p["head_w"].T @ dzt
+    grads["ln_gamma"], grads["ln_beta"] = (dh3 * xhat).sum(axis=1), dh3.sum(axis=1)
+    dxhat = dh3 * p["ln_gamma"][:, None]
+    dh2 = inv * (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0))
+    dh1, grads["conv2_w"], grads["conv2_b"] = back2(dh2 * dgelu2)
+    _, grads["conv1_w"], grads["conv1_b"] = back1(dh1 * dgelu1)
+    return z, grads
+
+
+def _relative_error(got, expected):
+    return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("tile_frames", [None, 5], ids=["tiles-default", "tiles-5"])
+@pytest.mark.parametrize("n_frames", [1, 2, 101])
+def test_spans_match_a_whole_chunk_reference(monkeypatch, n_frames, tile_frames):
+    if tile_frames is not None:
+        monkeypatch.setattr(reference, "_TILE_FRAMES", tile_frames)
+    model = build_reference_model(seed=3)
+    model.select_adaptable(["feature_extractor", "layer_norm", "head"])
+    w = _wave_with_frames(n_frames, seed=n_frames)
+    assert model.output_length(len(w.samples)) == n_frames
+    assert len(reference._frame_spans(n_frames)) == min(n_frames, 2)
+    dz = np.random.default_rng(5).normal(size=(n_frames, 29))
+    ref_z, ref_grads = _whole_chunk_reference(model.snapshot().parameters, w.samples, dz)
+
+    for _ in range(2):  # a cold call, then one on the workspaces it grew
+        assert _relative_error(model.forward(w).values, ref_z) <= 1e-12
+        _, grads = model.gradient(w, _linear_functional(dz))
+        assert set(grads) == set(ref_grads)
+        for name, g in grads.items():
+            assert _relative_error(g, ref_grads[name]) <= 1e-12, name
+
+
+def test_span_on_the_helper_thread_or_inline_is_bitwise_the_same(monkeypatch):
+    chunks = [_wave_with_frames(n, seed=n) for n in (2, 101, 736)]
+    threaded = [_calls(build_reference_model(seed=3), w) for w in chunks]
+    monkeypatch.setattr(threads, "in_parallel", lambda first, second: (first(), second()))
+    inline = [_calls(build_reference_model(seed=3), w) for w in chunks]
+    for got, expected in zip(inline, threaded):
+        _assert_bitwise(got, expected)
+
+
+def test_models_on_more_threads_than_cores_share_the_helper_safely():
+    # one model per caller thread, as the class allows; three callers on two
+    # cores hand span 1 to the one helper thread, and a short switch interval
+    # interleaves them as much as it can
+    chunks = [_wave_with_frames(n, seed=n) for n in (301, 517, 736)]
+    loss_fn = make_loss_functional("sgem")
+
+    def run(w):
+        model = build_reference_model(seed=3)
+        out = []
+        for _ in range(4):
+            record, grads = model.gradient(w, loss_fn)
+            out.append((record.total, grads))
+            model.apply_update({k: -1e-3 * g for k, g in grads.items()})
+        return out
+
+    expected = [run(w) for w in chunks]
+    got = [None] * len(chunks)
+
+    def caller(i):
+        got[i] = run(chunks[i])
+
+    callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(chunks))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for steps, ref_steps in zip(got, expected):
+        assert steps is not None
+        for (total, grads), (ref_total, ref_grads) in zip(steps, ref_steps):
+            assert total == ref_total
+            _assert_bitwise(grads, ref_grads)
+
+
+def test_logits_are_class_major():
+    model = build_reference_model(seed=3)
+    z = model.forward(_wave_with_frames(50, seed=1))
+    assert z.values.shape == (50, 29)
+    assert z.values.T.flags.c_contiguous
 
 
 # --- scratch workspace ------------------------------------------------------------------
@@ -398,8 +534,10 @@ def test_workspace_leaves_no_stale_state_between_chunks(model, monkeypatch, tile
 def test_returned_arrays_are_owned_by_the_caller(model):
     first = _calls(model, noise(0.1, rms=0.1, seed=4))
     kept = {name: value.copy() for name, value in first.items()}
-    buffers = list(model._ws._buffers.values())
-    assert buffers
+    # every frame span's workspace, the first also holding the whole-chunk buffers
+    assert len(model._span_ws) == 2
+    assert all(ws._buffers for ws in model._span_ws)
+    buffers = [buf for ws in model._span_ws for buf in ws._buffers.values()]
     for name, value in first.items():
         assert not any(np.shares_memory(value, buf) for buf in buffers), name
     for w in (noise(0.15, rms=0.1, seed=5), noise(0.03, rms=0.1, seed=6)):

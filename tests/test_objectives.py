@@ -472,3 +472,20 @@ def test_topk_mask_ties_keep_exactly_k_as_argpartition_does(k):
 
 def test_sgem_with_tied_rows_matches_row_major_reference():
     _assert_matches_reference("sgem", _tied_logits(5), None, True)
+
+
+@pytest.mark.parametrize("method", ["suta", "sgem"])
+@pytest.mark.parametrize("blank_dominance", [None, 0.9])
+def test_objectives_read_class_major_logits_bitwise_as_row_major(method, blank_dominance):
+    # the model's logits are the L x C transpose of a C-contiguous C x L array
+    values = np.random.default_rng(3).normal(0.0, 3.0, (301, 29))
+    values[::3, 0] += 40.0  # blank dominates a third of the frames
+    row_major = LogitMatrix(values=values, blank_index=0)
+    class_major = LogitMatrix(values=np.ascontiguousarray(values.T).T, blank_index=0)
+    assert class_major.values.T.flags.c_contiguous
+    loss_and_grad = suta_loss_and_grad if method == "suta" else sgem_loss_and_grad
+    value, dz = loss_and_grad(class_major, blank_dominance=blank_dominance)
+    ref_value, ref_dz = loss_and_grad(row_major, blank_dominance=blank_dominance)
+    assert value == ref_value
+    assert dz.tobytes(order="A") == ref_dz.tobytes(order="A")
+    _assert_matches_reference(method, class_major, blank_dominance, True)
