@@ -61,7 +61,7 @@ def read_audio(path: str | os.PathLike) -> Waveform:
         UnsupportedFormatError: not a RIFF/WAVE file.
         CorruptFileError: WAVE file that cannot be parsed, that declares a
             sample rate outside 1-192 kHz, or whose float samples include
-            NaN or infinity.
+            NaN or infinity or lie outside [-1, 1].
     """
     try:
         with open(path, "rb") as f:
@@ -93,7 +93,13 @@ def read_audio(path: str | os.PathLike) -> Waveform:
         x = (x - 128.0) / 128.0
     elif data.dtype in _INT_SCALES:
         x = x / _INT_SCALES[data.dtype]
-    # float32 / float64 WAVs are already nominally in [-1, 1]
+    elif data.dtype.kind == "f":
+        # float WAVs store [-1, 1] directly; beyond that is damage, not loudness
+        peak = float(np.max(np.abs(data)))
+        if peak > 1.0 + 1e-9:
+            raise CorruptFileError(
+                f"{path} holds float samples up to |x| = {peak:g}, outside [-1, 1]"
+            )
 
     if rate != CANONICAL_RATE_HZ:
         # imported here: scipy.signal is slow to import and 16 kHz input never needs it

@@ -26,6 +26,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .. import __version__
 from ..errors import ConfigError
 from ..evaluation import WerCount, speaker_wer
 from ..model.threads import blas_threads
@@ -181,6 +182,7 @@ class RunWriter:
             "n_speakers": len(result.speakers),
             "n_utterances": sum(len(s.records) for s in result.speakers),
             "blas_threads": blas_threads(),
+            "ttabench_version": __version__,
         }
         blob = json.dumps(run_manifest, indent=2, sort_keys=True)
         _write_atomic(self.out_dir / RUN_MANIFEST_NAME, blob + "\n")

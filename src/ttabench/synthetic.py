@@ -6,10 +6,14 @@ whose exact frame-level labeling is known. That supports (a) supervised
 training of the reference model with per-frame cross-entropy and (b) a
 controlled benchmark where every "speaker" applies a known domain shift
 (volume gain plus additive noise at a speaker-specific SNR).
+
+The tones are computed once per sample rate, into a small table that every
+render shares read-only and copies into its own output array.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +40,7 @@ RAMP_S = 0.004
 AMPLITUDE = 0.4
 BASE_FREQ_HZ = 500.0
 FREQ_STEP_HZ = 250.0
+_N_SYMBOLS = 29  # blank, 26 letters, apostrophe, word delimiter
 _N_WORDS = 24
 _WORD_SEED = 20240801
 
@@ -54,6 +59,26 @@ class RenderedUtterance:
     transcript: str
 
 
+@functools.lru_cache(maxsize=8)
+def _tone_table(sample_rate_hz: int) -> np.ndarray:
+    """Read-only (29, tone samples) table of every symbol's ramped tone at one rate.
+
+    Row i is the tone of vocabulary index i; row 0 (blank) is silence.
+    """
+    tone_n = round(TONE_S * sample_rate_hz)
+    ramp_n = round(RAMP_S * sample_rate_hz)
+    envelope = np.ones(tone_n)
+    ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp_n) / ramp_n)
+    envelope[:ramp_n] = ramp
+    envelope[-ramp_n:] = ramp[::-1]
+    t = np.arange(tone_n) / sample_rate_hz
+    table = np.zeros((_N_SYMBOLS, tone_n))
+    for idx in range(1, _N_SYMBOLS):
+        table[idx] = AMPLITUDE * envelope * np.sin(2.0 * np.pi * symbol_frequency(idx) * t)
+    table.flags.writeable = False
+    return table
+
+
 def render_transcript(
     transcript: str, sample_rate_hz: int = CANONICAL_RATE_HZ
 ) -> RenderedUtterance:
@@ -61,19 +86,7 @@ def render_transcript(
     text = normalize_text(transcript).lower()
     if not text:
         raise EmptyTranscriptError(f"nothing to render in {transcript!r}")
-    tone_n = round(TONE_S * sample_rate_hz)
-    gap_n = round(GAP_S * sample_rate_hz)
-    edge_n = round(EDGE_SILENCE_S * sample_rate_hz)
-    ramp_n = round(RAMP_S * sample_rate_hz)
-
-    envelope = np.ones(tone_n)
-    ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp_n) / ramp_n)
-    envelope[:ramp_n] = ramp
-    envelope[-ramp_n:] = ramp[::-1]
-
-    pieces: list[np.ndarray] = [np.zeros(edge_n)]
-    labels: list[np.ndarray] = [np.zeros(edge_n, dtype=np.int64)]
-    t = np.arange(tone_n) / sample_rate_hz
+    indices = []
     for ch in text:
         if ch == " ":
             idx = 28  # word delimiter
@@ -83,18 +96,24 @@ def render_transcript(
             idx = 27
         else:
             raise ValueError(f"cannot render character {ch!r}")
-        tone = AMPLITUDE * envelope * np.sin(2.0 * np.pi * symbol_frequency(idx) * t)
-        pieces.append(tone)
-        labels.append(np.full(tone_n, idx, dtype=np.int64))
-        pieces.append(np.zeros(gap_n))
-        labels.append(np.zeros(gap_n, dtype=np.int64))
-    pieces.append(np.zeros(edge_n - gap_n))
-    labels.append(np.zeros(edge_n - gap_n, dtype=np.int64))
+        indices.append(idx)
 
-    samples = np.concatenate(pieces)
+    tones = _tone_table(sample_rate_hz)
+    tone_n = tones.shape[1]
+    gap_n = round(GAP_S * sample_rate_hz)
+    edge_n = round(EDGE_SILENCE_S * sample_rate_hz)
+    n_chars, slot_n = len(indices), tone_n + gap_n
+    # edge silence, a tone-then-gap slot per character, then the rest of the
+    # closing edge silence (the last gap counts towards it)
+    slots = slice(edge_n, edge_n + n_chars * slot_n)
+    n = slots.stop + edge_n - gap_n
+    samples = np.zeros(n)
+    samples[slots].reshape(n_chars, slot_n)[:, :tone_n] = tones[indices]
+    labels = np.zeros(n, dtype=np.int64)
+    labels[slots].reshape(n_chars, slot_n)[:, :tone_n] = np.array(indices)[:, None]
     return RenderedUtterance(
         waveform=Waveform(samples=samples, sample_rate_hz=sample_rate_hz),
-        sample_labels=np.concatenate(labels),
+        sample_labels=labels,
         transcript=text,
     )
 
@@ -159,6 +178,16 @@ def make_sentences(n: int, rng: np.random.Generator) -> list[str]:
     return out
 
 
+def _mix_shift(samples: np.ndarray, gain: float, snr_db: float, rng: np.random.Generator) -> float:
+    """Apply a speaker shift in place: gain, white noise ``snr_db`` below the
+    gained signal's RMS, then clipping to [-1, 1]. Returns the noise RMS."""
+    samples *= gain
+    noise_rms = float(np.sqrt(np.mean(samples**2))) * 10.0 ** (-snr_db / 20.0)
+    samples += rng.normal(0.0, noise_rms, size=len(samples))
+    np.clip(samples, -1.0, 1.0, out=samples)
+    return noise_rms
+
+
 def build_training_set(
     model: ReferenceModel,
     n_utterances: int = 120,
@@ -179,10 +208,9 @@ def build_training_set(
     for sentence in make_sentences(n_utterances, rng):
         rendered = render_transcript(sentence)
         gain = float(rng.uniform(*gain_range))
-        scaled = rendered.waveform.samples * gain
         snr_db = float(rng.uniform(*dither_snr_db_range))
-        noise_rms = float(np.sqrt(np.mean(scaled**2))) * 10.0 ** (-snr_db / 20.0)
-        noisy = np.clip(scaled + rng.normal(0.0, noise_rms, size=len(scaled)), -1.0, 1.0)
+        noisy = rendered.waveform.samples
+        _mix_shift(noisy, gain, snr_db, rng)
         examples.append(
             TrainingExample(
                 waveform=Waveform(samples=noisy, sample_rate_hz=rendered.waveform.sample_rate_hz),
@@ -263,11 +291,8 @@ def build_shifted_corpus(
         noise_rms_used = 0.0
         for k, sentence in enumerate(sentences):
             rendered = render_transcript(sentence)
-            scaled = rendered.waveform.samples * volumes[s]
-            signal_rms = float(np.sqrt(np.mean(scaled**2)))
-            noise_rms = signal_rms * 10.0 ** (-snrs[s] / 20.0)
-            noise_rms_used = noise_rms
-            noisy = np.clip(scaled + rng.normal(0.0, noise_rms, size=len(scaled)), -1.0, 1.0)
+            noisy = rendered.waveform.samples
+            noise_rms_used = _mix_shift(noisy, volumes[s], snrs[s], rng)
             utterance_id = f"{speaker_id}_utt{k:03d}"
             wav_path = audio_dir / f"{utterance_id}.wav"
             w = Waveform(samples=noisy, sample_rate_hz=rendered.waveform.sample_rate_hz)

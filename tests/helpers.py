@@ -8,6 +8,8 @@ import numpy as np
 
 from ttabench.corpus.audio import CANONICAL_RATE_HZ, Waveform, write_wav
 from ttabench.corpus.manifest import CorpusManifest, Utterance, save_manifest
+from ttabench import synthetic
+from ttabench.evaluation import normalize_text
 from ttabench.synthetic import render_transcript
 
 
@@ -59,3 +61,37 @@ def write_tone_corpus(
     path = root / "manifest.jsonl"
     save_manifest(manifest, path)
     return path
+
+
+def render_per_character(
+    transcript: str, rate_hz: int = CANONICAL_RATE_HZ
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """Oracle for ``render_transcript``: samples, labels and text.
+
+    The straightforward layout: every character's tone is computed afresh and
+    the pieces are concatenated.
+    """
+    text = normalize_text(transcript).lower()
+    tone_n = round(synthetic.TONE_S * rate_hz)
+    gap_n = round(synthetic.GAP_S * rate_hz)
+    edge_n = round(synthetic.EDGE_SILENCE_S * rate_hz)
+    ramp_n = round(synthetic.RAMP_S * rate_hz)
+
+    envelope = np.ones(tone_n)
+    ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp_n) / ramp_n)
+    envelope[:ramp_n] = ramp
+    envelope[-ramp_n:] = ramp[::-1]
+
+    pieces = [np.zeros(edge_n)]
+    labels = [np.zeros(edge_n, dtype=np.int64)]
+    t = np.arange(tone_n) / rate_hz
+    for ch in text:
+        idx = 28 if ch == " " else 27 if ch == "'" else ord(ch) - ord("a") + 1
+        freq = synthetic.symbol_frequency(idx)
+        pieces.append(synthetic.AMPLITUDE * envelope * np.sin(2.0 * np.pi * freq * t))
+        labels.append(np.full(tone_n, idx, dtype=np.int64))
+        pieces.append(np.zeros(gap_n))
+        labels.append(np.zeros(gap_n, dtype=np.int64))
+    pieces.append(np.zeros(edge_n - gap_n))
+    labels.append(np.zeros(edge_n - gap_n, dtype=np.int64))
+    return np.concatenate(pieces), np.concatenate(labels), text

@@ -105,6 +105,41 @@ def test_read_audio_rejects_non_finite_float_samples(tmp_path, bad_value, rate_h
         read_audio(path)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate_hz", [CANONICAL_RATE_HZ, 8000], ids=["16k", "8k-resampled"])
+def test_read_audio_rejects_float_samples_beyond_full_scale(tmp_path, dtype, rate_hz):
+    # these used to be clipped to all 1.0 and read as ordinary audio
+    path = tmp_path / "loud.wav"
+    wavfile.write(path, rate_hz, np.full(1600, 5.0, dtype=dtype))
+    with pytest.raises(CorruptFileError, match=r"\|x\| = 5\b"):
+        read_audio(path)
+
+
+def test_read_audio_rejects_one_loud_float_channel(tmp_path):
+    # the downmix of (5, -5) is silence; the check reads the stored samples
+    path = tmp_path / "stereo.wav"
+    wavfile.write(path, CANONICAL_RATE_HZ, np.tile([5.0, -5.0], (1600, 1)).astype(np.float32))
+    with pytest.raises(CorruptFileError, match="outside"):
+        read_audio(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_read_audio_keeps_float_samples_at_full_scale(tmp_path, dtype):
+    x = np.where(np.arange(1600) % 2 == 0, 1.0, -1.0).astype(dtype)
+    path = tmp_path / "full.wav"
+    wavfile.write(path, CANONICAL_RATE_HZ, x)
+    assert np.array_equal(read_audio(path).samples, x.astype(np.float64))
+
+
+def test_read_audio_clips_resampling_overshoot_of_pcm(tmp_path):
+    # a full-scale 8 kHz square wave rings past full scale when upsampled
+    square = np.where((np.arange(800) // 20) % 2 == 0, 32767, -32768).astype(np.int16)
+    path = tmp_path / "square.wav"
+    wavfile.write(path, 8000, square)
+    back = read_audio(path)
+    assert np.max(np.abs(back.samples)) == 1.0
+
+
 @pytest.mark.parametrize("rate_hz", [0, 1, 200_000])
 def test_read_audio_rejects_implausible_declared_rate(tmp_path, rate_hz):
     # rate 0 used to reach the resampler and raise ValueError; rate 1 would be

@@ -340,6 +340,45 @@ def test_adapt_wav_declaring_rate_zero_is_a_flagged_record(checkpoint, tmp_path,
     assert "sample rate 0 Hz" in caplog.text
 
 
+def test_adapt_float_wav_beyond_full_scale_is_a_flagged_record(checkpoint, tmp_path, caplog):
+    manifest_path = write_tone_corpus(tmp_path, {"alpha": ["ad", "ga"], "bravo": ["da"]})
+    wav = tmp_path / "audio" / "alpha-001.wav"
+    wavfile.write(wav, 16000, np.full(len(wavfile.read(wav)[1]), 5.0, dtype=np.float32))
+    out = tmp_path / "run"
+
+    code = cli.main(
+        [
+            "adapt",
+            "--manifest", str(manifest_path),
+            "--checkpoint", str(checkpoint),
+            "--out", str(out),
+            "--method", "suta",
+            "--steps", "2",
+        ]
+    )
+
+    assert code == 4
+    records = {r.utterance_id: r for r in read_run_records(out)}
+    assert sorted(records) == ["alpha-000", "alpha-001", "bravo-000"]
+    assert records["alpha-001"].flags == ("corrupt_audio",)
+    assert records["alpha-001"].hypothesis == ""
+    for utt in ("alpha-000", "bravo-000"):
+        assert records[utt].flags == ()
+        assert records[utt].trace.n_steps == 2
+    assert "|x| = 5" in caplog.text
+
+
+def test_run_manifest_names_the_library_version_and_results_do_not(checkpoint, tmp_path):
+    manifest_path = write_tone_corpus(tmp_path, {"alpha": ["ad"]})
+    out = tmp_path / "run"
+    argv = ["adapt", "--manifest", str(manifest_path), "--checkpoint", str(checkpoint),
+            "--out", str(out), "--method", "none"]
+    assert cli.main(argv) == 0
+    run_manifest = json.loads((out / "run_manifest.json").read_text())
+    assert run_manifest["ttabench_version"] == ttabench.__version__
+    assert "version" not in (out / "results.jsonl").read_text()
+
+
 def test_adapt_same_seed_reproduces_results_bytes(checkpoint, tmp_path):
     manifest_path = write_tone_corpus(tmp_path, {"alpha": ["ad ga"]})
     outs = [tmp_path / "a", tmp_path / "b"]
