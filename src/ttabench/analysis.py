@@ -15,17 +15,7 @@ from .corpus.audio import read_audio
 from .corpus.features import compute_mfcc
 from .corpus.manifest import CorpusManifest, word_duration
 from .corpus.vad import detect_nonspeech, ems_energy
-from .errors import (
-    DimensionMismatchError,
-    InvalidPError,
-    LengthMismatchError,
-    ManifestError,
-    SingularCovarianceError,
-    SpeakerSetMismatchError,
-    TooFewFramesError,
-    TooFewPointsError,
-    ZeroVarianceError,
-)
+from .errors import AnalysisError, ManifestError
 from .evaluation import midranks
 
 _RIDGE = 1e-6
@@ -51,10 +41,10 @@ def gaussian_summary(frames: np.ndarray) -> GaussianSummary:
     1e-6 ridge on the diagonal so downstream inverses stay well posed."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
-        raise DimensionMismatchError("frames must be a T x D matrix")
+        raise AnalysisError("frames must be a T x D matrix")
     t, d = frames.shape
     if t < 2:
-        raise TooFewFramesError(f"need at least 2 frames, got {t}")
+        raise AnalysisError(f"need at least 2 frames, got {t}")
     mean = frames.mean(axis=0)
     centered = frames - mean
     cov = centered.T @ centered / (t - 1) + _RIDGE * np.eye(d)
@@ -64,18 +54,18 @@ def gaussian_summary(frames: np.ndarray) -> GaussianSummary:
 def bhattacharyya_distance(a: GaussianSummary, b: GaussianSummary) -> float:
     """Closed-form Bhattacharyya distance between two Gaussians."""
     if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+        raise AnalysisError(f"dimension mismatch: {a.dim} vs {b.dim}")
     pooled = (a.cov + b.cov) / 2.0
     sign_p, logdet_p = np.linalg.slogdet(pooled)
     sign_a, logdet_a = np.linalg.slogdet(a.cov)
     sign_b, logdet_b = np.linalg.slogdet(b.cov)
     if min(sign_p, sign_a, sign_b) <= 0:
-        raise SingularCovarianceError("covariance matrix is not positive definite")
+        raise AnalysisError("covariance matrix is not positive definite")
     diff = a.mean - b.mean
     try:
         maha = float(diff @ np.linalg.solve(pooled, diff))
     except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(str(exc)) from exc
+        raise AnalysisError(str(exc)) from exc
     return float(0.125 * maha + 0.5 * (logdet_p - 0.5 * (logdet_a + logdet_b)))
 
 
@@ -83,42 +73,31 @@ def within_speaker_variance(frames: np.ndarray) -> float:
     """Total variance (trace of the unbiased sample covariance) of T x D frames."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
-        raise DimensionMismatchError("frames must be a T x D matrix")
+        raise AnalysisError("frames must be a T x D matrix")
     if frames.shape[0] < 2:
-        raise TooFewFramesError(f"need at least 2 frames, got {frames.shape[0]}")
+        raise AnalysisError(f"need at least 2 frames, got {frames.shape[0]}")
     return float(frames.var(axis=0, ddof=1).sum())
 
 
-@dataclass(frozen=True)
-class Projection2d:
-    points: np.ndarray
-    explained_variance_ratio: tuple[float, float]
-
-
-def project_2d(x: np.ndarray) -> Projection2d:
-    """Project N x D points to their top two principal components.
+def project_2d(x: np.ndarray) -> np.ndarray:
+    """Project N x D points to their top two principal components; returns N x 2.
 
     Component signs follow a fixed convention (largest-magnitude loading is
     positive) so repeated runs produce identical output.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 2:
-        raise DimensionMismatchError("points must be N x D with D >= 2")
+        raise AnalysisError("points must be N x D with D >= 2")
     if x.shape[0] < 3:
-        raise TooFewPointsError(f"need at least 3 points, got {x.shape[0]}")
+        raise AnalysisError(f"need at least 3 points, got {x.shape[0]}")
     centered = x - x.mean(axis=0)
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
     components = vt[:2]
     for i in range(2):
         pivot = np.argmax(np.abs(components[i]))
         if components[i, pivot] < 0:
             components[i] = -components[i]
-    points = centered @ components.T
-    total = float((s**2).sum())
-    ratio = (
-        (float(s[0] ** 2 / total), float(s[1] ** 2 / total)) if total > 0 else (0.0, 0.0)
-    )
-    return Projection2d(points=points, explained_variance_ratio=ratio)
+    return centered @ components.T
 
 
 def speaker_shift_metrics(
@@ -134,8 +113,8 @@ def speaker_shift_metrics(
 
     Raises:
         ManifestError: the manifest holds no utterances.
-        TooFewFramesError: a distance metric is asked for and a speaker has
-            fewer than two utterances.
+        AnalysisError: a distance metric is asked for and a speaker has fewer
+            than two utterances.
     """
     if not manifest.utterances:
         raise ManifestError("the manifest holds no utterances")
@@ -167,7 +146,7 @@ def speaker_shift_metrics(
         metric = "within_variance" if "within_variance" in metrics else "bhattacharyya_to_pool"
         for speaker_id, speaker_points in points_by_speaker.items():
             if len(speaker_points) < 2:
-                raise TooFewFramesError(
+                raise AnalysisError(
                     f"speaker {speaker_id!r}: {metric} needs at least 2 utterances,"
                     f" got {len(speaker_points)}"
                 )
@@ -187,7 +166,6 @@ def speaker_shift_metrics(
 class CorrelationResult:
     r: float
     p_value: float
-    n: int
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -195,7 +173,7 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     yc = y - y.mean()
     denom = np.sqrt((xc**2).sum() * (yc**2).sum())
     if denom == 0:
-        raise ZeroVarianceError("an input is constant; correlation is undefined")
+        raise AnalysisError("an input is constant; correlation is undefined")
     return float((xc * yc).sum() / denom)
 
 
@@ -212,25 +190,23 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1:
-        raise DimensionMismatchError("inputs must be 1-D")
+        raise AnalysisError("inputs must be 1-D")
     if len(x) != len(y):
-        raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
+        raise AnalysisError(f"length mismatch: {len(x)} vs {len(y)}")
     n = len(x)
     if n < 3:
-        raise TooFewPointsError(f"need at least 3 pairs, got {n}")
+        raise AnalysisError(f"need at least 3 pairs, got {n}")
     r = _pearson(midranks(x), midranks(y))
     if abs(r) >= 1.0:
         p = 0.0
     else:
         t = r * np.sqrt((n - 2) / (1.0 - r * r))
         p = _t_sf_two_sided(t, n - 2)
-    return CorrelationResult(r=r, p_value=p, n=n)
+    return CorrelationResult(r=r, p_value=p)
 
 
 @dataclass(frozen=True)
 class HbDecision:
-    index: int
-    p_value: float
     adjusted_p: float
     reject: bool
 
@@ -243,13 +219,13 @@ def holm_bonferroni(p_values: Sequence[float], alpha: float = 0.05) -> list[HbDe
     alpha. Decisions are returned in the input order.
     """
     if not 0 < alpha < 1:
-        raise InvalidPError(f"alpha must lie in (0, 1), got {alpha}")
+        raise AnalysisError(f"alpha must lie in (0, 1), got {alpha}")
     p = list(p_values)
     if not p:
         return []
     for v in p:
         if not 0.0 <= v <= 1.0:
-            raise InvalidPError(f"p-value out of range: {v}")
+            raise AnalysisError(f"p-value out of range: {v}")
     m = len(p)
     order = sorted(range(m), key=lambda i: p[i])
     decisions: list[HbDecision | None] = [None] * m
@@ -261,7 +237,7 @@ def holm_bonferroni(p_values: Sequence[float], alpha: float = 0.05) -> list[HbDe
         reject = rejecting and adjusted < alpha
         if not reject:
             rejecting = False
-        decisions[idx] = HbDecision(index=idx, p_value=p[idx], adjusted_p=adjusted, reject=reject)
+        decisions[idx] = HbDecision(adjusted_p=adjusted, reject=reject)
     return [d for d in decisions if d is not None]
 
 
@@ -272,7 +248,6 @@ class GainCorrelation:
     p_value: float
     adjusted_p: float
     reject: bool
-    n: int
 
 
 def correlate_gains(
@@ -291,7 +266,7 @@ def correlate_gains(
     for name in sorted(metrics):
         table = metrics[name]
         if set(table) != set(speakers):
-            raise SpeakerSetMismatchError(
+            raise AnalysisError(
                 f"metric {name!r} covers {sorted(table)} but gains cover {speakers}"
             )
         results.append((name, spearman(gain_vec, [table[s] for s in speakers])))
@@ -303,7 +278,6 @@ def correlate_gains(
             p_value=res.p_value,
             adjusted_p=dec.adjusted_p,
             reject=dec.reject,
-            n=res.n,
         )
         for (name, res), dec in zip(results, decisions)
     ]

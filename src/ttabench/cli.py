@@ -55,7 +55,6 @@ from .errors import (
     EvaluationError,
     ManifestError,
     TtaBenchError,
-    UnknownGroupError,
     UnsupportedFormatError,
 )
 from .evaluation import (
@@ -78,7 +77,6 @@ _VALIDATION_ERRORS = (
     CheckpointError,
     EvaluationError,
     AnalysisError,
-    UnknownGroupError,
     UnsupportedFormatError,
     FileNotFoundError,
 )
@@ -259,7 +257,10 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     run_cfg = _build_run_config(args)
     run_cfg.validate_paths()
     manifest = load_manifest(Path(run_cfg.manifest_path))
-    fingerprint = checkpoint_fingerprint(Path(run_cfg.checkpoint_ref))
+    inputs = {
+        "checkpoint_fingerprint": checkpoint_fingerprint(Path(run_cfg.checkpoint_ref)),
+        "corpus_manifest_sha256": sha256_file(Path(run_cfg.manifest_path)),
+    }
     factory = functools.partial(load_checkpoint, Path(run_cfg.checkpoint_ref))
     if "sgem" in run_cfg.methods:
         # sgem keeps the top neg_k of the checkpoint's output classes per frame
@@ -276,7 +277,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
         out_dir = Path(run_cfg.output_dir)
         if len(run_cfg.methods) > 1:
             out_dir = out_dir / method
-        writer = RunWriter(out_dir, config)
+        writer = RunWriter(out_dir, config, inputs, resume=args.resume)
         completed = writer.completed_speakers() if args.resume else {}
         result = run_experiment(
             factory,
@@ -286,11 +287,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
             completed=completed,
             on_speaker_done=writer.speaker_done,
         )
-        results_path = writer.finalize(
-            result,
-            manifest_path=Path(run_cfg.manifest_path),
-            checkpoint_fingerprint=fingerprint,
-        )
+        results_path = writer.finalize(result)
         flagged = sum(1 for r in result.records() if r.flags)
         any_flagged = any_flagged or flagged > 0
         mean = result.mean_speaker_wer()
@@ -351,7 +348,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         with open(proj_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["point_id", "x", "y"])
-            for (point_id, _), (x, y) in zip(points, projection.points):
+            for (point_id, _), (x, y) in zip(points, projection):
                 writer.writerow([point_id, repr(float(x)), repr(float(y))])
         print(f"wrote {proj_path}")
     return EXIT_OK

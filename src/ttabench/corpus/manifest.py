@@ -11,18 +11,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from ..errors import (
-    DuplicateIdError,
-    EmptyTranscriptError,
-    InvalidFieldError,
-    ManifestError,
-    MissingFieldError,
-    UnreadableManifestError,
-)
+from ..errors import EmptyTranscriptError, ManifestError
 from ..evaluation import normalize_text
 
 MANIFEST_FIELDS = ("utterance_id", "speaker_id", "audio_path", "transcript", "duration_s")
@@ -85,14 +78,14 @@ def load_manifest(path: str | os.PathLike) -> CorpusManifest:
     """Parse a JSON-lines manifest, preserving file order.
 
     Raises:
-        UnreadableManifestError: file missing or undecodable.
-        MissingFieldError / InvalidFieldError: bad record (names field + line).
-        DuplicateIdError: repeated utterance_id.
+        ManifestError: file missing or undecodable, a record that is not a JSON
+            object or misses or mistypes a field (the message names the field
+            and line), or a repeated utterance_id.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise UnreadableManifestError(f"cannot read manifest {path}: {exc}") from exc
+        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
 
     utterances: list[Utterance] = []
     seen: set[str] = set()
@@ -107,16 +100,22 @@ def load_manifest(path: str | os.PathLike) -> CorpusManifest:
             raise ManifestError(f"line {lineno}: expected a JSON object")
         for name in MANIFEST_FIELDS:
             if name not in record:
-                raise MissingFieldError(name, lineno)
+                raise ManifestError(f"manifest record at line {lineno} is missing field {name!r}")
         for name in ("utterance_id", "speaker_id", "audio_path", "transcript"):
             if not isinstance(record[name], str):
-                raise InvalidFieldError(name, lineno, "must be a string")
+                raise ManifestError(
+                    f"manifest record at line {lineno}: field {name!r} must be a string"
+                )
         if not isinstance(record["duration_s"], (int, float)) or isinstance(
             record["duration_s"], bool
         ):
-            raise InvalidFieldError("duration_s", lineno, "must be a number")
+            raise ManifestError(
+                f"manifest record at line {lineno}: field 'duration_s' must be a number"
+            )
         if record["utterance_id"] in seen:
-            raise DuplicateIdError(record["utterance_id"], lineno)
+            raise ManifestError(
+                f"duplicate utterance_id {record['utterance_id']!r} at line {lineno}"
+            )
         seen.add(record["utterance_id"])
         try:
             utterances.append(
@@ -129,7 +128,7 @@ def load_manifest(path: str | os.PathLike) -> CorpusManifest:
                 )
             )
         except ValueError as exc:
-            raise InvalidFieldError("record", lineno, str(exc)) from exc
+            raise ManifestError(f"manifest record at line {lineno}: field 'record' {exc}") from exc
 
     return CorpusManifest(utterances=tuple(utterances))
 
@@ -158,42 +157,25 @@ def filter_max_duration(manifest: CorpusManifest, max_s: float) -> CorpusManifes
 
 @dataclass(frozen=True)
 class DurationStats:
-    n_utterances: int
     n_speakers: int
     total_hours: float
     mean_duration_s: float
     sd_duration_s: float
-    mean_utterances_per_speaker: float
-    sd_utterances_per_speaker: float
-    min_duration_s: float = field(default=0.0)
-    max_duration_s: float = field(default=0.0)
-
-
-def _mean_sd(values: list[float]) -> tuple[float, float]:
-    n = len(values)
-    mean = sum(values) / n
-    sd = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1)) if n > 1 else 0.0
-    return mean, sd
 
 
 def duration_stats(manifest: CorpusManifest) -> DurationStats:
-    """Count / mean / SD summaries in the style the harness reports per split."""
-    if not manifest.utterances:
-        return DurationStats(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    """Speaker count and duration total / mean / SD, the summary ``ingest`` prints."""
+    n = len(manifest)
+    if not n:
+        return DurationStats(0, 0.0, 0.0, 0.0)
     durations = [u.duration_s for u in manifest.utterances]
-    counts = [float(len(v)) for v in manifest.speakers().values()]
-    mean_d, sd_d = _mean_sd(durations)
-    mean_c, sd_c = _mean_sd(counts)
+    mean = sum(durations) / n
+    sd = math.sqrt(sum((d - mean) ** 2 for d in durations) / (n - 1)) if n > 1 else 0.0
     return DurationStats(
-        n_utterances=len(durations),
-        n_speakers=len(counts),
+        n_speakers=len(manifest.speakers()),
         total_hours=sum(durations) / 3600.0,
-        mean_duration_s=mean_d,
-        sd_duration_s=sd_d,
-        mean_utterances_per_speaker=mean_c,
-        sd_utterances_per_speaker=sd_c,
-        min_duration_s=min(durations),
-        max_duration_s=max(durations),
+        mean_duration_s=mean,
+        sd_duration_s=sd,
     )
 
 

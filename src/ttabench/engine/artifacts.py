@@ -3,6 +3,8 @@
 A run directory contains:
 
 * ``config.json``       fully resolved configuration (canonical JSON)
+* ``inputs.json``       sha256 of the checkpoint and of the corpus manifest the
+                        run reads; a resumed run must read the same two files
 * ``results.jsonl``     one line per utterance, deterministic given the run
                         inputs (no timestamps or timings)
 * ``run_manifest.json`` timestamps, input hashes, timings, library version,
@@ -35,6 +37,7 @@ from .runner import AdaptationTrace, ExperimentResult, SpeakerRunResult, StepRec
 
 RESULTS_NAME = "results.jsonl"
 CONFIG_NAME = "config.json"
+INPUTS_NAME = "inputs.json"
 RUN_MANIFEST_NAME = "run_manifest.json"
 SPEAKERS_DIR = "speakers"
 
@@ -115,27 +118,59 @@ def record_from_dict(data: Mapping) -> UtteranceRecord:
 
 
 class RunWriter:
-    """Incrementally persists an experiment so it can be resumed."""
+    """Incrementally persists an experiment so it can be resumed.
 
-    def __init__(self, out_dir: Path, config: AdaptationConfig) -> None:
+    ``inputs`` maps ``checkpoint_fingerprint`` and ``corpus_manifest_sha256`` to
+    the sha256 of the files the run reads. A directory is tied to its
+    configuration for good, and to its inputs until a run with ``resume`` off
+    records new ones and forgets every finished speaker; either mismatch is a
+    ``ConfigError``, raised before anything in the directory is written.
+    """
+
+    def __init__(
+        self,
+        out_dir: Path,
+        config: AdaptationConfig,
+        inputs: Mapping[str, str],
+        resume: bool = True,
+    ) -> None:
         self.out_dir = Path(out_dir)
         self.config = config
+        self.inputs = dict(inputs)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         (self.out_dir / SPEAKERS_DIR).mkdir(exist_ok=True)
-        self._write_or_check_config()
+        self._bind(resume)
         self._started_at = datetime.now(timezone.utc)
         self._timings: dict[str, float] = {}
 
-    def _write_or_check_config(self) -> None:
-        path = self.out_dir / CONFIG_NAME
+    def _bind(self, resume: bool) -> None:
+        config_path = self.out_dir / CONFIG_NAME
+        inputs_path = self.out_dir / INPUTS_NAME
         blob = canonical_json(self.config.to_dict())
-        if path.exists():
-            if path.read_text(encoding="utf-8").strip() != blob:
+        if config_path.exists():
+            if config_path.read_text(encoding="utf-8").strip() != blob:
                 raise ConfigError(
-                    f"{path} holds a different configuration; refusing to mix runs"
+                    f"{config_path} holds a different configuration; refusing to mix runs"
                 )
-        else:
-            _write_atomic(path, blob + "\n")
+            if resume:
+                recorded = {}
+                if inputs_path.exists():
+                    text = inputs_path.read_text(encoding="utf-8")
+                    recorded = _parse_object(text, str(inputs_path))
+                changed = [k for k in sorted(self.inputs) if recorded.get(k) != self.inputs[k]]
+                if changed:
+                    raise ConfigError(
+                        f"{inputs_path} does not record this run's {', '.join(changed)}; "
+                        "pass --no-resume to recompute the run"
+                    )
+        if not resume:
+            # a speaker finished on the old inputs must not count as done on the new
+            for marker in (self.out_dir / SPEAKERS_DIR).glob("*.done"):
+                marker.unlink()
+        # inputs first: a directory holding config.json always holds inputs.json
+        _write_atomic(inputs_path, canonical_json(self.inputs) + "\n")
+        if not config_path.exists():
+            _write_atomic(config_path, blob + "\n")
 
     def completed_speakers(self) -> dict[str, SpeakerRunResult]:
         """Load speakers already finished by an earlier invocation."""
@@ -160,12 +195,7 @@ class RunWriter:
         self._timings[result.speaker_id] = result.wall_time_s
         _write_atomic(rows_path.with_suffix(".done"), "")
 
-    def finalize(
-        self,
-        result: ExperimentResult,
-        manifest_path: Path | None = None,
-        checkpoint_fingerprint: str | None = None,
-    ) -> Path:
+    def finalize(self, result: ExperimentResult) -> Path:
         """Assemble results.jsonl in sorted speaker order and write the manifest."""
         results_path = self.out_dir / RESULTS_NAME
         _write_atomic(results_path, _jsonl(r for s in result.speakers for r in s.records))
@@ -175,8 +205,7 @@ class RunWriter:
             "started_at": self._started_at.isoformat(),
             "finished_at": finished_at.isoformat(),
             "config_fingerprint": self.config.fingerprint(),
-            "corpus_manifest_sha256": sha256_file(manifest_path) if manifest_path else None,
-            "checkpoint_fingerprint": checkpoint_fingerprint,
+            **self.inputs,
             "results_sha256": sha256_file(results_path),
             "speaker_wall_time_s": {k: self._timings.get(k) for k in sorted(self._timings)},
             "n_speakers": len(result.speakers),

@@ -83,10 +83,6 @@ class SpeakerRunResult:
     wer: float | None
     wall_time_s: float
 
-    @property
-    def n_flagged(self) -> int:
-        return sum(1 for r in self.records if r.flags)
-
 
 @dataclass(frozen=True)
 class ExperimentResult:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
 Every error raised by library code derives from :class:`TtaBenchError` so
-callers (and the CLI) can distinguish our failures from genuine bugs.
+callers (and the CLI) can distinguish our failures from genuine bugs. Each
+class is a family the CLI maps to one exit code (see ``cli``), or one that an
+``except`` clause tells apart; the message says which check failed.
 """
 
 from __future__ import annotations
@@ -14,35 +16,12 @@ class TtaBenchError(Exception):
 # --- manifest / corpus -------------------------------------------------------
 
 class ManifestError(TtaBenchError):
-    """Invalid or unreadable corpus manifest."""
-
-
-class MissingFieldError(ManifestError):
-    def __init__(self, field: str, line: int):
-        super().__init__(f"manifest record at line {line} is missing field {field!r}")
-        self.field = field
-        self.line = line
-
-
-class InvalidFieldError(ManifestError):
-    def __init__(self, field: str, line: int, reason: str):
-        super().__init__(f"manifest record at line {line}: field {field!r} {reason}")
-        self.field = field
-        self.line = line
-
-
-class DuplicateIdError(ManifestError):
-    def __init__(self, utterance_id: str, line: int):
-        super().__init__(f"duplicate utterance_id {utterance_id!r} at line {line}")
-        self.utterance_id = utterance_id
+    """Invalid or unreadable corpus manifest: a missing or invalid field, a
+    duplicate utterance id, or a file that cannot be read as UTF-8."""
 
 
 class UnreadableFileError(TtaBenchError):
     """File missing, unreadable, or not decodable."""
-
-
-class UnreadableManifestError(ManifestError, UnreadableFileError):
-    """Manifest file missing, unreadable, or not UTF-8: an input-validation error."""
 
 
 # --- audio / features --------------------------------------------------------
@@ -69,12 +48,6 @@ class ShapeMismatchError(TtaBenchError):
     """Logit width disagrees with vocabulary size."""
 
 
-class UnknownGroupError(TtaBenchError):
-    def __init__(self, group: str, known: list[str]):
-        super().__init__(f"unknown parameter group {group!r}; known groups: {known}")
-        self.group = group
-
-
 class CheckpointError(TtaBenchError):
     """Checkpoint file missing, corrupt, or wrong version."""
 
@@ -86,7 +59,8 @@ class FrozenParameterError(TtaBenchError):
 # --- adaptation engine -------------------------------------------------------
 
 class ConfigError(TtaBenchError):
-    """Adaptation or run configuration fails validation."""
+    """Adaptation or run configuration fails validation, an unknown parameter
+    group among it, or a run directory holds another configuration or inputs."""
 
 
 class NonFiniteLossError(TtaBenchError):
@@ -100,58 +74,17 @@ class NonFiniteLogitsError(NonFiniteLossError, ValueError):
 # --- evaluation / statistics -------------------------------------------------
 
 class EvaluationError(TtaBenchError):
-    """Base for scoring errors."""
-
-
-class EmptyReferenceError(EvaluationError):
-    """Reference transcript empty after normalization."""
-
-
-class EmptyListError(EvaluationError):
-    """Aggregate requested over an empty collection."""
+    """Scoring failed: an empty reference or collection, or runs that cover
+    different speakers."""
 
 
 class TooFewPairsError(EvaluationError):
-    """Not enough nonzero paired differences for a signed-rank test."""
-
-
-class AllZeroDifferencesError(EvaluationError):
-    """Every paired difference is zero; the test statistic is undefined."""
-
-
-class SpeakerSetMismatchError(EvaluationError):
-    """Two runs or tables do not cover the same speakers."""
+    """Fewer than 5 nonzero paired differences for a signed-rank test."""
 
 
 # --- analysis ----------------------------------------------------------------
 
 class AnalysisError(TtaBenchError):
-    """Base for analysis errors."""
-
-
-class TooFewFramesError(AnalysisError):
-    """Need at least two samples to estimate a covariance."""
-
-
-class DimensionMismatchError(AnalysisError):
-    """Gaussian summaries of different dimensionality."""
-
-
-class SingularCovarianceError(AnalysisError):
-    """Covariance not invertible even after the ridge."""
-
-
-class TooFewPointsError(AnalysisError):
-    """Projection requested on fewer than three points."""
-
-
-class LengthMismatchError(AnalysisError):
-    """Paired vectors of unequal length."""
-
-
-class ZeroVarianceError(AnalysisError):
-    """Correlation undefined because one input is constant."""
-
-
-class InvalidPError(AnalysisError):
-    """A p-value outside [0, 1] was supplied."""
+    """An analysis input is degenerate: too few frames or points, mismatched
+    dimensions or lengths, a singular covariance, a constant input, or a
+    p-value or significance level outside its range."""

@@ -17,17 +17,10 @@ import math
 import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    AllZeroDifferencesError,
-    EmptyListError,
-    EmptyReferenceError,
-    SpeakerSetMismatchError,
-    TooFewPairsError,
-)
+from .errors import EvaluationError, TooFewPairsError
 
 _NON_WORD = re.compile(r"[^A-Z0-9']+")
 _LONE_APOSTROPHE = re.compile(r"(?<![A-Z0-9])'|'(?![A-Z0-9])")
@@ -76,12 +69,12 @@ def wer(reference: str, hypothesis: str) -> WerCount:
     deletion, so the S/D/I decomposition is deterministic.
 
     Raises:
-        EmptyReferenceError: reference is empty after normalization.
+        EvaluationError: reference is empty after normalization.
     """
     ref = normalize_text(reference).split()
     hyp = normalize_text(hypothesis).split()
     if not ref:
-        raise EmptyReferenceError("reference transcript empty after normalization")
+        raise EvaluationError("reference transcript empty after normalization")
 
     m, n = len(ref), len(hyp)
     # d[i][j] = edit distance between ref[:i] and hyp[:j]
@@ -124,7 +117,7 @@ def wer(reference: str, hypothesis: str) -> WerCount:
 def speaker_wer(counts: Sequence[WerCount]) -> float:
     """Word-pooled WER for one speaker: (sum of errors) / (sum of reference words)."""
     if not counts:
-        raise EmptyListError("speaker_wer needs at least one utterance")
+        raise EvaluationError("speaker_wer needs at least one utterance")
     errors = sum(c.errors for c in counts)
     words = sum(c.reference_words for c in counts)
     return errors / words
@@ -133,22 +126,14 @@ def speaker_wer(counts: Sequence[WerCount]) -> float:
 def unweighted_mean_wer(speaker_wers: Sequence[float]) -> float:
     """Arithmetic mean of per-speaker WERs; every speaker weighted equally."""
     if not speaker_wers:
-        raise EmptyListError("no speaker has a scoreable utterance")
+        raise EvaluationError("no speaker has a scoreable utterance")
     return sum(speaker_wers) / len(speaker_wers)
-
-
-class Direction(Enum):
-    ADAPTED_BETTER = "adapted_better"
-    ADAPTED_WORSE = "adapted_worse"
-    TIED = "tied"
 
 
 @dataclass(frozen=True)
 class PairedTestResult:
     statistic: float  # W+: rank sum of pairs where baseline > adapted
     p_value: float
-    n_effective: int
-    direction: Direction
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_value <= 1.0:
@@ -204,21 +189,18 @@ def wilcoxon_signed_rank(
     (no continuity correction).
 
     Raises:
-        AllZeroDifferencesError: every pair is identical.
+        EvaluationError: the samples differ in length.
         TooFewPairsError: fewer than 5 nonzero differences.
     """
     if len(baseline) != len(adapted):
-        raise TooFewPairsError("paired samples must have equal length")
+        raise EvaluationError("paired samples must have equal length")
     diffs = [b - a for b, a in zip(baseline, adapted) if b != a]
-    if not diffs:
-        raise AllZeroDifferencesError("all paired differences are zero")
     n = len(diffs)
     if n < 5:
         raise TooFewPairsError(f"need >= 5 nonzero differences, got {n}")
 
     ranks = midranks([abs(d) for d in diffs]).tolist()
     w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
-    w_minus = sum(r for r, d in zip(ranks, diffs) if d < 0)
 
     if n <= 25:
         p = _exact_signed_rank_p(ranks, w_plus)
@@ -232,14 +214,7 @@ def wilcoxon_signed_rank(
         var -= sum(t**3 - t for t in seen.values()) / 48
         z = (w_plus - mu) / math.sqrt(var)
         p = min(1.0, math.erfc(abs(z) / math.sqrt(2)))
-
-    if w_plus > w_minus:
-        direction = Direction.ADAPTED_BETTER
-    elif w_plus < w_minus:
-        direction = Direction.ADAPTED_WORSE
-    else:
-        direction = Direction.TIED
-    return PairedTestResult(statistic=w_plus, p_value=p, n_effective=n, direction=direction)
+    return PairedTestResult(statistic=w_plus, p_value=p)
 
 
 # --- delta tables -------------------------------------------------------------
@@ -270,15 +245,14 @@ def build_delta_table(
     delta and a Wilcoxon p-value against the baseline.
 
     Raises:
-        EmptyListError: no adapted method.
-        SpeakerSetMismatchError: a method covers other speakers than the
-            baseline.
+        EvaluationError: no adapted method, or a method covers other speakers
+            than the baseline.
     """
     if not adapted:
-        raise EmptyListError("no adapted runs supplied")
+        raise EvaluationError("no adapted runs supplied")
     for method, wers in adapted.items():
         if set(wers) != set(baseline):
-            raise SpeakerSetMismatchError(
+            raise EvaluationError(
                 f"run {method!r} covers different speakers than the baseline"
             )
     speakers = sorted(baseline)
@@ -289,7 +263,7 @@ def build_delta_table(
         values = [wers[s] for s in speakers]
         try:
             p: float | None = wilcoxon_signed_rank(base, values).p_value
-        except (TooFewPairsError, AllZeroDifferencesError):
+        except TooFewPairsError:
             p = None
         mean = unweighted_mean_wer(values)
         rows.append(DeltaRow(setting, method, mean, mean - base_mean, p, len(speakers)))

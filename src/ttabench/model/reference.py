@@ -16,12 +16,10 @@ The forward pass runs in three stages: the conv stack (conv1, GELU, conv2,
 GELU), the layer-norm statistics (giving ``xhat``), and the layer-norm
 affine plus the head (giving ``h3``, then the logits, stored class-major: a
 C-contiguous C x L array whose transpose is ``LogitMatrix.values``, the
-layout the objectives compute in). ``frozen_features
-returns the deepest activation no selected group changes: ``xhat`` without
-``feature_extractor``, ``h3`` when only ``head`` is selected, None otherwise.
-``forward`` and ``gradient`` accept it and start from there, so repeated
-steps on one chunk under norm- or head-only adaptation run the conv stack
-once.
+layout the objectives compute in). ``frozen_features`` returns ``xhat``
+when ``feature_extractor`` is not selected, None otherwise. ``forward`` and
+``gradient`` accept it and start from there, so repeated steps on one chunk
+under norm- or head-only adaptation run the conv stack once.
 
 The backward pass skips what frozen groups need: the head gradients without
 ``head``, everything below the layer-norm gradients without
@@ -83,8 +81,8 @@ from ..corpus.audio import Waveform
 from ..errors import (
     AudioTooShortError,
     CheckpointError,
+    ConfigError,
     FrozenParameterError,
-    UnknownGroupError,
 )
 from . import threads
 from .types import LogitMatrix, LossFunctional, ModelSnapshot, Vocabulary, default_vocabulary
@@ -308,8 +306,7 @@ class ReferenceModel:
     agree with central finite differences.
 
     ``frozen_features(w)`` returns ``xhat`` when ``feature_extractor`` is not
-    selected and ``layer_norm`` is, ``h3`` when neither is (``head`` only),
-    and None when ``feature_extractor`` is selected. ``forward(w, frozen)``
+    selected, and None when it is. ``forward(w, frozen)``
     and ``gradient(w, loss_fn, frozen)`` given that value return bitwise the
     same as without it, as long as the selection and the unselected groups
     have not changed since it was computed.
@@ -323,8 +320,8 @@ class ReferenceModel:
 
     K1, S1 = 32, 2
     K2, S2 = 16, 2
-    _HOP = S1 * S2  # samples between consecutive output frames
-    _FIELD = (K2 - 1) * S1 + K1  # samples one output frame reads
+    HOP = S1 * S2  # samples between consecutive output frames
+    FIELD = (K2 - 1) * S1 + K1  # samples one output frame reads
 
     def __init__(self, seed: int, vocab: Vocabulary | None = None, feature_dim: int = 32):
         if feature_dim < 4:
@@ -359,7 +356,7 @@ class ReferenceModel:
 
     @property
     def min_input_samples(self) -> int:
-        return self._FIELD
+        return self.FIELD
 
     def output_length(self, n_samples: int) -> int:
         """Number of logit frames produced for an input of ``n_samples``."""
@@ -379,7 +376,7 @@ class ReferenceModel:
         samples they read; writes ``xhat[:, t0:t1]`` and ``inv[t0:t1]``. Returns what
         the span's backward pass reads, as views into ``ws``."""
         p = self._params
-        xs = x[self._HOP * t0 : self._HOP * (t1 - 1) + self._FIELD]
+        xs = x[self.HOP * t0 : self.HOP * (t1 - 1) + self.FIELD]
         n1 = (len(xs) - self.K1) // self.S1 + 1
         shape1 = (p["conv1_w"].shape[0], n1)
         shape2 = (p["conv2_w"].shape[0], t1 - t0)
@@ -449,32 +446,27 @@ class ReferenceModel:
         np.multiply(self._params["ln_gamma"][:, None], xhat, out=out)
         return np.add(out, self._params["ln_beta"][:, None], out=out)
 
-    def _frozen_stage(self) -> str | None:
-        selected = set(self._selected)
-        if "feature_extractor" in selected:
-            return None
-        return "xhat" if "layer_norm" in selected else "h3"
+    def _features_frozen(self) -> bool:
+        return "feature_extractor" not in self._selected
 
     def _features_shape(self, n_samples: int) -> tuple[int, int]:
         return self._params["ln_gamma"].shape[0], self.output_length(n_samples)
 
     def frozen_features(self, w: Waveform) -> np.ndarray | None:
-        """The deepest activation of ``w`` that no selected group changes, or None.
+        """``xhat``, the normalized conv output of ``w`` before the layer-norm affine,
+        when ``feature_extractor`` is not selected; else None.
 
-        ``xhat`` is the normalized conv output before the layer-norm affine,
-        ``h3`` the layer-norm output (see the class docstring for which one).
         Pass it to ``forward`` and ``gradient`` for the same waveform under
         the same selection; updates of the selected groups keep it valid.
         The array is newly allocated and owned by the caller.
         """
-        stage = self._frozen_stage()
-        if stage is None:
+        if not self._features_frozen():
             return None
         self._check_rate(w)
         shape = self._features_shape(len(w.samples))
         xhat = np.empty(shape)
         self._conv_features(w.samples, xhat, self._span_ws[0].get("inv", shape[1:]))
-        return xhat if stage == "xhat" else self._ln_affine(xhat, xhat)
+        return xhat
 
     def _forward_cached(self, x: np.ndarray, frozen: np.ndarray | None) -> dict[str, np.ndarray]:
         """Every activation the backward pass reads, and the class-major C x L logits
@@ -486,14 +478,12 @@ class ReferenceModel:
             xhat, inv = ws.get("xhat", shape), ws.get("inv", shape[1:])
             cache: dict = {"xhat": xhat, "inv": inv, "spans": self._conv_features(x, xhat, inv)}
         else:
-            stage = self._frozen_stage()
-            if stage is None:
+            if not self._features_frozen():
                 raise ValueError("frozen features given, but feature_extractor is selected")
             if frozen.shape != shape:
                 raise ValueError(f"frozen features shape {frozen.shape} != {shape}")
-            cache = {stage: frozen}
-        if "h3" not in cache:
-            cache["h3"] = self._ln_affine(cache["xhat"], ws.get("h3", shape))
+            cache = {"xhat": frozen}
+        cache["h3"] = self._ln_affine(cache["xhat"], ws.get("h3", shape))
         p = self._params
         z = np.matmul(p["head_w"], cache["h3"])
         cache["z"] = np.add(z, p["head_b"][:, None], out=z)
@@ -581,7 +571,8 @@ class ReferenceModel:
     def select_adaptable(self, groups: list[str] | tuple[str, ...]) -> None:
         for g in groups:
             if g not in self._groups:
-                raise UnknownGroupError(g, list(self._groups))
+                known = list(self._groups)
+                raise ConfigError(f"unknown parameter group {g!r}; known groups: {known}")
         self._selected = tuple(groups)
 
     def vocabulary(self) -> Vocabulary:

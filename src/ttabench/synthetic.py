@@ -83,6 +83,17 @@ def render_transcript(
     transcript: str, sample_rate_hz: int = CANONICAL_RATE_HZ
 ) -> RenderedUtterance:
     """Render a transcript as a tone sequence with per-sample labels."""
+    samples, labels, text = _render(transcript, sample_rate_hz)
+    return RenderedUtterance(
+        waveform=Waveform(samples=samples, sample_rate_hz=sample_rate_hz),
+        sample_labels=labels,
+        transcript=text,
+    )
+
+
+def _render(transcript: str, sample_rate_hz: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """``render_transcript``'s samples, per-sample labels and normalized text, with
+    the samples not yet validated as a ``Waveform``: a new array the caller owns."""
     text = normalize_text(transcript).lower()
     if not text:
         raise EmptyTranscriptError(f"nothing to render in {transcript!r}")
@@ -111,20 +122,13 @@ def render_transcript(
     samples[slots].reshape(n_chars, slot_n)[:, :tone_n] = tones[indices]
     labels = np.zeros(n, dtype=np.int64)
     labels[slots].reshape(n_chars, slot_n)[:, :tone_n] = np.array(indices)[:, None]
-    return RenderedUtterance(
-        waveform=Waveform(samples=samples, sample_rate_hz=sample_rate_hz),
-        sample_labels=labels,
-        transcript=text,
-    )
+    return samples, labels, text
 
 
 def frame_labels_for(model: ReferenceModel, sample_labels: np.ndarray) -> np.ndarray:
     """Label each model output frame by the sample at its receptive-field center."""
-    n = len(sample_labels)
-    n_frames = model.output_length(n)
-    stride = model.S1 * model.S2
-    field = (model.K2 - 1) * model.S1 + model.K1
-    centers = stride * np.arange(n_frames) + field // 2
+    n_frames = model.output_length(len(sample_labels))
+    centers = model.HOP * np.arange(n_frames) + model.FIELD // 2
     return sample_labels[centers]
 
 
@@ -206,16 +210,15 @@ def build_training_set(
     rng = np.random.default_rng(seed)
     examples = []
     for sentence in make_sentences(n_utterances, rng):
-        rendered = render_transcript(sentence)
+        samples, labels, text = _render(sentence, CANONICAL_RATE_HZ)
         gain = float(rng.uniform(*gain_range))
         snr_db = float(rng.uniform(*dither_snr_db_range))
-        noisy = rendered.waveform.samples
-        _mix_shift(noisy, gain, snr_db, rng)
+        _mix_shift(samples, gain, snr_db, rng)
         examples.append(
             TrainingExample(
-                waveform=Waveform(samples=noisy, sample_rate_hz=rendered.waveform.sample_rate_hz),
-                frame_labels=frame_labels_for(model, rendered.sample_labels),
-                transcript=rendered.transcript,
+                waveform=Waveform(samples=samples, sample_rate_hz=CANONICAL_RATE_HZ),
+                frame_labels=frame_labels_for(model, labels),
+                transcript=text,
             )
         )
     return examples
@@ -290,19 +293,18 @@ def build_shifted_corpus(
         sentences = make_sentences(utterances_per_speaker, rng)
         noise_rms_used = 0.0
         for k, sentence in enumerate(sentences):
-            rendered = render_transcript(sentence)
-            noisy = rendered.waveform.samples
-            noise_rms_used = _mix_shift(noisy, volumes[s], snrs[s], rng)
+            samples, _, text = _render(sentence, CANONICAL_RATE_HZ)
+            noise_rms_used = _mix_shift(samples, volumes[s], snrs[s], rng)
             utterance_id = f"{speaker_id}_utt{k:03d}"
             wav_path = audio_dir / f"{utterance_id}.wav"
-            w = Waveform(samples=noisy, sample_rate_hz=rendered.waveform.sample_rate_hz)
+            w = Waveform(samples=samples, sample_rate_hz=CANONICAL_RATE_HZ)
             write_wav(wav_path, w)
             utterances.append(
                 Utterance(
                     utterance_id=utterance_id,
                     speaker_id=speaker_id,
                     audio_path=str(wav_path),
-                    transcript=rendered.transcript,
+                    transcript=text,
                     duration_s=w.duration_s,
                 )
             )

@@ -23,17 +23,7 @@ from ttabench.analysis import (
 from ttabench.corpus.audio import read_audio
 from ttabench.corpus.features import compute_mfcc
 from ttabench.corpus.manifest import CorpusManifest, load_manifest, word_duration
-from ttabench.errors import (
-    DimensionMismatchError,
-    InvalidPError,
-    LengthMismatchError,
-    ManifestError,
-    SingularCovarianceError,
-    SpeakerSetMismatchError,
-    TooFewFramesError,
-    TooFewPointsError,
-    ZeroVarianceError,
-)
+from ttabench.errors import AnalysisError, ManifestError
 
 # --- Gaussian summaries and Bhattacharyya distance --------------------------------
 
@@ -49,9 +39,9 @@ def test_gaussian_summary_matches_numpy():
 
 
 def test_gaussian_summary_needs_two_frames():
-    with pytest.raises(TooFewFramesError):
+    with pytest.raises(AnalysisError, match="at least 2 frames, got 1"):
         gaussian_summary(np.zeros((1, 3)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(AnalysisError, match="T x D matrix"):
         gaussian_summary(np.zeros(5))
 
 
@@ -86,14 +76,14 @@ def test_bhattacharyya_multivariate_identity_and_symmetry():
 
 def test_bhattacharyya_rejects_singular_covariance():
     bad = GaussianSummary(mean=np.zeros(2), cov=np.zeros((2, 2)), n_frames=10)
-    with pytest.raises(SingularCovarianceError):
+    with pytest.raises(AnalysisError, match="not positive definite"):
         bhattacharyya_distance(bad, bad)
 
 
 def test_bhattacharyya_rejects_dimension_mismatch():
     a = _gauss_1d(0.0, 1.0)
     b = GaussianSummary(mean=np.zeros(2), cov=np.eye(2), n_frames=10)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(AnalysisError, match="dimension mismatch: 1 vs 2"):
         bhattacharyya_distance(a, b)
 
 
@@ -136,31 +126,27 @@ def test_within_speaker_variance_translation_invariant():
 def test_project_2d_orders_axes_by_variance():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(40, 5)) * np.array([8.0, 2.0, 0.5, 0.1, 0.05])
-    proj = project_2d(x)
-    assert proj.points.shape == (40, 2)
-    assert proj.points[:, 0].var() >= proj.points[:, 1].var()
-    ratio = proj.explained_variance_ratio
-    assert ratio is not None and ratio[0] >= ratio[1]
+    points = project_2d(x)
+    assert points.shape == (40, 2)
+    assert points[:, 0].var() >= points[:, 1].var()
 
 
 def test_project_2d_collinear_points_flatten():
     t = np.linspace(0, 1, 12)
     x = np.stack([t, 2 * t, -t], axis=1)
-    proj = project_2d(x)
-    assert np.allclose(proj.points[:, 1], 0.0, atol=1e-9)
+    assert np.allclose(project_2d(x)[:, 1], 0.0, atol=1e-9)
 
 
 def test_project_2d_is_deterministic():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(20, 6))
-    a, b = project_2d(x), project_2d(x)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(project_2d(x), project_2d(x))
 
 
 def test_project_2d_validation():
-    with pytest.raises(TooFewPointsError):
+    with pytest.raises(AnalysisError, match="at least 3 points, got 2"):
         project_2d(np.zeros((2, 4)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(AnalysisError, match="N x D with D >= 2"):
         project_2d(np.zeros((5, 1)))
 
 
@@ -254,11 +240,11 @@ def test_spearman_monotone_transform_invariance():
 
 
 def test_spearman_validation():
-    with pytest.raises(TooFewPointsError):
+    with pytest.raises(AnalysisError, match="at least 3 pairs, got 2"):
         spearman([1, 2], [3, 4])
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(AnalysisError, match="length mismatch: 3 vs 2"):
         spearman([1, 2, 3], [1, 2])
-    with pytest.raises(ZeroVarianceError):
+    with pytest.raises(AnalysisError, match="an input is constant; correlation is undefined"):
         spearman([1.0, 1.0, 1.0, 1.0], [1, 2, 3, 4])
 
 
@@ -290,7 +276,7 @@ def test_holm_bonferroni_matches_definitional_oracle():
         p = rng.uniform(0, 1, size=m).round(3).tolist()
         decisions = holm_bonferroni(p, alpha=0.05)
         oracle = _holm_oracle(p, 0.05)
-        assert [d.index for d in decisions] == list(range(m))
+        assert len(decisions) == m
         for d, (adj, rej) in zip(decisions, oracle):
             assert d.adjusted_p == pytest.approx(adj, abs=1e-12)
             assert d.reject == rej
@@ -301,7 +287,7 @@ def test_holm_rejections_contain_bonferroni_rejections():
     for _ in range(100):
         m = int(rng.integers(2, 10))
         p = rng.uniform(0, 0.2, size=m).tolist()
-        holm = {d.index for d in holm_bonferroni(p, alpha=0.05) if d.reject}
+        holm = {i for i, d in enumerate(holm_bonferroni(p, alpha=0.05)) if d.reject}
         bonferroni = {i for i, v in enumerate(p) if v * m < 0.05}
         assert bonferroni <= holm
 
@@ -314,9 +300,9 @@ def test_holm_known_example():
 
 
 def test_holm_validation():
-    with pytest.raises(InvalidPError):
+    with pytest.raises(AnalysisError, match="p-value out of range: 1.5"):
         holm_bonferroni([0.5, 1.5])
-    with pytest.raises(InvalidPError):
+    with pytest.raises(AnalysisError, match="alpha must lie in"):
         holm_bonferroni([0.5], alpha=0.0)
     assert holm_bonferroni([]) == []
 
@@ -340,14 +326,13 @@ def test_correlate_gains_orders_and_corrects():
     assert aligned.r == pytest.approx(1.0)
     assert aligned.adjusted_p >= aligned.p_value
     assert aligned.reject
-    assert rows[1].n == 8
 
 
 def test_correlate_gains_rejects_speaker_mismatch():
     gains, metrics = _gains_and_metrics()
     del metrics["aligned"]["s0"]
     metrics["aligned"]["s99"] = 1.0
-    with pytest.raises(SpeakerSetMismatchError):
+    with pytest.raises(AnalysisError, match="metric 'aligned' covers"):
         correlate_gains(gains, metrics)
 
 

@@ -17,7 +17,7 @@ from scipy.io import wavfile
 
 from helpers import sine, write_tone_corpus
 import ttabench
-from ttabench import cli
+from ttabench import cli, errors
 from ttabench.corpus.audio import Waveform, write_wav
 from ttabench.corpus.manifest import (
     CorpusManifest,
@@ -29,6 +29,7 @@ from ttabench.engine.artifacts import (
     RunWriter,
     read_run_config,
     read_run_records,
+    sha256_file,
 )
 from ttabench.engine.config import AdaptationConfig
 from ttabench.engine.runner import (
@@ -309,6 +310,48 @@ def test_adapt_resume_skips_completed_speakers(checkpoint, tmp_path):
     assert cli.main(argv) == 0
     assert (out / "results.jsonl").read_bytes() == first
     assert cli.main(argv + ["--no-resume"]) == 3
+
+
+@pytest.mark.parametrize("changed", ["checkpoint", "manifest"])
+def test_adapt_refuses_to_resume_a_run_of_other_inputs(changed, checkpoint, tmp_path, capsys):
+    manifest_path = write_tone_corpus(tmp_path, {"alpha": ["ad"], "bravo": ["ga"]})
+    out = tmp_path / "run"
+    argv = [
+        "adapt",
+        "--manifest", str(manifest_path),
+        "--checkpoint", str(checkpoint),
+        "--out", str(out),
+        "--method", "suta",
+        "--steps", "1",
+    ]
+    assert cli.main(argv) == 0
+    finished = {name: (out / name).read_bytes() for name in ("results.jsonl", "run_manifest.json")}
+
+    if changed == "checkpoint":
+        other = tmp_path / "other.npz"
+        save_checkpoint(build_reference_model(seed=6), other)
+        argv[argv.index(str(checkpoint))] = str(other)
+        field = "checkpoint_fingerprint"
+    else:
+        manifest = load_manifest(manifest_path)
+        first = dataclasses.replace(manifest.utterances[0], transcript="da")
+        save_manifest(CorpusManifest(utterances=(first, *manifest.utterances[1:])), manifest_path)
+        field = "corpus_manifest_sha256"
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"this run's {field};" in err and "--no-resume" in err
+    assert {name: (out / name).read_bytes() for name in finished} == finished
+
+    assert cli.main(argv + ["--no-resume"]) == 0
+    run_manifest = json.loads((out / "run_manifest.json").read_text())
+    checkpoint_used = Path(argv[argv.index("--checkpoint") + 1])
+    assert run_manifest["checkpoint_fingerprint"] == sha256_file(checkpoint_used)
+    assert run_manifest["corpus_manifest_sha256"] == sha256_file(manifest_path)
+    if changed == "manifest":
+        assert read_run_records(out)[0].reference == "DA"
+    # the recomputed run is now the one a resume continues
+    assert cli.main(argv) == 0
 
 
 def test_adapt_wav_declaring_rate_zero_is_a_flagged_record(checkpoint, tmp_path, caplog):
@@ -806,7 +849,8 @@ def _fake_record(speaker_id: str, idx: int, errors: int) -> UtteranceRecord:
 
 def _fake_run(out_dir: Path, method: str, errors_by_speaker: dict[str, int]) -> Path:
     config = AdaptationConfig(method=method)
-    writer = RunWriter(Path(out_dir), config)
+    inputs = {"checkpoint_fingerprint": "0" * 64, "corpus_manifest_sha256": "0" * 64}
+    writer = RunWriter(Path(out_dir), config, inputs)
     speakers = tuple(
         SpeakerRunResult(
             speaker_id=s,
@@ -1003,3 +1047,44 @@ def test_report_correlations_require_metrics_csv(tmp_path):
         ["report", "--runs", str(base), str(adapted), "--correlations", "ems_energy"]
     )
     assert code == 2
+
+
+# --- exit codes -----------------------------------------------------------------
+
+# the exit code of each class in errors.py, as the README documents it: 2 for a
+# validation family, 3 for every other toolkit error
+_EXIT_CODES = {
+    "TtaBenchError": 3,
+    "ManifestError": 2,
+    "UnreadableFileError": 3,
+    "UnsupportedFormatError": 2,
+    "CorruptFileError": 3,
+    "AudioTooShortError": 3,
+    "EmptyTranscriptError": 3,
+    "ShapeMismatchError": 3,
+    "CheckpointError": 2,
+    "FrozenParameterError": 3,
+    "ConfigError": 2,
+    "NonFiniteLossError": 3,
+    "NonFiniteLogitsError": 3,
+    "EvaluationError": 2,
+    "TooFewPairsError": 2,
+    "AnalysisError": 2,
+}
+_ERROR_CLASSES = [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)
+]
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_each_error_class_exits_with_its_documented_code(cls, monkeypatch, capsys):
+    def fail(args):
+        raise cls(f"{cls.__name__} from the command")
+
+    monkeypatch.setattr(cli, "cmd_evaluate", fail)
+    assert cli.main(["evaluate", "--run", "unused"]) == _EXIT_CODES[cls.__name__]
+    assert capsys.readouterr().err == f"error: {cls.__name__} from the command\n"
+
+
+def test_exit_code_table_names_every_error_class():
+    assert sorted(_EXIT_CODES) == sorted(c.__name__ for c in _ERROR_CLASSES)

@@ -392,12 +392,12 @@ def test_adapt_speaker_scores_and_flags(tmp_path, model):
     by_id = {r.utterance_id: r for r in result.records}
     assert by_id["u1"].count is not None
     assert by_id["u1"].reference == "HELLO THERE"
+    assert by_id["u1"].flags == ()
     assert by_id["u2"].flags == ("audio_too_short",)
     assert by_id["u2"].hypothesis == ""
     assert by_id["u2"].count is not None  # reference still scoreable: all deletions
     assert by_id["u3"].flags == ("empty_reference",)
     assert by_id["u3"].count is None
-    assert result.n_flagged == 2
     assert result.wer is not None
 
 
@@ -500,18 +500,22 @@ def test_record_dict_has_no_timestamps(tmp_path, model):
     assert "time" not in blob and "wall" not in blob
 
 
+# the sha256 values a run directory is tied to
+_INPUTS = {"checkpoint_fingerprint": "ab" * 32, "corpus_manifest_sha256": "cd" * 32}
+
+
 def test_run_writer_resume_and_finalize(tmp_path, model):
     manifest = _experiment_fixture(tmp_path / "corpus")
     config = _suta_config()
     out = tmp_path / "run"
     factory = functools.partial(build_reference_model, 3)
 
-    writer = RunWriter(out, config)
+    writer = RunWriter(out, config, _INPUTS)
     assert writer.completed_speakers() == {}
     result = run_experiment(
         factory, manifest, config, workers=1, on_speaker_done=writer.speaker_done
     )
-    results_path = writer.finalize(result, manifest_path=None, checkpoint_fingerprint="ab" * 32)
+    results_path = writer.finalize(result)
 
     # per-speaker rows concatenated in sorted order make up results.jsonl
     speaker_rows = []
@@ -521,13 +525,14 @@ def test_run_writer_resume_and_finalize(tmp_path, model):
         )
     assert results_path.read_text().splitlines() == speaker_rows
 
-    resumed = RunWriter(out, config).completed_speakers()
+    resumed = RunWriter(out, config, _INPUTS).completed_speakers()
     assert set(resumed) == {"alpha", "bravo"}
     assert resumed["alpha"].wer == pytest.approx(result.speakers[0].wer)
 
     run_manifest = json.loads((out / "run_manifest.json").read_text())
     assert run_manifest["config_fingerprint"] == config.fingerprint()
     assert run_manifest["checkpoint_fingerprint"] == "ab" * 32
+    assert run_manifest["corpus_manifest_sha256"] == "cd" * 32
     assert run_manifest["n_utterances"] == 4
 
     assert read_run_config(out) == config
@@ -542,7 +547,7 @@ def test_run_writer_failing_midway_leaves_the_earlier_files_whole(tmp_path, monk
     manifest = _experiment_fixture(tmp_path / "corpus")
     config = _suta_config()
     out = tmp_path / "run"
-    writer = RunWriter(out, config)
+    writer = RunWriter(out, config, _INPUTS)
     factory = functools.partial(build_reference_model, 3)
     result = run_experiment(
         factory, manifest, config, workers=1, on_speaker_done=writer.speaker_done
@@ -578,13 +583,48 @@ def test_run_writer_failing_midway_leaves_the_earlier_files_whole(tmp_path, monk
 
 def test_run_writer_rejects_config_mixing(tmp_path):
     out = tmp_path / "run"
-    RunWriter(out, _suta_config())
+    RunWriter(out, _suta_config(), _INPUTS)
     with pytest.raises(ConfigError):
-        RunWriter(out, _suta_config(steps_n=9))
+        RunWriter(out, _suta_config(steps_n=9), _INPUTS)
+    with pytest.raises(ConfigError, match="different configuration"):
+        RunWriter(out, _suta_config(steps_n=9), _INPUTS, resume=False)
+
+
+@pytest.mark.parametrize("changed", sorted(_INPUTS))
+def test_run_writer_refuses_to_resume_on_other_inputs(tmp_path, changed):
+    out = tmp_path / "run"
+    RunWriter(out, _suta_config(), _INPUTS)
+    inputs_file = (out / "inputs.json").read_bytes()
+    other = {**_INPUTS, changed: "ef" * 32}
+    with pytest.raises(ConfigError, match=f"does not record this run's {changed};"):
+        RunWriter(out, _suta_config(), other)
+    assert (out / "inputs.json").read_bytes() == inputs_file
+    # a directory with no record of its inputs is refused the same way
+    (out / "inputs.json").unlink()
+    with pytest.raises(ConfigError, match="checkpoint_fingerprint, corpus_manifest_sha256"):
+        RunWriter(out, _suta_config(), _INPUTS)
+
+
+def test_run_writer_without_resume_forgets_speakers_of_other_inputs(tmp_path):
+    manifest = _experiment_fixture(tmp_path / "corpus")
+    config = _suta_config(steps_n=1)
+    out = tmp_path / "run"
+    writer = RunWriter(out, config, _INPUTS)
+    run_experiment(
+        functools.partial(build_reference_model, 3), manifest, config,
+        on_speaker_done=writer.speaker_done,
+    )
+    assert set(RunWriter(out, config, _INPUTS).completed_speakers()) == {"alpha", "bravo"}
+    # a recompute on other inputs that stops before its first speaker leaves no
+    # speaker a later resume on those inputs would take as done
+    other = {**_INPUTS, "checkpoint_fingerprint": "ef" * 32}
+    RunWriter(out, config, other, resume=False)
+    assert RunWriter(out, config, other).completed_speakers() == {}
+    assert json.loads((out / "inputs.json").read_text()) == other
 
 
 def test_read_run_records_requires_finalized_run(tmp_path):
     out = tmp_path / "run"
-    RunWriter(out, _suta_config())
+    RunWriter(out, _suta_config(), _INPUTS)
     with pytest.raises(ConfigError):
         read_run_records(out)

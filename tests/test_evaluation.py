@@ -6,15 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttabench.errors import (
-    AllZeroDifferencesError,
-    EmptyListError,
-    EmptyReferenceError,
-    SpeakerSetMismatchError,
-    TooFewPairsError,
-)
+from ttabench.errors import EvaluationError, TooFewPairsError
 from ttabench.evaluation import (
-    Direction,
     WerCount,
     build_delta_table,
     format_delta_table,
@@ -93,9 +86,9 @@ def test_wer_empty_hypothesis_is_all_deletions():
 
 
 def test_wer_empty_reference_raises():
-    with pytest.raises(EmptyReferenceError):
+    with pytest.raises(EvaluationError, match="reference transcript empty"):
         wer("", "a")
-    with pytest.raises(EmptyReferenceError):
+    with pytest.raises(EvaluationError, match="reference transcript empty"):
         wer("!!!", "a")
 
 
@@ -145,13 +138,13 @@ def test_speaker_wer_pools_counts():
 
 
 def test_speaker_wer_rejects_empty():
-    with pytest.raises(EmptyListError):
+    with pytest.raises(EvaluationError, match="at least one utterance"):
         speaker_wer([])
 
 
 def test_unweighted_mean_wer():
     assert unweighted_mean_wer([0.1, 0.3]) == pytest.approx(0.2)
-    with pytest.raises(EmptyListError):
+    with pytest.raises(EvaluationError, match="no speaker has a scoreable utterance"):
         unweighted_mean_wer([])
 
 
@@ -199,10 +192,8 @@ def test_wilcoxon_all_positive_n6():
     baseline = [0.30, 0.40, 0.50, 0.60, 0.70, 0.80]
     adapted = [0.25, 0.32, 0.41, 0.52, 0.63, 0.74]
     r = wilcoxon_signed_rank(baseline, adapted)
-    assert r.n_effective == 6
     assert r.statistic == 21.0
     assert r.p_value == pytest.approx(0.03125, abs=1e-12)
-    assert r.direction is Direction.ADAPTED_BETTER
 
 
 def test_wilcoxon_matches_enumeration_oracle():
@@ -226,26 +217,37 @@ def test_wilcoxon_drops_zero_differences():
     baseline = [0.5, 0.5, 0.4, 0.6, 0.7, 0.8, 0.9]
     adapted = [0.5, 0.5, 0.3, 0.5, 0.6, 0.7, 0.8]
     r = wilcoxon_signed_rank(baseline, adapted)
-    assert r.n_effective == 5
+    # the same test on the five nonzero pairs alone; with the zeros kept, 7 pairs
+    # would give another exact distribution
+    assert r == wilcoxon_signed_rank(baseline[2:], adapted[2:])
+    with pytest.raises(TooFewPairsError, match="got 4"):
+        wilcoxon_signed_rank(baseline[:6], adapted[:6])
 
 
 def test_wilcoxon_all_zero_raises():
-    with pytest.raises(AllZeroDifferencesError):
+    with pytest.raises(TooFewPairsError, match="need >= 5 nonzero differences, got 0"):
         wilcoxon_signed_rank([0.1, 0.2, 0.3, 0.4, 0.5], [0.1, 0.2, 0.3, 0.4, 0.5])
 
 
 def test_wilcoxon_too_few_pairs_raises():
-    with pytest.raises(TooFewPairsError):
+    with pytest.raises(TooFewPairsError, match="got 4"):
         wilcoxon_signed_rank([0.1, 0.2, 0.3, 0.4], [0.0, 0.1, 0.2, 0.3])
+
+
+def test_wilcoxon_unequal_lengths_are_not_too_few_pairs():
+    # a length mismatch is a caller's mistake, which build_delta_table must not
+    # turn into p = None the way it does for too few pairs
+    with pytest.raises(EvaluationError, match="equal length") as exc:
+        wilcoxon_signed_rank([0.1] * 6, [0.0] * 5)
+    assert not isinstance(exc.value, TooFewPairsError)
 
 
 def test_wilcoxon_large_n_uses_normal_approximation():
     baseline = [0.5 + 0.01 * (i + 1) for i in range(30)]
     adapted = [0.5 - 0.001 * (i + 1) for i in range(30)]
     r = wilcoxon_signed_rank(baseline, adapted)
-    assert r.n_effective == 30
+    assert r.statistic == 30 * 31 / 2  # every one of the 30 pairs favours adaptation
     assert 0.0 < r.p_value < 0.001
-    assert r.direction is Direction.ADAPTED_BETTER
 
 
 # --- delta table ------------------------------------------------------------------
@@ -274,14 +276,14 @@ def test_build_delta_table_derives_unadapted_row():
 
 def test_build_delta_table_rejects_mismatched_speakers():
     baseline = {"s1": 0.5, "s2": 0.6}
-    with pytest.raises(SpeakerSetMismatchError, match="sgem"):
+    with pytest.raises(EvaluationError, match="run 'sgem' covers different speakers"):
         build_delta_table(
             "default", baseline, {"suta": {"s1": 0.4, "s2": 0.5}, "sgem": {"s1": 0.4, "s3": 0.5}}
         )
 
 
 def test_build_delta_table_empty_raises():
-    with pytest.raises(EmptyListError):
+    with pytest.raises(EvaluationError, match="no adapted runs supplied"):
         build_delta_table("default", {"s1": 0.5}, {})
 
 

@@ -1,8 +1,11 @@
 """Every module of the package imports on its own, with no other module loaded first,
-and every name the benchmark's tracer wraps still exists at its module path."""
+every name the benchmark's tracer wraps still exists at its module path, and every
+error class earns its place."""
 
 from __future__ import annotations
 
+import ast
+import builtins
 import importlib
 import os
 import subprocess
@@ -114,3 +117,42 @@ def test_traced_gradient_is_one_span_whatever_its_helper_thread_runs(tmp_path, m
         "objectives.sgem_loss_and_grad"
     ]
     assert len(spans) == 2
+
+
+def _class_bases(path: Path) -> dict[str, list[str]]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.name: [ast.unparse(b) for b in node.bases]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def _names_in_except_clauses(root: Path) -> set[str]:
+    names: set[str] = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names.update(
+                    n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(node.type)
+                    if isinstance(n, (ast.Name, ast.Attribute))
+                )
+    return names
+
+
+def test_every_error_class_is_a_family_or_caught_by_name():
+    # a subclass that no except clause tells apart from its base only renames it
+    src = Path(ttabench.__file__).resolve().parent
+    caught = _names_in_except_clauses(src)
+    builtin_errors = {
+        name for name, obj in vars(builtins).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    loose = [
+        name for name, bases in _class_bases(src / "errors.py").items()
+        if "TtaBenchError" not in bases
+        and name not in caught
+        and not builtin_errors & set(bases)
+    ]
+    assert loose == []

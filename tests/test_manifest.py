@@ -11,14 +11,7 @@ from ttabench.corpus.manifest import (
     save_manifest,
     word_duration,
 )
-from ttabench.errors import (
-    DuplicateIdError,
-    EmptyTranscriptError,
-    InvalidFieldError,
-    ManifestError,
-    MissingFieldError,
-    UnreadableFileError,
-)
+from ttabench.errors import EmptyTranscriptError, ManifestError
 
 
 def _utt(i, speaker="spk1", duration=2.0, transcript="hello world"):
@@ -63,16 +56,15 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_missing_file_raises(tmp_path):
-    with pytest.raises(UnreadableFileError):
+    with pytest.raises(ManifestError, match="cannot read manifest .*nope.jsonl"):
         load_manifest(tmp_path / "nope.jsonl")
 
 
 def test_load_reports_missing_field_with_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"utterance_id": "u1", "speaker_id": "s"}\n')
-    with pytest.raises(MissingFieldError) as exc:
+    with pytest.raises(ManifestError, match="at line 1 is missing field 'audio_path'"):
         load_manifest(path)
-    assert "line 1" in str(exc.value)
 
 
 def test_load_reports_bad_types(tmp_path):
@@ -85,7 +77,7 @@ def test_load_reports_bad_types(tmp_path):
         "duration_s": "long",
     }
     path.write_text(json.dumps(record) + "\n")
-    with pytest.raises(InvalidFieldError):
+    with pytest.raises(ManifestError, match="line 1: field 'duration_s' must be a number"):
         load_manifest(path)
 
 
@@ -99,7 +91,7 @@ def test_load_rejects_duplicate_ids(tmp_path):
     }
     path = tmp_path / "dup.jsonl"
     path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n")
-    with pytest.raises(DuplicateIdError):
+    with pytest.raises(ManifestError, match="duplicate utterance_id 'u1' at line 2"):
         load_manifest(path)
 
 
@@ -137,19 +129,15 @@ def test_duration_stats_hand_computed():
         ),
     )
     stats = duration_stats(m)
-    assert stats.n_utterances == 3
     assert stats.n_speakers == 2
     assert stats.mean_duration_s == pytest.approx(4.0)
     assert stats.sd_duration_s == pytest.approx(2.0)
     assert stats.total_hours == pytest.approx(12.0 / 3600.0)
-    assert stats.mean_utterances_per_speaker == pytest.approx(1.5)
-    assert stats.min_duration_s == 2.0
-    assert stats.max_duration_s == 6.0
 
 
 def test_duration_stats_empty_manifest():
     stats = duration_stats(CorpusManifest(utterances=()))
-    assert stats.n_utterances == 0
+    assert stats.n_speakers == 0
     assert stats.total_hours == 0.0
 
 

@@ -10,10 +10,10 @@ from ttabench.corpus.audio import Waveform
 from ttabench.errors import (
     AudioTooShortError,
     CheckpointError,
+    ConfigError,
     FrozenParameterError,
     NonFiniteLogitsError,
     ShapeMismatchError,
-    UnknownGroupError,
 )
 from ttabench.model.decode import collapse_ctc_labels, greedy_ctc_decode
 from ttabench.model import reference, threads
@@ -146,12 +146,7 @@ def test_gelu_matches_closed_form_bitwise():
     assert da.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize(
-    "groups,stage",
-    [(("layer_norm",), "xhat"), (("layer_norm", "head"), "xhat"), (("head",), "h3")],
-    ids="+".join,
-)
-def test_frozen_features_are_the_deepest_unselected_activation(model, groups, stage):
+def _check_frozen_features(model, groups, stage):
     w = noise(0.1, seed=5)
     model.select_adaptable(list(groups))
     frozen = model.frozen_features(w)
@@ -161,7 +156,21 @@ def test_frozen_features_are_the_deepest_unselected_activation(model, groups, st
     record, grads = model.gradient(w, loss_fn, frozen)
     full_record, full_grads = model.gradient(w, loss_fn)
     assert record.total == full_record.total
+    assert set(grads) == set(full_grads)
     assert all(grads[k].tobytes() == full_grads[k].tobytes() for k in full_grads)
+
+
+@pytest.mark.parametrize(
+    "groups,stage", [(("layer_norm",), "xhat"), (("layer_norm", "head"), "xhat")], ids="+".join
+)
+def test_frozen_features_are_the_deepest_unselected_activation(model, groups, stage):
+    _check_frozen_features(model, groups, stage)
+
+
+def test_frozen_features_under_head_only_adaptation_are_xhat(model):
+    # head-only steps recompute the layer-norm affine from xhat rather than
+    # start from its output, so there is one frozen stage
+    _check_frozen_features(model, ("head",), "xhat")
 
 
 def test_frozen_features_none_when_feature_extractor_selected(model):
@@ -186,7 +195,7 @@ def test_groups_and_default_selection(model):
 
 
 def test_select_adaptable_unknown_group(model):
-    with pytest.raises(UnknownGroupError):
+    with pytest.raises(ConfigError, match="unknown parameter group 'attention'; known groups"):
         model.select_adaptable(["feature_extractor", "attention"])
 
 
@@ -358,7 +367,7 @@ def test_gradient_returns_only_selected_groups(model):
 
 def _wave_with_frames(n_frames: int, seed: int) -> Waveform:
     """Noise giving ``n_frames`` logit frames, plus 3 trailing samples that feed none."""
-    n = ReferenceModel._HOP * (n_frames - 1) + ReferenceModel._FIELD + 3
+    n = ReferenceModel.HOP * (n_frames - 1) + ReferenceModel.FIELD + 3
     x = np.random.default_rng(seed).normal(0.0, 0.1, n)
     return Waveform(samples=x, sample_rate_hz=16000)
 
