@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -64,7 +63,7 @@ from .evaluation import (
     write_delta_table_csv,
     write_speaker_gains_csv,
 )
-from .model.reference import checkpoint_fingerprint, load_checkpoint
+from .model.reference import load_checkpoint
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -108,10 +107,7 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
 
     def validate_paths(self) -> None:
-        if not Path(self.manifest_path).exists():
-            raise ConfigError(f"manifest not found: {self.manifest_path}")
-        if not Path(self.checkpoint_ref).exists():
-            raise ConfigError(f"checkpoint not found: {self.checkpoint_ref}")
+        # the manifest and the checkpoint are checked as they are read
         out = Path(self.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         if not os.access(out, os.W_OK):
@@ -256,15 +252,16 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
 def cmd_adapt(args: argparse.Namespace) -> int:
     run_cfg = _build_run_config(args)
     run_cfg.validate_paths()
+    # each input is read once, and the run records the sha256 of the bytes it parsed
     manifest = load_manifest(Path(run_cfg.manifest_path))
+    model = load_checkpoint(Path(run_cfg.checkpoint_ref))
     inputs = {
-        "checkpoint_fingerprint": checkpoint_fingerprint(Path(run_cfg.checkpoint_ref)),
-        "corpus_manifest_sha256": sha256_file(Path(run_cfg.manifest_path)),
+        "checkpoint_fingerprint": model.source_sha256,
+        "corpus_manifest_sha256": manifest.source_sha256,
     }
-    factory = functools.partial(load_checkpoint, Path(run_cfg.checkpoint_ref))
     if "sgem" in run_cfg.methods:
         # sgem keeps the top neg_k of the checkpoint's output classes per frame
-        n_classes = len(factory().vocabulary())
+        n_classes = len(model.vocabulary())
         if run_cfg.adaptation.neg_k >= n_classes:
             raise ConfigError(
                 f"neg_k must be below the checkpoint's {n_classes} output classes, "
@@ -280,7 +277,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
         writer = RunWriter(out_dir, config, inputs, resume=args.resume)
         completed = writer.completed_speakers() if args.resume else {}
         result = run_experiment(
-            factory,
+            model,
             manifest,
             config,
             workers=run_cfg.workers,

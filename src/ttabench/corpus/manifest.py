@@ -8,10 +8,11 @@ partitions the list without reordering within a speaker.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -52,6 +53,8 @@ class Utterance:
 class CorpusManifest:
     utterances: tuple[Utterance, ...]
     split: Split = Split.TEST
+    # the sha256 of the bytes load_manifest parsed; None for one built in memory
+    source_sha256: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -75,7 +78,8 @@ class CorpusManifest:
 
 
 def load_manifest(path: str | os.PathLike) -> CorpusManifest:
-    """Parse a JSON-lines manifest, preserving file order.
+    """Parse a JSON-lines manifest, read once, preserving file order; its
+    ``source_sha256`` is the sha256 of the bytes parsed.
 
     Raises:
         ManifestError: file missing or undecodable, a record that is not a JSON
@@ -83,7 +87,8 @@ def load_manifest(path: str | os.PathLike) -> CorpusManifest:
             and line), or a repeated utterance_id.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
+        text = raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
 
@@ -130,7 +135,9 @@ def load_manifest(path: str | os.PathLike) -> CorpusManifest:
         except ValueError as exc:
             raise ManifestError(f"manifest record at line {lineno}: field 'record' {exc}") from exc
 
-    return CorpusManifest(utterances=tuple(utterances))
+    return CorpusManifest(
+        utterances=tuple(utterances), source_sha256=hashlib.sha256(raw).hexdigest()
+    )
 
 
 def save_manifest(manifest: CorpusManifest, path: str | os.PathLike) -> None:

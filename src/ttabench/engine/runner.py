@@ -26,8 +26,6 @@ from .optim import Optimizer, build_optimizer
 
 logger = logging.getLogger(__name__)
 
-ModelFactory = Callable[[], ReferenceModel]
-
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -293,18 +291,8 @@ def adapt_speaker(
     )
 
 
-def _run_speaker(
-    model_factory: ModelFactory,
-    config: AdaptationConfig,
-    speaker: tuple[str, Sequence[Utterance]],
-) -> SpeakerRunResult:
-    """One speaker on a fresh model; module-level so a partial of it pickles."""
-    speaker_id, utterances = speaker
-    return adapt_speaker(model_factory(), speaker_id, utterances, config)
-
-
 def run_experiment(
-    model_factory: ModelFactory,
+    model: ReferenceModel,
     manifest: CorpusManifest,
     config: AdaptationConfig,
     workers: int = 1,
@@ -313,35 +301,42 @@ def run_experiment(
 ) -> ExperimentResult:
     """Adapt and score every speaker in the manifest.
 
-    Speakers are independent: each starts from a fresh model built by
-    ``model_factory``, so results are identical for any worker count and any
-    completion order. Speakers present in ``completed`` are reused as-is
-    (resume support); ``on_speaker_done`` fires as each speaker finishes.
-    The returned speaker order is sorted by speaker id.
+    Speakers are independent: each starts from the parameters ``model`` holds
+    when the call begins (its base), restored before each speaker in-process
+    and pickled, without workspaces, into each pool task. So results are
+    identical for any worker count and any completion order, and ``model``
+    holds its base again when the call returns or raises. Speakers present in
+    ``completed`` are reused as-is (resume support); ``on_speaker_done`` fires
+    as each speaker finishes. The returned speaker order is sorted by speaker id.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     completed = dict(completed or {})
-    run_speaker = functools.partial(_run_speaker, model_factory, config)
-    tasks = [
-        (speaker_id, tuple(utts))
+    todo = {
+        speaker_id: tuple(utts)
         for speaker_id, utts in sorted(manifest.speakers().items())
         if speaker_id not in completed
-    ]
+    }
 
     results: dict[str, SpeakerRunResult] = dict(completed)
-    if workers == 1 or len(tasks) <= 1:
-        for task in tasks:
-            result = run_speaker(task)
-            results[result.speaker_id] = result
-            if on_speaker_done is not None:
-                on_speaker_done(result)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(run_speaker, tasks):
+    base = model.snapshot()
+    try:
+        if workers == 1 or len(todo) <= 1:
+            for speaker_id, utterances in todo.items():
+                model.restore(base)
+                result = adapt_speaker(model, speaker_id, utterances, config)
                 results[result.speaker_id] = result
                 if on_speaker_done is not None:
                     on_speaker_done(result)
+        else:
+            adapt = functools.partial(adapt_speaker, model, config=config)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for result in pool.map(adapt, todo, todo.values()):
+                    results[result.speaker_id] = result
+                    if on_speaker_done is not None:
+                        on_speaker_done(result)
+    finally:
+        model.restore(base)
 
     ordered = tuple(results[sid] for sid in sorted(results))
     return ExperimentResult(config=config, speakers=ordered)

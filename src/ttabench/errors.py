@@ -49,7 +49,8 @@ class ShapeMismatchError(TtaBenchError):
 
 
 class CheckpointError(TtaBenchError):
-    """Checkpoint file missing, corrupt, or wrong version."""
+    """Checkpoint file missing, unreadable or of the wrong version, metadata of the
+    wrong type or out of range, or a tensor missing, misshapen or not finite."""
 
 
 class FrozenParameterError(TtaBenchError):

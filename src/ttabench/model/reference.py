@@ -68,8 +68,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import json
 import math
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -316,6 +319,8 @@ class ReferenceModel:
     model); see the module docstring for the spans and their threads. The
     arrays ``forward``, ``frozen_features`` and ``gradient`` return are
     newly allocated and owned by the caller; later calls never write to them.
+    A pickled model carries its parameters, not its workspaces: the copy
+    starts with empty ones.
     """
 
     K1, S1 = 32, 2
@@ -350,7 +355,23 @@ class ReferenceModel:
         }
         self._selected: tuple[str, ...] = ("feature_extractor", "layer_norm")
         self.sample_rate_hz = 16000
+        self._source_sha256: str | None = None
         self._span_ws = (_Workspace(), _Workspace())  # one per frame span
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_span_ws"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._span_ws = (_Workspace(), _Workspace())
+
+    @property
+    def source_sha256(self) -> str | None:
+        """sha256 of the checkpoint bytes ``load_checkpoint`` built the model from;
+        None for a model built in memory."""
+        return self._source_sha256
 
     # --- shape arithmetic ---------------------------------------------------
 
@@ -611,44 +632,112 @@ def save_checkpoint(model: ReferenceModel, path: str | Path) -> None:
         np.savez(f, __meta__=np.array(json.dumps(meta)), **model._params)
 
 
+# the metadata keys save_checkpoint writes, with the JSON type of each; a
+# checkpoint may leave out selected_groups
+_META_KEYS = {
+    "magic": str,
+    "seed": int,
+    "feature_dim": int,
+    "sample_rate_hz": int,
+    "symbols": list,
+    "blank_index": int,
+    "word_delimiter_index": int,
+    "selected_groups": list,
+}
+
+
+def _checkpoint_meta(record: np.ndarray, where: str) -> dict:
+    """The checkpoint's metadata: every key of ``_META_KEYS`` (selected_groups may be
+    left out) and no other, each of its type and in range."""
+    try:
+        meta = json.loads(str(record))
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{where} has corrupt metadata") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{where}: metadata must be a JSON object")
+    if meta.get("magic") != CHECKPOINT_MAGIC:
+        raise CheckpointError(
+            f"{where} is not a {CHECKPOINT_MAGIC} checkpoint (magic={meta.get('magic')!r})"
+        )
+    unknown = sorted(set(meta) - set(_META_KEYS))
+    if unknown:
+        raise CheckpointError(f"{where}: unknown metadata keys {unknown}")
+    missing = sorted(set(_META_KEYS) - set(meta) - {"selected_groups"})
+    if missing:
+        raise CheckpointError(f"{where}: metadata lacks {missing}")
+    for key, value in meta.items():
+        kind = _META_KEYS[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise CheckpointError(f"{where}: metadata {key!r} must be a JSON {kind.__name__}")
+    if not all(isinstance(s, str) for s in meta["symbols"]):
+        raise CheckpointError(f"{where}: metadata 'symbols' must be strings")
+    if meta["feature_dim"] < 4:
+        raise CheckpointError(f"{where}: metadata 'feature_dim' must be >= 4")
+    if meta["seed"] < 0:
+        raise CheckpointError(f"{where}: metadata 'seed' must be >= 0")
+    return meta
+
+
 def load_checkpoint(path: str | Path) -> ReferenceModel:
-    """Rebuild a reference model from a checkpoint file.
+    """Rebuild a reference model from a checkpoint file, read once.
+
+    The model's ``source_sha256`` is the sha256 of the bytes it was built from.
 
     Raises:
-        CheckpointError: missing file, wrong magic, or missing tensors.
+        CheckpointError: an unreadable file or archive, wrong magic, metadata
+            that is not a JSON object holding each key of ``save_checkpoint``
+            with its type and in range (distinct symbols, two distinct indices
+            among them, feature_dim >= 4, seed >= 0, the model's sample rate,
+            known groups), or a tensor that is missing, unknown, not real
+            floating, of the wrong shape or not finite. The message names the
+            key or tensor.
     """
     try:
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {k: np.array(data[k]) for k in data.files}
-    except (OSError, ValueError) as exc:
+        raw = Path(path).read_bytes()
+        with np.load(io.BytesIO(raw), allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if "__meta__" not in arrays:
         raise CheckpointError(f"{path} has no metadata record")
+    meta = _checkpoint_meta(arrays.pop("__meta__"), str(path))
     try:
-        meta = json.loads(str(arrays.pop("__meta__")))
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path} has corrupt metadata") from exc
-    if meta.get("magic") != CHECKPOINT_MAGIC:
-        raise CheckpointError(
-            f"{path} is not a {CHECKPOINT_MAGIC} checkpoint (magic={meta.get('magic')!r})"
+        vocab = Vocabulary(
+            symbols=tuple(meta["symbols"]),
+            blank_index=meta["blank_index"],
+            word_delimiter_index=meta["word_delimiter_index"],
         )
-    vocab = Vocabulary(
-        symbols=tuple(meta["symbols"]),
-        blank_index=int(meta["blank_index"]),
-        word_delimiter_index=int(meta["word_delimiter_index"]),
-    )
-    model = ReferenceModel(int(meta["seed"]), vocab, int(meta["feature_dim"]))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: metadata {exc}") from exc
+    # building the model draws every tensor at random, so first bound its size by the file's
+    if np.shape(arrays.get("ln_gamma")) != (meta["feature_dim"],):
+        raise CheckpointError(f"{path}: metadata 'feature_dim' does not match tensor ln_gamma")
+    model = ReferenceModel(meta["seed"], vocab, meta["feature_dim"])
+    if meta["sample_rate_hz"] != model.sample_rate_hz:
+        raise CheckpointError(
+            f"{path}: metadata 'sample_rate_hz' is {meta['sample_rate_hz']}, "
+            f"the model reads {model.sample_rate_hz} Hz audio"
+        )
+    groups = meta.get("selected_groups", ["feature_extractor", "layer_norm"])
+    if not all(isinstance(g, str) and g in model._groups for g in groups):
+        raise CheckpointError(
+            f"{path}: metadata 'selected_groups' {groups} names a group not in "
+            f"{list(model._groups)}"
+        )
     missing = [k for k in model._params if k not in arrays]
     if missing:
         raise CheckpointError(f"{path} is missing tensors: {missing}")
-    for name in model._params:
-        if arrays[name].shape != model._params[name].shape:
-            raise CheckpointError(f"{path}: tensor {name} has wrong shape {arrays[name].shape}")
-        model._params[name] = arrays[name].astype(np.float64)
-    model.select_adaptable(meta.get("selected_groups", ["feature_extractor", "layer_norm"]))
+    unknown = sorted(set(arrays) - set(model._params))
+    if unknown:
+        raise CheckpointError(f"{path} holds unknown tensors: {unknown}")
+    for name, value in arrays.items():
+        if value.dtype.kind != "f":
+            raise CheckpointError(f"{path}: tensor {name} is {value.dtype}, not real floating")
+        if value.shape != model._params[name].shape:
+            raise CheckpointError(f"{path}: tensor {name} has wrong shape {value.shape}")
+        if not np.all(np.isfinite(value)):
+            raise CheckpointError(f"{path}: tensor {name} is not finite")
+        model._params[name] = value.astype(np.float64)
+    model.select_adaptable(groups)
+    model._source_sha256 = hashlib.sha256(raw).hexdigest()
     return model
-
-
-def checkpoint_fingerprint(path: str | Path) -> str:
-    """sha256 of the checkpoint file, used in run manifests."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -39,7 +39,7 @@ from ttabench.engine.runner import (
     UtteranceRecord,
 )
 from ttabench.evaluation import WerCount
-from ttabench.model.reference import build_reference_model, save_checkpoint
+from ttabench.model.reference import build_reference_model, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +354,143 @@ def test_adapt_refuses_to_resume_a_run_of_other_inputs(changed, checkpoint, tmp_
     assert cli.main(argv) == 0
 
 
+# counts the opens of the files named by argv[1] and argv[2] while cli.main runs on
+# the rest of argv, through the interpreter's audit hook, which sees every open
+_COUNT_OPENS = """
+import collections, os, sys
+from ttabench import cli
+
+opens = collections.Counter()
+
+def hook(event, args):
+    if event == "open" and isinstance(args[0], (str, bytes, os.PathLike)):
+        opens[os.fsdecode(args[0])] += 1
+
+sys.addaudithook(hook)
+code = cli.main(sys.argv[3:])
+print(code, opens[sys.argv[1]], opens[sys.argv[2]])
+"""
+
+
+def test_adapt_reads_the_checkpoint_and_the_manifest_once(checkpoint, tmp_path):
+    manifest_path = write_tone_corpus(
+        tmp_path, {"alpha": ["ad"], "bravo": ["ga"], "charlie": ["da"]}
+    )
+    src = str(Path(ttabench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [
+            sys.executable, "-c", _COUNT_OPENS, str(checkpoint), str(manifest_path),
+            "adapt",
+            "--manifest", str(manifest_path),
+            "--checkpoint", str(checkpoint),
+            "--out", str(tmp_path / "runs"),
+            "--method", "none,suta,sgem",
+            "--steps", "1",
+        ],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    # exit code, checkpoint opens, manifest opens
+    assert done.stdout.split()[-3:] == ["0", "1", "1"]
+
+
+def test_adapt_checkpoint_replaced_mid_run_does_not_split_the_run(
+    checkpoint, tmp_path, monkeypatch
+):
+    manifest_path = write_tone_corpus(tmp_path, {"alpha": ["ad"], "bravo": ["ga"]})
+    path = tmp_path / "model.npz"
+    shutil.copyfile(checkpoint, path)
+    other = tmp_path / "other.npz"
+    save_checkpoint(build_reference_model(seed=6), other)
+
+    def adapt(out: Path) -> int:
+        return cli.main(
+            [
+                "adapt",
+                "--manifest", str(manifest_path),
+                "--checkpoint", str(path),
+                "--out", str(out),
+                "--method", "suta",
+                "--steps", "1",
+            ]
+        )
+
+    assert adapt(tmp_path / "clean") == 0
+    speaker_done = RunWriter.speaker_done
+
+    def replace_checkpoint_after(writer, result):
+        speaker_done(writer, result)
+        shutil.copyfile(other, path)
+
+    monkeypatch.setattr(RunWriter, "speaker_done", replace_checkpoint_after)
+    assert adapt(tmp_path / "replaced") == 0
+    clean, replaced = tmp_path / "clean", tmp_path / "replaced"
+    for name in ("results.jsonl", "inputs.json"):
+        assert (replaced / name).read_bytes() == (clean / name).read_bytes(), name
+    inputs = json.loads((replaced / "inputs.json").read_text())
+    run_manifest = json.loads((replaced / "run_manifest.json").read_text())
+    assert inputs["checkpoint_fingerprint"] == sha256_file(checkpoint)
+    assert run_manifest["checkpoint_fingerprint"] == sha256_file(checkpoint)
+
+
+def _rewritten(checkpoint: Path, path: Path, edit) -> Path:
+    """A copy of ``checkpoint`` whose metadata and tensors ``edit`` changed."""
+    with np.load(checkpoint) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = edit(json.loads(str(arrays.pop("__meta__"))), arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
+    return path
+
+
+def _set_tensor(name, value):
+    def edit(meta, arrays):
+        arrays[name] = value(arrays[name])
+        return meta
+
+    return edit
+
+
+# each defect, and a word the one error line must hold
+_CHECKPOINT_DEFECTS = {
+    "no_symbols": (lambda m, a: {k: v for k, v in m.items() if k != "symbols"}, "'symbols'"),
+    "metadata_is_a_list": (lambda m, a: sorted(m), "JSON object"),
+    "feature_dim_2": (lambda m, a: {**m, "feature_dim": 2}, "'feature_dim'"),
+    "blank_index_99": (lambda m, a: {**m, "blank_index": 99}, "blank_index"),
+    "nan_head_b": (_set_tensor("head_b", lambda t: np.full_like(t, np.nan)), "head_b"),
+    "rate_8000": (lambda m, a: {**m, "sample_rate_hz": 8000}, "'sample_rate_hz'"),
+    "seed_negative": (lambda m, a: {**m, "seed": -1}, "'seed'"),
+    "integer_tensor": (_set_tensor("conv1_b", lambda t: t.astype(np.int64)), "conv1_b"),
+    "unknown_group": (lambda m, a: {**m, "selected_groups": ["decoder"]}, "'selected_groups'"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_CHECKPOINT_DEFECTS))
+def test_adapt_malformed_checkpoint_is_validation_error(
+    defect, corpus, checkpoint, tmp_path, capsys
+):
+    edit, word = _CHECKPOINT_DEFECTS[defect]
+    bad = _rewritten(checkpoint, tmp_path / "bad.npz", edit)
+    _, manifest_path = corpus
+    out = tmp_path / "run"
+    code = cli.main(
+        ["adapt", "--manifest", str(manifest_path), "--checkpoint", str(bad),
+         "--out", str(out), "--method", "none"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
+    assert list(out.iterdir()) == []
+
+
+def test_checkpoint_rewritten_unchanged_still_loads(checkpoint, tmp_path):
+    # the control for the defects above: rewriting alone breaks nothing
+    same = load_checkpoint(_rewritten(checkpoint, tmp_path / "same.npz", lambda m, a: m))
+    for name, value in load_checkpoint(checkpoint).snapshot().parameters.items():
+        assert np.array_equal(same.snapshot().parameters[name], value), name
+
+
 def test_adapt_wav_declaring_rate_zero_is_a_flagged_record(checkpoint, tmp_path, caplog):
     manifest_path = write_tone_corpus(tmp_path, {"alpha": ["ad", "ga"], "bravo": ["da"]})
     wav = tmp_path / "audio" / "alpha-000.wav"
@@ -443,31 +580,35 @@ def test_adapt_same_seed_reproduces_results_bytes(checkpoint, tmp_path):
 
 
 def test_adapt_worker_count_does_not_change_run_files(corpus, checkpoint, tmp_path):
+    # in continual mode a speaker run in-process after another would start from
+    # the other's updates, were the model not restored between them
     _, manifest_path = corpus
-    outs = {workers: tmp_path / f"w{workers}" for workers in (1, 2)}
-    for workers, out in outs.items():
-        if workers == 2:
-            # the in-process run started the model's helper thread, which the
-            # forked pool workers do not inherit and must replace
-            assert any(t.name.startswith("ttabench-span") for t in threading.enumerate())
-        code = cli.main(
-            [
-                "adapt",
-                "--manifest", str(manifest_path),
-                "--checkpoint", str(checkpoint),
-                "--out", str(out),
-                "--method", "suta",
-                "--steps", "2",
-                "--workers", str(workers),
-            ]
-        )
-        assert code == 0
+    for mode in ("episodic", "continual"):
+        outs = {workers: tmp_path / f"{mode}-w{workers}" for workers in (1, 2)}
+        for workers, out in outs.items():
+            if workers == 2:
+                # the in-process run started the model's helper thread, which the
+                # forked pool workers do not inherit and must replace
+                assert any(t.name.startswith("ttabench-span") for t in threading.enumerate())
+            code = cli.main(
+                [
+                    "adapt",
+                    "--manifest", str(manifest_path),
+                    "--checkpoint", str(checkpoint),
+                    "--out", str(out),
+                    "--method", "suta",
+                    "--steps", "2",
+                    "--mode", mode,
+                    "--workers", str(workers),
+                ]
+            )
+            assert code == 0
 
-    names = sorted(p.name for p in (outs[1] / "speakers").glob("*.jsonl"))
-    assert names == ["alpha.jsonl", "bravo.jsonl"]
-    assert sorted(p.name for p in (outs[2] / "speakers").glob("*.jsonl")) == names
-    for rel in ["results.jsonl"] + [f"speakers/{n}" for n in names]:
-        assert (outs[1] / rel).read_bytes() == (outs[2] / rel).read_bytes(), rel
+        names = sorted(p.name for p in (outs[1] / "speakers").glob("*.jsonl"))
+        assert names == ["alpha.jsonl", "bravo.jsonl"]
+        assert sorted(p.name for p in (outs[2] / "speakers").glob("*.jsonl")) == names
+        for rel in ["results.jsonl"] + [f"speakers/{n}" for n in names]:
+            assert (outs[1] / rel).read_bytes() == (outs[2] / rel).read_bytes(), (mode, rel)
 
 
 def test_adapt_results_do_not_depend_on_blas_thread_count(corpus, checkpoint, tmp_path):

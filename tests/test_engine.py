@@ -1,7 +1,7 @@
 import collections
 import dataclasses
-import functools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -31,9 +31,9 @@ from ttabench.engine.runner import (
     run_experiment,
     split_waveform,
 )
-from ttabench.errors import ConfigError
+from ttabench.errors import ConfigError, UnreadableFileError
 from ttabench.model.reference import build_reference_model
-from ttabench.objectives import TtaLossValue
+from ttabench.objectives import TtaLossValue, make_loss_functional
 
 # --- configuration ------------------------------------------------------------
 
@@ -424,52 +424,76 @@ def _experiment_fixture(tmp_path):
     return load_manifest(manifest_path)
 
 
-def test_run_experiment_orders_speakers_and_scores(tmp_path):
+def test_run_experiment_orders_speakers_and_scores(tmp_path, model):
     manifest = _experiment_fixture(tmp_path)
-    factory = functools.partial(build_reference_model, 3)
-    result = run_experiment(factory, manifest, _suta_config(), workers=1)
+    result = run_experiment(model, manifest, _suta_config(), workers=1)
     assert [s.speaker_id for s in result.speakers] == ["alpha", "bravo"]
     assert set(result.speaker_wers()) == {"alpha", "bravo"}
     assert result.mean_speaker_wer() >= 0.0
     assert len(result.records()) == 4
 
 
-def test_run_experiment_worker_count_does_not_change_results(tmp_path):
+def test_run_experiment_worker_count_does_not_change_results(tmp_path, model):
     manifest = _experiment_fixture(tmp_path)
-    factory = functools.partial(build_reference_model, 3)
-    serial = run_experiment(factory, manifest, _suta_config(), workers=1)
-    parallel = run_experiment(factory, manifest, _suta_config(), workers=2)
+    serial = run_experiment(model, manifest, _suta_config(), workers=1)
+    parallel = run_experiment(model, manifest, _suta_config(), workers=2)
     a = [record_to_dict(r) for r in serial.records()]
     b = [record_to_dict(r) for r in parallel.records()]
     assert a == b
 
 
-def test_run_experiment_resumes_from_completed(tmp_path):
+def test_run_experiment_resumes_from_completed(tmp_path, model):
     manifest = _experiment_fixture(tmp_path)
-    factory = functools.partial(build_reference_model, 3)
-    first = run_experiment(factory, manifest, _suta_config(), workers=1)
+    first = run_experiment(model, manifest, _suta_config(), workers=1)
     done = {s.speaker_id: s for s in first.speakers if s.speaker_id == "alpha"}
-    second = run_experiment(factory, manifest, _suta_config(), workers=1, completed=done)
+    second = run_experiment(model, manifest, _suta_config(), workers=1, completed=done)
     assert second.speakers[0] is done["alpha"]
 
 
-def test_run_experiment_reports_progress(tmp_path):
+def test_run_experiment_reports_progress(tmp_path, model):
     manifest = _experiment_fixture(tmp_path)
-    factory = functools.partial(build_reference_model, 3)
     seen = []
     run_experiment(
-        factory, manifest, AdaptationConfig(method="none"), on_speaker_done=seen.append
+        model, manifest, AdaptationConfig(method="none"), on_speaker_done=seen.append
     )
     assert sorted(s.speaker_id for s in seen) == ["alpha", "bravo"]
 
 
-def test_run_experiment_rejects_bad_worker_count(tmp_path):
+def test_run_experiment_rejects_bad_worker_count(tmp_path, model):
     manifest = _experiment_fixture(tmp_path)
     with pytest.raises(ValueError):
-        run_experiment(
-            functools.partial(build_reference_model, 3), manifest, _suta_config(), workers=0
-        )
+        run_experiment(model, manifest, _suta_config(), workers=0)
 
+
+
+def test_run_experiment_leaves_the_model_at_its_base(tmp_path, model):
+    manifest = _experiment_fixture(tmp_path)
+    config = _suta_config(mode="continual")
+    base = _params(model)
+    run_experiment(model, manifest, config)
+    assert all(np.array_equal(v, base[k]) for k, v in _params(model).items())
+
+    # bravo adapts the model on its first utterance, then cannot read its second
+    (tmp_path / "audio" / "bravo-001.wav").unlink()
+    adapted = []
+    with pytest.raises(UnreadableFileError):
+        run_experiment(model, manifest, config, on_speaker_done=adapted.append)
+    assert [r.speaker_id for r in adapted] == ["alpha"]
+    assert all(np.array_equal(v, base[k]) for k, v in _params(model).items())
+
+
+def test_pickled_model_carries_parameters_not_workspaces(tmp_path, model):
+    # a pool task pickles the model; one that has run holds about 15 MB of workspaces
+    manifest = _experiment_fixture(tmp_path)
+    config = _suta_config()
+    model.gradient(noise(0.79, rms=0.1, seed=4), make_loss_functional("suta"))
+    first = run_experiment(model, manifest, config)
+    blob = pickle.dumps(model)
+    assert len(blob) < 200_000
+    again = run_experiment(pickle.loads(blob), manifest, config)
+    assert [record_to_dict(r) for r in again.records()] == [
+        record_to_dict(r) for r in first.records()
+    ]
 
 # --- artifacts ---------------------------------------------------------------------------
 
@@ -508,12 +532,11 @@ def test_run_writer_resume_and_finalize(tmp_path, model):
     manifest = _experiment_fixture(tmp_path / "corpus")
     config = _suta_config()
     out = tmp_path / "run"
-    factory = functools.partial(build_reference_model, 3)
 
     writer = RunWriter(out, config, _INPUTS)
     assert writer.completed_speakers() == {}
     result = run_experiment(
-        factory, manifest, config, workers=1, on_speaker_done=writer.speaker_done
+        model, manifest, config, workers=1, on_speaker_done=writer.speaker_done
     )
     results_path = writer.finalize(result)
 
@@ -541,16 +564,15 @@ def test_run_writer_resume_and_finalize(tmp_path, model):
     assert wers == pytest.approx(result.speaker_wers())
 
 
-def test_run_writer_failing_midway_leaves_the_earlier_files_whole(tmp_path, monkeypatch):
+def test_run_writer_failing_midway_leaves_the_earlier_files_whole(tmp_path, model, monkeypatch):
     from ttabench.engine import artifacts
 
     manifest = _experiment_fixture(tmp_path / "corpus")
     config = _suta_config()
     out = tmp_path / "run"
     writer = RunWriter(out, config, _INPUTS)
-    factory = functools.partial(build_reference_model, 3)
     result = run_experiment(
-        factory, manifest, config, workers=1, on_speaker_done=writer.speaker_done
+        model, manifest, config, workers=1, on_speaker_done=writer.speaker_done
     )
     results_path = writer.finalize(result)
     before = results_path.read_bytes()
@@ -605,15 +627,12 @@ def test_run_writer_refuses_to_resume_on_other_inputs(tmp_path, changed):
         RunWriter(out, _suta_config(), _INPUTS)
 
 
-def test_run_writer_without_resume_forgets_speakers_of_other_inputs(tmp_path):
+def test_run_writer_without_resume_forgets_speakers_of_other_inputs(tmp_path, model):
     manifest = _experiment_fixture(tmp_path / "corpus")
     config = _suta_config(steps_n=1)
     out = tmp_path / "run"
     writer = RunWriter(out, config, _INPUTS)
-    run_experiment(
-        functools.partial(build_reference_model, 3), manifest, config,
-        on_speaker_done=writer.speaker_done,
-    )
+    run_experiment(model, manifest, config, on_speaker_done=writer.speaker_done)
     assert set(RunWriter(out, config, _INPUTS).completed_speakers()) == {"alpha", "bravo"}
     # a recompute on other inputs that stops before its first speaker leaves no
     # speaker a later resume on those inputs would take as done

@@ -7,6 +7,7 @@ from scipy.special import erf
 
 from helpers import noise, sine
 from ttabench.corpus.audio import Waveform
+from ttabench.engine.artifacts import sha256_file
 from ttabench.errors import (
     AudioTooShortError,
     CheckpointError,
@@ -20,7 +21,6 @@ from ttabench.model import reference, threads
 from ttabench.model.reference import (
     ReferenceModel,
     build_reference_model,
-    checkpoint_fingerprint,
     load_checkpoint,
     save_checkpoint,
 )
@@ -586,16 +586,26 @@ def test_checkpoint_round_trip(tmp_path, model):
     assert loaded.selected_groups == model.selected_groups
 
 
-def test_checkpoint_fingerprint_stable(tmp_path, model):
+def test_load_checkpoint_records_the_sha256_of_the_bytes_it_read(tmp_path, model):
     path = tmp_path / "model.npz"
     save_checkpoint(model, path)
-    assert checkpoint_fingerprint(path) == checkpoint_fingerprint(path)
-    assert len(checkpoint_fingerprint(path)) == 64
+    assert load_checkpoint(path).source_sha256 == sha256_file(path)
+    assert model.source_sha256 is None
 
 
 def test_load_checkpoint_missing_file(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "absent.npz")
+
+
+@pytest.mark.parametrize("keep", [0.0, 0.5, 0.99])
+def test_load_checkpoint_rejects_a_truncated_file(tmp_path, model, keep):
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: int(keep * len(raw))])
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+        load_checkpoint(path)
 
 
 def test_load_checkpoint_rejects_foreign_npz(tmp_path):
