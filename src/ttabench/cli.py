@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -45,7 +44,7 @@ from .engine.artifacts import (
     sha256_file,
     speaker_wers_from_records,
 )
-from .engine.config import AdaptationConfig, AdaptationMethod, resolve_config
+from .engine.config import ADAPTATION_FIELDS, AdaptationConfig, AdaptationMethod, resolve_config
 from .engine.runner import run_experiment
 from .errors import (
     AnalysisError,
@@ -63,6 +62,7 @@ from .evaluation import (
     write_delta_table_csv,
     write_speaker_gains_csv,
 )
+from .jsonfields import INTEGER, STRING, STRINGS, Fields, check_object, object_of
 from .model.reference import load_checkpoint
 
 EXIT_OK = 0
@@ -85,68 +85,27 @@ def _default_out(name: str) -> Path:
     return Path(os.environ.get("TTABENCH_CACHE", ".ttabench")) / name
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation of cmd_adapt: flags merged over the ``--config``
-    file. Only its ``adaptation`` part is written to the run directory."""
-
-    manifest_path: str
-    checkpoint_ref: str
-    output_dir: str
-    adaptation: AdaptationConfig
-    methods: tuple[str, ...] = ("suta",)
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.methods:
-            raise ConfigError("at least one method is required")
-        for m in self.methods:
-            if m not in {k.value for k in AdaptationMethod}:
-                raise ConfigError(f"unknown method {m!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-
-    def validate_paths(self) -> None:
-        # the manifest and the checkpoint are checked as they are read
-        out = Path(self.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        if not os.access(out, os.W_OK):
-            raise ConfigError(f"output directory not writable: {out}")
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(item for item in text.split(",") if item)
 
 
-# the keys an ``adapt --config`` file may hold, with the JSON type of each
-_CONFIG_FILE_KEYS = {
-    "adaptation": dict,
-    "methods": list,
-    "manifest_path": str,
-    "checkpoint_ref": str,
-    "output_dir": str,
-    "workers": int,
+# the keys an ``adapt --config`` file may hold, each optional, with the JSON type of each
+_CONFIG_FILE_TYPES = {
+    "adaptation": object_of(ADAPTATION_FIELDS),
+    "methods": STRINGS,
+    **dict.fromkeys(("manifest_path", "checkpoint_ref", "output_dir"), STRING),
+    "workers": INTEGER,
 }
+_CONFIG_FILE_FIELDS = Fields(_CONFIG_FILE_TYPES, optional=_CONFIG_FILE_TYPES)
 
 
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_FILE_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}; known: {sorted(_CONFIG_FILE_KEYS)}")
-    for key, value in data.items():
-        kind = _CONFIG_FILE_KEYS[key]
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigError(
-                f"config key {key!r} must be {kind.__name__}, got {type(value).__name__}"
-            )
-    return data
+    raw = Path(path).read_bytes()
+    return check_object(raw, _CONFIG_FILE_FIELDS, f"config file {path}", ConfigError)
 
 
 # --- ingest ---------------------------------------------------------------------
@@ -205,7 +164,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # --- adapt ----------------------------------------------------------------------
 
 
-def _build_run_config(args: argparse.Namespace) -> RunConfig:
+def cmd_adapt(args: argparse.Namespace) -> int:
+    # flags override the --config file; only the adaptation settings reach the run directory
     file_cfg = _load_config_file(args.config)
     adaptation_base = file_cfg.get("adaptation", {})
     if "method" in adaptation_base:
@@ -213,74 +173,58 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             "config key 'adaptation.method' is not read; list methods in 'methods' or pass --method"
         )
-    overrides = {
-        "steps_n": args.steps,
-        "alpha": args.alpha,
-        "lam": args.lam,
-        "temperature": args.temperature,
-        "rho": args.rho,
-        "neg_k": args.neg_k,
-        "mode": args.mode,
-        "learning_rate": args.lr,
-        "optimizer": args.optimizer,
-        "seed": args.seed,
-    }
-    if args.groups is not None:
-        overrides["adapted_groups"] = tuple(g for g in args.groups.split(",") if g)
-    if args.exclude_blank_frames:
-        overrides["exclude_blank_frames"] = True
+    # each adapt flag's dest is the field it sets, None when the flag is left out
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(AdaptationConfig)}
     adaptation = resolve_config(adaptation_base, overrides)
 
-    methods = args.method.split(",") if args.method else file_cfg.get("methods", ["suta"])
+    methods = args.methods or tuple(file_cfg.get("methods", ["suta"]))
     manifest_path = args.manifest or file_cfg.get("manifest_path")
     checkpoint = args.checkpoint or file_cfg.get("checkpoint_ref")
-    output_dir = args.out or file_cfg.get("output_dir") or str(_default_out("runs"))
+    output_dir = Path(args.out or file_cfg.get("output_dir") or _default_out("runs"))
+    workers = args.workers if args.workers is not None else file_cfg.get("workers", 1)
     if manifest_path is None:
         raise ConfigError("--manifest (or manifest_path in the config file) is required")
     if checkpoint is None:
         raise ConfigError("--checkpoint (or checkpoint_ref in the config file) is required")
-    return RunConfig(
-        manifest_path=str(manifest_path),
-        checkpoint_ref=str(checkpoint),
-        output_dir=str(output_dir),
-        adaptation=adaptation,
-        methods=tuple(methods),
-        workers=args.workers if args.workers is not None else file_cfg.get("workers", 1),
-    )
+    if not methods:
+        raise ConfigError("at least one method is required")
+    for m in methods:
+        if m not in {k.value for k in AdaptationMethod}:
+            raise ConfigError(f"unknown method {m!r}")
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
+    # the manifest and the checkpoint are checked as they are read
+    output_dir.mkdir(parents=True, exist_ok=True)
+    if not os.access(output_dir, os.W_OK):
+        raise ConfigError(f"output directory not writable: {output_dir}")
 
-
-def cmd_adapt(args: argparse.Namespace) -> int:
-    run_cfg = _build_run_config(args)
-    run_cfg.validate_paths()
     # each input is read once, and the run records the sha256 of the bytes it parsed
-    manifest = load_manifest(Path(run_cfg.manifest_path))
-    model = load_checkpoint(Path(run_cfg.checkpoint_ref))
+    manifest = load_manifest(Path(manifest_path))
+    model = load_checkpoint(Path(checkpoint))
     inputs = {
         "checkpoint_fingerprint": model.source_sha256,
         "corpus_manifest_sha256": manifest.source_sha256,
     }
-    if "sgem" in run_cfg.methods:
+    if "sgem" in methods:
         # sgem keeps the top neg_k of the checkpoint's output classes per frame
         n_classes = len(model.vocabulary())
-        if run_cfg.adaptation.neg_k >= n_classes:
+        if adaptation.neg_k >= n_classes:
             raise ConfigError(
                 f"neg_k must be below the checkpoint's {n_classes} output classes, "
-                f"got {run_cfg.adaptation.neg_k}"
+                f"got {adaptation.neg_k}"
             )
 
     any_flagged = False
-    for method in run_cfg.methods:
-        config = dataclasses.replace(run_cfg.adaptation, method=method)
-        out_dir = Path(run_cfg.output_dir)
-        if len(run_cfg.methods) > 1:
-            out_dir = out_dir / method
+    for method in methods:
+        config = dataclasses.replace(adaptation, method=method)
+        out_dir = output_dir / method if len(methods) > 1 else output_dir
         writer = RunWriter(out_dir, config, inputs, resume=args.resume)
         completed = writer.completed_speakers() if args.resume else {}
         result = run_experiment(
             model,
             manifest,
             config,
-            workers=run_cfg.workers,
+            workers=workers,
             completed=completed,
             on_speaker_done=writer.speaker_done,
         )
@@ -320,6 +264,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    unknown = [m for m in args.metrics if m not in METRIC_COLUMNS]
+    if unknown:
+        raise ConfigError(f"unknown metrics {unknown}")
     if not Path(args.manifest).exists():
         raise ConfigError(f"manifest not found: {args.manifest}")
     manifest = load_manifest(Path(args.manifest))
@@ -467,8 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--checkpoint")
     p.add_argument("--out")
-    p.add_argument("--method", help="comma-separated subset of none,suta,sgem")
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--method", dest="methods", type=_comma_list,
+                   help="comma-separated subset of none,suta,sgem")
+    # each setting's dest is its AdaptationConfig field, which cmd_adapt reads by name
+    p.add_argument("--steps", type=int, default=None, dest="steps_n")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--lam", type=float, default=None)
     p.add_argument("--temperature", type=float, default=None)
@@ -476,9 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neg-k", type=int, default=None, dest="neg_k")
     p.add_argument("--mode", choices=["episodic", "continual"], default=None)
     p.add_argument("--optimizer", choices=["adam", "sgd"], default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--groups", default=None, help="comma-separated parameter groups to adapt")
-    p.add_argument("--exclude-blank-frames", action="store_true")
+    p.add_argument("--lr", type=float, default=None, dest="learning_rate")
+    p.add_argument("--groups", type=_comma_list, dest="adapted_groups",
+                   help="comma-separated parameter groups to adapt")
+    p.add_argument("--exclude-blank-frames", action="store_true", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=None, help="speaker-level parallelism")
     p.add_argument("--no-resume", dest="resume", action="store_false")
@@ -494,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument(
         "--metrics",
+        type=_comma_list,
         default=",".join(METRIC_COLUMNS),
         help=f"comma-separated subset of {','.join(METRIC_COLUMNS)}",
     )
@@ -514,13 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "metrics"):
-        requested = [m for m in args.metrics.split(",") if m]
-        unknown = [m for m in requested if m not in METRIC_COLUMNS]
-        if unknown:
-            print(f"error: unknown metrics {unknown}", file=sys.stderr)
-            return EXIT_VALIDATION
-        args.metrics = requested
     try:
         return args.func(args)
     except _VALIDATION_ERRORS as exc:

@@ -18,8 +18,16 @@ from pathlib import Path
 
 from ..errors import EmptyTranscriptError, ManifestError
 from ..evaluation import normalize_text
+from ..jsonfields import NUMBER, STRING, Fields, check_object
 
 MANIFEST_FIELDS = ("utterance_id", "speaker_id", "audio_path", "transcript", "duration_s")
+
+# a line may carry keys beyond these, such as a child's age, which go unread
+_LINE_FIELDS = Fields(
+    {**dict.fromkeys(("utterance_id", "speaker_id", "audio_path", "transcript"), STRING),
+     "duration_s": NUMBER},
+    open=True,
+)
 
 
 class Split(Enum):
@@ -42,11 +50,11 @@ class Utterance:
 
     def __post_init__(self) -> None:
         if not self.utterance_id:
-            raise ValueError("utterance_id must be non-empty")
+            raise ValueError("field 'utterance_id' must be non-empty")
         if not self.speaker_id:
-            raise ValueError("speaker_id must be non-empty")
+            raise ValueError("field 'speaker_id' must be non-empty")
         if not (self.duration_s >= 0 and math.isfinite(self.duration_s)):
-            raise ValueError("duration_s must be a finite non-negative number")
+            raise ValueError("field 'duration_s' must be a finite non-negative number")
 
 
 @dataclass(frozen=True)
@@ -83,57 +91,35 @@ def load_manifest(path: str | os.PathLike) -> CorpusManifest:
 
     Raises:
         ManifestError: file missing or undecodable, a record that is not a JSON
-            object or misses or mistypes a field (the message names the field
-            and line), or a repeated utterance_id.
+            object, misses or mistypes a field or holds an empty id or a bad
+            duration (the message names the file, the line and the field), or a
+            repeated utterance_id.
     """
     try:
         raw = Path(path).read_bytes()
-        text = raw.decode("utf-8")
+        raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
 
     utterances: list[Utterance] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # a line ends at a newline byte, never at a line separator inside a transcript
+    for lineno, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ManifestError(f"line {lineno}: expected a JSON object")
-        for name in MANIFEST_FIELDS:
-            if name not in record:
-                raise ManifestError(f"manifest record at line {lineno} is missing field {name!r}")
-        for name in ("utterance_id", "speaker_id", "audio_path", "transcript"):
-            if not isinstance(record[name], str):
-                raise ManifestError(
-                    f"manifest record at line {lineno}: field {name!r} must be a string"
-                )
-        if not isinstance(record["duration_s"], (int, float)) or isinstance(
-            record["duration_s"], bool
-        ):
-            raise ManifestError(
-                f"manifest record at line {lineno}: field 'duration_s' must be a number"
-            )
+        where = f"{path} line {lineno}"
+        record = check_object(line, _LINE_FIELDS, where, ManifestError)
         if record["utterance_id"] in seen:
             raise ManifestError(
                 f"duplicate utterance_id {record['utterance_id']!r} at line {lineno}"
             )
         seen.add(record["utterance_id"])
+        fields = {name: record[name] for name in MANIFEST_FIELDS}
         try:
-            utterances.append(
-                Utterance(
-                    utterance_id=record["utterance_id"],
-                    speaker_id=record["speaker_id"],
-                    audio_path=record["audio_path"],
-                    transcript=record["transcript"],
-                    duration_s=float(record["duration_s"]),
-                )
-            )
-        except ValueError as exc:
-            raise ManifestError(f"manifest record at line {lineno}: field 'record' {exc}") from exc
+            fields["duration_s"] = float(fields["duration_s"])
+            utterances.append(Utterance(**fields))
+        except (OverflowError, ValueError) as exc:
+            raise ManifestError(f"{where}: {exc}") from exc
 
     return CorpusManifest(
         utterances=tuple(utterances), source_sha256=hashlib.sha256(raw).hexdigest()
@@ -144,13 +130,7 @@ def save_manifest(manifest: CorpusManifest, path: str | os.PathLike) -> None:
     """Write a manifest as JSON-lines with a stable field order."""
     with open(path, "w", encoding="utf-8") as f:
         for u in manifest.utterances:
-            record = {
-                "utterance_id": u.utterance_id,
-                "speaker_id": u.speaker_id,
-                "audio_path": u.audio_path,
-                "transcript": u.transcript,
-                "duration_s": u.duration_s,
-            }
+            record = {name: getattr(u, name) for name in MANIFEST_FIELDS}
             f.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 

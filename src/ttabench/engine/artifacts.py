@@ -31,6 +31,9 @@ from typing import Iterable, Mapping
 from .. import __version__
 from ..errors import ConfigError
 from ..evaluation import WerCount, speaker_wer
+from ..jsonfields import (
+    INTEGER, NUMBER, NUMBERS, STRING, STRINGS, Fields, check_object, object_of, or_null,
+)
 from ..model.threads import blas_threads
 from .config import AdaptationConfig
 from .runner import AdaptationTrace, ExperimentResult, SpeakerRunResult, StepRecord, UtteranceRecord
@@ -40,6 +43,20 @@ CONFIG_NAME = "config.json"
 INPUTS_NAME = "inputs.json"
 RUN_MANIFEST_NAME = "run_manifest.json"
 SPEAKERS_DIR = "speakers"
+
+_COUNTS = ("substitutions", "deletions", "insertions", "reference_words")
+
+# one line of results.jsonl or speakers/*.jsonl, as record_to_dict writes it
+_RECORD_FIELDS = Fields({
+    **dict.fromkeys(("utterance_id", "speaker_id", "reference", "hypothesis"), STRING),
+    **dict.fromkeys(_COUNTS, or_null(INTEGER)),
+    "flags": STRINGS,
+    "loss": object_of(
+        Fields({"initial": or_null(NUMBER), "final": or_null(NUMBER), "steps": NUMBERS})
+    ),
+})
+_INPUT_TYPES = dict.fromkeys(("checkpoint_fingerprint", "corpus_manifest_sha256"), STRING)
+_INPUT_FIELDS = Fields(_INPUT_TYPES, optional=_INPUT_TYPES)  # a missing one reads as changed
 
 
 def canonical_json(obj: object) -> str:
@@ -88,23 +105,22 @@ def record_to_dict(record: UtteranceRecord) -> dict:
 
 
 def record_from_dict(data: Mapping) -> UtteranceRecord:
+    """The record of a dict that passed ``_RECORD_FIELDS``; ValueError if its
+    edit counts are partly null or out of range."""
+    counts = [data[name] for name in _COUNTS]
     count = None
-    if data.get("reference_words") is not None:
-        count = WerCount(
-            substitutions=data["substitutions"],
-            deletions=data["deletions"],
-            insertions=data["insertions"],
-            reference_words=data["reference_words"],
-        )
-    loss = data.get("loss", {})
-    steps = tuple(StepRecord(total=t, components={}) for t in loss.get("steps", []))
+    if counts != [None] * len(_COUNTS):
+        if None in counts:
+            raise ValueError(f"edit counts {_COUNTS} must be all null or all integers")
+        count = WerCount(*counts)
+    loss = data["loss"]
     trace = AdaptationTrace(
-        steps=steps,
-        initial_total=loss.get("initial"),
-        final_total=loss.get("final"),
+        steps=tuple(StepRecord(total=t, components={}) for t in loss["steps"]),
+        initial_total=loss["initial"],
+        final_total=loss["final"],
         wall_time_s=0.0,
         parameters_restored=False,
-        non_finite="non_finite_loss" in data.get("flags", []),
+        non_finite="non_finite_loss" in data["flags"],
     )
     return UtteranceRecord(
         utterance_id=data["utterance_id"],
@@ -113,7 +129,7 @@ def record_from_dict(data: Mapping) -> UtteranceRecord:
         hypothesis=data["hypothesis"],
         count=count,
         trace=trace,
-        flags=tuple(data.get("flags", [])),
+        flags=tuple(data["flags"]),
     )
 
 
@@ -147,16 +163,17 @@ class RunWriter:
         config_path = self.out_dir / CONFIG_NAME
         inputs_path = self.out_dir / INPUTS_NAME
         blob = canonical_json(self.config.to_dict())
+        self._config_sha256 = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         if config_path.exists():
-            if config_path.read_text(encoding="utf-8").strip() != blob:
+            if config_path.read_bytes().strip() != blob.encode("utf-8"):
                 raise ConfigError(
                     f"{config_path} holds a different configuration; refusing to mix runs"
                 )
             if resume:
                 recorded = {}
                 if inputs_path.exists():
-                    text = inputs_path.read_text(encoding="utf-8")
-                    recorded = _parse_object(text, str(inputs_path))
+                    raw = inputs_path.read_bytes()
+                    recorded = check_object(raw, _INPUT_FIELDS, str(inputs_path), ConfigError)
                 changed = [k for k in sorted(self.inputs) if recorded.get(k) != self.inputs[k]]
                 if changed:
                     raise ConfigError(
@@ -204,7 +221,7 @@ class RunWriter:
         run_manifest = {
             "started_at": self._started_at.isoformat(),
             "finished_at": finished_at.isoformat(),
-            "config_fingerprint": self.config.fingerprint(),
+            "config_fingerprint": self._config_sha256,
             **self.inputs,
             "results_sha256": sha256_file(results_path),
             "speaker_wall_time_s": {k: self._timings.get(k) for k in sorted(self._timings)},
@@ -226,11 +243,7 @@ def read_run_config(run_dir: Path) -> AdaptationConfig:
     path = Path(run_dir) / CONFIG_NAME
     if not path.exists():
         raise ConfigError(f"{path} does not exist")
-    data = _parse_object(path.read_text(encoding="utf-8"), str(path))
-    try:
-        return AdaptationConfig.from_dict(data)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return AdaptationConfig.from_dict(path.read_bytes(), str(path))
 
 
 def read_run_records(run_dir: Path) -> list[UtteranceRecord]:
@@ -240,30 +253,18 @@ def read_run_records(run_dir: Path) -> list[UtteranceRecord]:
     return _read_records(path)
 
 
-def _parse_object(text: str, where: str) -> dict:
-    """Parse one JSON object, reporting a damaged run file as a validation error."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{where}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected a JSON object, got {type(data).__name__}")
-    return data
-
-
 def _read_records(path: Path) -> list[UtteranceRecord]:
-    """Parse a JSONL file of ``record_to_dict`` lines."""
+    """Parse a JSONL file of ``record_to_dict`` lines, split at newline bytes only; a
+    damaged line is a ``ConfigError`` naming the file, the line and the field."""
     records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
         if not line:
             continue
         where = f"{path} line {lineno}"
-        data = _parse_object(line, where)
+        data = check_object(line, _RECORD_FIELDS, where, ConfigError)
         try:
             records.append(record_from_dict(data))
-        except KeyError as exc:
-            raise ConfigError(f"{where}: missing field {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{where}: invalid record: {exc}") from exc
     return records
 

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass
 from enum import Enum
 
 from ..errors import ConfigError
+from ..jsonfields import BOOL, INTEGER, NUMBER, STRING, STRINGS, Fields, check_object
 
 
 class AdaptationMethod(str, Enum):
@@ -29,6 +28,17 @@ class OptimizerKind(str, Enum):
 
 _KNOWN_GROUPS = ("feature_extractor", "layer_norm", "head")
 
+# the JSON type of each AdaptationConfig field; a dict may leave any of them out
+_TYPES = {
+    **dict.fromkeys(("method", "mode", "optimizer"), STRING),
+    **dict.fromkeys(("steps_n", "neg_k", "seed"), INTEGER),
+    **dict.fromkeys(("alpha", "lam", "temperature", "rho", "learning_rate"), NUMBER),
+    **dict.fromkeys(("max_utterance_s", "chunk_target_s"), NUMBER),
+    "adapted_groups": STRINGS,  # a tuple, or a list from JSON
+    "exclude_blank_frames": BOOL,
+}
+ADAPTATION_FIELDS = Fields(_TYPES, optional=_TYPES)
+
 
 @dataclass(frozen=True)
 class AdaptationConfig:
@@ -41,7 +51,8 @@ class AdaptationConfig:
 
     ``seed`` is provenance only: it is written to ``config.json`` and enters
     the fingerprint, but adaptation draws no random numbers, so runs that
-    differ only in ``seed`` produce the same results.
+    differ only in ``seed`` produce the same results. Each field must have its
+    JSON type in ``ADAPTATION_FIELDS``; an enum field takes a member or its value.
     """
 
     method: AdaptationMethod = AdaptationMethod.SUTA
@@ -61,6 +72,8 @@ class AdaptationConfig:
     chunk_target_s: float = 30.0
 
     def __post_init__(self) -> None:
+        values = {k: getattr(self, k) for k in _TYPES}
+        check_object(values, ADAPTATION_FIELDS, "AdaptationConfig", ConfigError)
         object.__setattr__(self, "method", AdaptationMethod(self.method))
         object.__setattr__(self, "mode", AdaptationMode(self.mode))
         object.__setattr__(self, "optimizer", OptimizerKind(self.optimizer))
@@ -99,20 +112,16 @@ class AdaptationConfig:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "AdaptationConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    def from_dict(
+        cls, data: dict | str | bytes, where: str = "adaptation settings"
+    ) -> AdaptationConfig:
+        """Build a config from a dict, or JSON text holding one, of its fields; any
+        defect is a ``ConfigError`` whose message starts with ``where``."""
+        data = check_object(data, ADAPTATION_FIELDS, where, ConfigError)
         try:
             return cls(**data)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def fingerprint(self) -> str:
-        """Stable hash over the resolved configuration."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
 
 
 def resolve_config(base: dict | None, overrides: dict | None = None) -> AdaptationConfig:

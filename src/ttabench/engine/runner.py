@@ -160,10 +160,13 @@ def adapt_utterance(
 ) -> tuple[str, AdaptationTrace]:
     """Adapt the model on one utterance and decode it.
 
-    With method "none" this is a plain forward pass and decode. Otherwise the
-    selected parameter groups are updated for ``steps_n`` steps per chunk; in
-    episodic mode the pre-utterance parameters are restored before returning,
-    in continual mode the updates persist. Each chunk's ``frozen_features``
+    Audio longer than ``max_utterance_s`` is split into chunks
+    (``split_waveform``), each forwarded and decoded in turn. With method
+    "none" (or no steps) the chunk decodes are joined by spaces, so a single
+    chunk's hypothesis is its plain decode. Otherwise the selected parameter
+    groups are updated for ``steps_n`` steps per chunk; in episodic mode the
+    pre-utterance parameters are restored before returning, in continual mode
+    the updates persist. Each chunk's ``frozen_features``
     (the activation below every selected group) is computed once and passed
     to all of its steps and to its decode forward, so norm- or head-only
     adaptation runs the conv stack once per chunk. Non-finite logits, loss or
@@ -172,8 +175,9 @@ def adapt_utterance(
     """
     t0 = time.perf_counter()
     vocab = model.vocabulary()
+    chunks = split_waveform(w, config.max_utterance_s, config.chunk_target_s)
     if config.method is AdaptationMethod.NONE or config.steps_n == 0:
-        hypothesis = greedy_ctc_decode(model.forward(w), vocab)
+        hypothesis = " ".join(greedy_ctc_decode(model.forward(chunk), vocab) for chunk in chunks)
         return hypothesis, AdaptationTrace(
             steps=(),
             initial_total=None,
@@ -187,7 +191,6 @@ def adapt_utterance(
     snap = model.snapshot()
     if optimizer is None:
         optimizer = build_optimizer(config.optimizer.value, config.learning_rate)
-    chunks = split_waveform(w, config.max_utterance_s, config.chunk_target_s)
 
     steps: list[StepRecord] = []
     parts: list[str] = []

@@ -87,6 +87,7 @@ from ..errors import (
     ConfigError,
     FrozenParameterError,
 )
+from ..jsonfields import INTEGER, STRING, STRINGS, Fields, check_object
 from . import threads
 from .types import LogitMatrix, LossFunctional, ModelSnapshot, Vocabulary, default_vocabulary
 
@@ -634,48 +635,15 @@ def save_checkpoint(model: ReferenceModel, path: str | Path) -> None:
 
 # the metadata keys save_checkpoint writes, with the JSON type of each; a
 # checkpoint may leave out selected_groups
-_META_KEYS = {
-    "magic": str,
-    "seed": int,
-    "feature_dim": int,
-    "sample_rate_hz": int,
-    "symbols": list,
-    "blank_index": int,
-    "word_delimiter_index": int,
-    "selected_groups": list,
-}
-
-
-def _checkpoint_meta(record: np.ndarray, where: str) -> dict:
-    """The checkpoint's metadata: every key of ``_META_KEYS`` (selected_groups may be
-    left out) and no other, each of its type and in range."""
-    try:
-        meta = json.loads(str(record))
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{where} has corrupt metadata") from exc
-    if not isinstance(meta, dict):
-        raise CheckpointError(f"{where}: metadata must be a JSON object")
-    if meta.get("magic") != CHECKPOINT_MAGIC:
-        raise CheckpointError(
-            f"{where} is not a {CHECKPOINT_MAGIC} checkpoint (magic={meta.get('magic')!r})"
-        )
-    unknown = sorted(set(meta) - set(_META_KEYS))
-    if unknown:
-        raise CheckpointError(f"{where}: unknown metadata keys {unknown}")
-    missing = sorted(set(_META_KEYS) - set(meta) - {"selected_groups"})
-    if missing:
-        raise CheckpointError(f"{where}: metadata lacks {missing}")
-    for key, value in meta.items():
-        kind = _META_KEYS[key]
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise CheckpointError(f"{where}: metadata {key!r} must be a JSON {kind.__name__}")
-    if not all(isinstance(s, str) for s in meta["symbols"]):
-        raise CheckpointError(f"{where}: metadata 'symbols' must be strings")
-    if meta["feature_dim"] < 4:
-        raise CheckpointError(f"{where}: metadata 'feature_dim' must be >= 4")
-    if meta["seed"] < 0:
-        raise CheckpointError(f"{where}: metadata 'seed' must be >= 0")
-    return meta
+_META_FIELDS = Fields(
+    {
+        "magic": STRING,
+        **dict.fromkeys(("seed", "feature_dim", "sample_rate_hz"), INTEGER),
+        **dict.fromkeys(("blank_index", "word_delimiter_index"), INTEGER),
+        **dict.fromkeys(("symbols", "selected_groups"), STRINGS),
+    },
+    optional=("selected_groups",),
+)
 
 
 def load_checkpoint(path: str | Path) -> ReferenceModel:
@@ -700,7 +668,15 @@ def load_checkpoint(path: str | Path) -> ReferenceModel:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if "__meta__" not in arrays:
         raise CheckpointError(f"{path} has no metadata record")
-    meta = _checkpoint_meta(arrays.pop("__meta__"), str(path))
+    text = str(arrays.pop("__meta__"))
+    meta = check_object(text, _META_FIELDS, f"{path} metadata", CheckpointError)
+    if meta["magic"] != CHECKPOINT_MAGIC:
+        magic = meta["magic"]
+        raise CheckpointError(f"{path} is not a {CHECKPOINT_MAGIC} checkpoint (magic={magic!r})")
+    if meta["feature_dim"] < 4:
+        raise CheckpointError(f"{path}: metadata 'feature_dim' must be >= 4")
+    if meta["seed"] < 0:
+        raise CheckpointError(f"{path}: metadata 'seed' must be >= 0")
     try:
         vocab = Vocabulary(
             symbols=tuple(meta["symbols"]),
@@ -719,7 +695,7 @@ def load_checkpoint(path: str | Path) -> ReferenceModel:
             f"the model reads {model.sample_rate_hz} Hz audio"
         )
     groups = meta.get("selected_groups", ["feature_extractor", "layer_norm"])
-    if not all(isinstance(g, str) and g in model._groups for g in groups):
+    if not all(g in model._groups for g in groups):
         raise CheckpointError(
             f"{path}: metadata 'selected_groups' {groups} names a group not in "
             f"{list(model._groups)}"

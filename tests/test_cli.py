@@ -824,6 +824,90 @@ def test_undecodable_manifest_is_validation_error(command, checkpoint, tmp_path,
     assert "cannot read manifest" in capsys.readouterr().err
 
 
+# --- JSON inputs of the wrong type ------------------------------------------------
+
+# (input, the fields it overrides, the key the one error line names)
+_MISTYPED = {
+    "config-steps_n-float": ("config", {"steps_n": 2.5}, "adaptation.steps_n"),
+    "config-neg_k-float-sgem": ("config", {"neg_k": 2.5}, "adaptation.neg_k"),
+    "config-alpha-bool": ("config", {"alpha": True}, "adaptation.alpha"),
+    "config-exclude_blank_frames-string": (
+        "config", {"exclude_blank_frames": "yes"}, "adaptation.exclude_blank_frames"
+    ),
+    "config-seed-float": ("config", {"seed": 1.5}, "adaptation.seed"),
+    "config-durations-bool": (
+        "config", {"max_utterance_s": True, "chunk_target_s": True}, "adaptation.max_utterance_s"
+    ),
+    "config-adapted_groups-string": (
+        "config", {"adapted_groups": "layer_norm"}, "adaptation.adapted_groups"
+    ),
+    "config-learning_rate-string": ("config", {"learning_rate": "0.1"}, "adaptation.learning_rate"),
+    "results-speaker_id-int": ("results", {"speaker_id": 5}, "speaker_id"),
+    "results-substitutions-float": ("results", {"substitutions": 0.5}, "substitutions"),
+    "results-flags-string": ("results", {"flags": "oops"}, "flags"),
+    "manifest-utterance_id-empty": ("manifest", {"utterance_id": ""}, "utterance_id"),
+}
+
+
+def _with_first_line(path: Path, fields: dict) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = json.dumps({**json.loads(lines[0]), **fields}) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(_MISTYPED))
+def test_mistyped_json_input_is_one_validation_error(
+    case, corpus, checkpoint, baseline_run, tmp_path, capsys
+):
+    kind, fields, key = _MISTYPED[case]
+    _, manifest_path = corpus
+    out = tmp_path / "out"
+    if kind == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "adaptation": fields,
+            "methods": ["sgem" if "neg_k" in fields else "suta"],
+            "manifest_path": str(manifest_path),
+            "checkpoint_ref": str(checkpoint),
+            "output_dir": str(out),
+        }), encoding="utf-8")
+        argv, where = ["adapt", "--config", str(cfg)], str(cfg)
+    elif kind == "results":
+        shutil.copytree(baseline_run, tmp_path / "run")
+        bad = tmp_path / "run" / "results.jsonl"
+        _with_first_line(bad, fields)
+        argv, where = ["evaluate", "--run", str(tmp_path / "run")], f"{bad} line 1"
+    else:
+        bad = tmp_path / "manifest.jsonl"
+        shutil.copyfile(manifest_path, bad)
+        _with_first_line(bad, fields)
+        argv, where = ["ingest", "--from-manifest", str(bad), "--out", str(out)], f"{bad} line 1"
+
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert where in err and f"'{key}'" in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["cfg.json", "results.jsonl", "config.json"])
+def test_json_input_that_is_not_utf8_is_validation_error(name, baseline_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(baseline_run, run)
+    if name == "cfg.json":
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff\xfe{")
+        argv = ["adapt", "--config", str(bad)]
+    else:
+        bad = run / name
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        argv = ["evaluate", "--run", str(run)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err, err
+
+
 # --- evaluate -------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import json
 import pickle
 
@@ -26,6 +27,7 @@ from ttabench.engine.config import (
 )
 from ttabench.engine.optim import Adam, Sgd, build_optimizer
 from ttabench.engine.runner import (
+    ExperimentResult,
     adapt_speaker,
     adapt_utterance,
     run_experiment,
@@ -85,10 +87,15 @@ def test_config_rejects_unknown_keys():
         AdaptationConfig.from_dict({"stepz": 5})
 
 
-def test_config_fingerprint_tracks_content():
-    a = AdaptationConfig()
-    assert a.fingerprint() == AdaptationConfig().fingerprint()
-    assert a.fingerprint() != AdaptationConfig(steps_n=11).fingerprint()
+def _config_fingerprint(out, config: AdaptationConfig) -> str:
+    RunWriter(out, config, _INPUTS).finalize(ExperimentResult(config=config, speakers=()))
+    return json.loads((out / "run_manifest.json").read_text())["config_fingerprint"]
+
+
+def test_config_fingerprint_tracks_content(tmp_path):
+    a = _config_fingerprint(tmp_path / "a", AdaptationConfig())
+    assert a == _config_fingerprint(tmp_path / "b", AdaptationConfig())
+    assert a != _config_fingerprint(tmp_path / "c", AdaptationConfig(steps_n=11))
 
 
 def test_resolve_config_overrides_skip_none():
@@ -193,6 +200,27 @@ def test_method_none_is_plain_decode(model):
     assert trace.steps == ()
     assert not trace.parameters_restored
     assert trace.initial_total is None and trace.final_total is None
+
+
+def test_method_none_decodes_long_audio_one_chunk_at_a_time(model, monkeypatch):
+    from ttabench.model.decode import greedy_ctc_decode
+
+    config = AdaptationConfig(method="none", max_utterance_s=1.0, chunk_target_s=0.6)
+    w = noise(2.0, rms=0.1, seed=4)
+    chunks = split_waveform(w, config.max_utterance_s, config.chunk_target_s)
+    forward = model.forward
+    expected = " ".join(greedy_ctc_decode(forward(c), model.vocabulary()) for c in chunks)
+    lengths = []
+
+    def recording_forward(wave, *args):
+        lengths.append(len(wave.samples))
+        return forward(wave, *args)
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    hyp, _ = adapt_utterance(model, w, config)
+    assert len(chunks) > 1 and lengths == [len(c.samples) for c in chunks]
+    assert max(lengths) <= config.max_utterance_s * w.sample_rate_hz
+    assert hyp == expected
 
 
 def test_zero_steps_behaves_like_none(model):
@@ -553,7 +581,8 @@ def test_run_writer_resume_and_finalize(tmp_path, model):
     assert resumed["alpha"].wer == pytest.approx(result.speakers[0].wer)
 
     run_manifest = json.loads((out / "run_manifest.json").read_text())
-    assert run_manifest["config_fingerprint"] == config.fingerprint()
+    config_text = (out / "config.json").read_text(encoding="utf-8").removesuffix("\n")
+    assert run_manifest["config_fingerprint"] == hashlib.sha256(config_text.encode()).hexdigest()
     assert run_manifest["checkpoint_fingerprint"] == "ab" * 32
     assert run_manifest["corpus_manifest_sha256"] == "cd" * 32
     assert run_manifest["n_utterances"] == 4

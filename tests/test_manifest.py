@@ -55,6 +55,13 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.utterances == m.utterances
 
 
+def test_transcript_with_a_line_separator_round_trips(tmp_path):
+    # str.splitlines would cut the saved line inside the transcript
+    m = CorpusManifest(utterances=(Utterance("u1", "s1", "a.wav", "one\u2028two", 1.0),))
+    save_manifest(m, tmp_path / "m.jsonl")
+    assert load_manifest(tmp_path / "m.jsonl").utterances == m.utterances
+
+
 def test_load_missing_file_raises(tmp_path):
     with pytest.raises(ManifestError, match="cannot read manifest .*nope.jsonl"):
         load_manifest(tmp_path / "nope.jsonl")
@@ -63,7 +70,7 @@ def test_load_missing_file_raises(tmp_path):
 def test_load_reports_missing_field_with_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"utterance_id": "u1", "speaker_id": "s"}\n')
-    with pytest.raises(ManifestError, match="at line 1 is missing field 'audio_path'"):
+    with pytest.raises(ManifestError, match="bad.jsonl line 1: missing field 'audio_path'"):
         load_manifest(path)
 
 
