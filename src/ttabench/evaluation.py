@@ -26,12 +26,17 @@ _NON_WORD = re.compile(r"[^A-Z0-9']+")
 _LONE_APOSTROPHE = re.compile(r"(?<![A-Z0-9])'|'(?![A-Z0-9])")
 
 
+def _words(s: str) -> list[str]:
+    """The words of ``normalize_text(s)``, without joining them back into one string."""
+    s = _NON_WORD.sub(" ", s.upper())
+    if "'" in s:
+        s = _LONE_APOSTROPHE.sub("", s)
+    return s.split()
+
+
 def normalize_text(s: str) -> str:
     """Uppercase, strip punctuation except intra-word apostrophes, collapse spaces."""
-    s = s.upper()
-    s = _NON_WORD.sub(" ", s)
-    s = _LONE_APOSTROPHE.sub("", s)
-    return " ".join(s.split())
+    return " ".join(_words(s))
 
 
 @dataclass(frozen=True)
@@ -71,47 +76,54 @@ def wer(reference: str, hypothesis: str) -> WerCount:
     Raises:
         EvaluationError: reference is empty after normalization.
     """
-    ref = normalize_text(reference).split()
-    hyp = normalize_text(hypothesis).split()
+    ref = _words(reference)
+    hyp = _words(hypothesis)
     if not ref:
         raise EvaluationError("reference transcript empty after normalization")
 
     m, n = len(ref), len(hyp)
-    # d[i][j] = edit distance between ref[:i] and hyp[:j]
-    d = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        d[i][0] = i
-    for j in range(1, n + 1):
-        d[0][j] = j
-    for i in range(1, m + 1):
-        ref_i = ref[i - 1]
-        row, prev = d[i], d[i - 1]
-        for j in range(1, n + 1):
-            sub = prev[j - 1] + (0 if ref_i == hyp[j - 1] else 1)
-            ins = row[j - 1] + 1
-            dele = prev[j] + 1
-            row[j] = min(sub, ins, dele)
+    # d[i][j] = edit distance between ref[:i] and hyp[:j], built one row at a
+    # time; each cell is the least of diagonal (+1 unless the words match),
+    # up + 1 and left + 1.
+    prev = list(range(n + 1))
+    d = [prev]
+    for ref_i in ref:
+        left = prev[0] + 1
+        row = [left]
+        for diag, up, hyp_j in zip(prev, prev[1:], hyp):
+            if ref_i != hyp_j:
+                diag += 1
+            up += 1
+            left += 1
+            if up < diag:
+                diag = up
+            if diag < left:
+                left = diag
+            row.append(left)
+        d.append(row)
+        prev = row
 
     subs = dels = ins = 0
     i, j = m, n
-    while i > 0 or j > 0:
+    while i and j:
         cur = d[i][j]
-        if i > 0 and j > 0:
-            diag = d[i - 1][j - 1]
-            if ref[i - 1] == hyp[j - 1] and cur == diag:
-                i, j = i - 1, j - 1
-                continue
-            if cur == diag + 1:
-                subs += 1
-                i, j = i - 1, j - 1
-                continue
-        if j > 0 and cur == d[i][j - 1] + 1:
+        diag = d[i - 1][j - 1]
+        if cur == diag and ref[i - 1] == hyp[j - 1]:
+            i, j = i - 1, j - 1
+        elif cur == diag + 1:
+            subs += 1
+            i, j = i - 1, j - 1
+        elif cur == d[i][j - 1] + 1:
             ins += 1
             j -= 1
-            continue
-        dels += 1
-        i -= 1
-    return WerCount(substitutions=subs, deletions=dels, insertions=ins, reference_words=m)
+        else:
+            dels += 1
+            i -= 1
+    # Off the grid's inner part only one move is left: ref words still
+    # unmatched are deletions, hyp words are insertions.
+    return WerCount(
+        substitutions=subs, deletions=dels + i, insertions=ins + j, reference_words=m
+    )
 
 
 def speaker_wer(counts: Sequence[WerCount]) -> float:
