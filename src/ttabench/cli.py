@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -121,13 +122,17 @@ def _discover_source(source: Path) -> list[Utterance]:
         txt = wav.with_suffix(".txt")
         if not txt.exists():
             raise ManifestError(f"missing transcript file: {txt}")
+        try:
+            transcript = txt.read_text(encoding="utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"transcript file {txt} is not UTF-8: {exc}") from exc
         w = read_audio(wav)
         utterances.append(
             Utterance(
                 utterance_id=wav.stem,
                 speaker_id=wav.parent.name,
                 audio_path=str(wav),
-                transcript=txt.read_text(encoding="utf-8").strip(),
+                transcript=transcript,
                 duration_s=w.duration_s,
             )
         )
@@ -303,25 +308,29 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _read_metrics_csv(path: Path) -> dict[str, dict[str, float]]:
     """speaker_metrics.csv -> {metric: {speaker: value}}."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "speaker_id" not in reader.fieldnames:
-            raise AnalysisError(f"{path} lacks a speaker_id column")
-        out: dict[str, dict[str, float]] = {
-            name: {} for name in reader.fieldnames if name in METRIC_COLUMNS
-        }
-        for row in reader:
-            for name in out:
-                try:
-                    value = float(row[name])
-                except (TypeError, ValueError):
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise AnalysisError(
-                        f"{path} line {reader.line_num}, column {name!r}: "
-                        f"not a finite number: {row[name]!r}"
-                    )
-                out[name][row["speaker_id"]] = value
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise AnalysisError(f"{path} is not UTF-8: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None or "speaker_id" not in reader.fieldnames:
+        raise AnalysisError(f"{path} lacks a speaker_id column")
+    out: dict[str, dict[str, float]] = {
+        name: {} for name in reader.fieldnames if name in METRIC_COLUMNS
+    }
+    for row in reader:
+        for name in out:
+            try:
+                value = float(row[name])
+            except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise AnalysisError(
+                    f"{path} line {reader.line_num}, column {name!r}: "
+                    f"not a finite number: {row[name]!r}"
+                )
+            out[name][row["speaker_id"]] = value
     return out
 
 

@@ -29,36 +29,52 @@ im2col matrix its forward pass built, when one tile covered the frames.
 
 Threads. Importing this module pins numpy's OpenBLAS to one thread (see
 ``threads``), so no result depends on the BLAS thread count. The conv stack
-runs on two threads instead: each chunk of L output frames is cut into two
-frame spans, [0, L // 2) and [L // 2, L) (one span when L < 2). The caller's
-thread runs span 0 and the module-level helper thread runs span 1, at the
-same time, with numpy releasing the GIL inside each array operation. A span
-reads only the samples its frames see, [S t0, S (t1 - 1) + R) with S the
-total stride and R the receptive field, so neighbouring spans share a few
-conv1 frames. Per span, the forward pass runs conv1, GELU, conv2, GELU and
-the layer-norm statistics, writing its columns of one full-length ``xhat``;
-the backward pass runs the layer-norm backward, both GELU backwards, conv2's
-input gradient and both conv layers' weight and bias gradients. Everything
-else (layer-norm affine, head, loss, head and layer-norm gradients) runs on
-the whole chunk in the caller's thread, and each conv gradient is span 0's
-plus span 1's, in that order, so results do not depend on which thread
-finishes first. ``frozen_features`` runs the same span code, which keeps
-``forward(w, frozen)`` bitwise equal to ``forward(w)``. The helper runs only
-private functions, under the caller's numpy ``errstate``.
+runs on two threads instead: each chunk of L output frames is cut into frame
+spans of at most B = ``FRAME_BUDGET`` frames (``model/types.py``), which run
+two at a time, the first of each pair on the caller's thread and the second
+on the module-level helper thread, with numpy releasing the GIL inside each
+array operation. A chunk of L <= 2 B frames is two spans, [0, L // 2) and
+[L // 2, L) (one span when L < 2); a longer one is the fewest near-equal
+spans that come in pairs. A span reads only the samples its frames see,
+[S t0, S (t1 - 1) + R) with S the total stride and R the receptive field, so
+neighbouring spans share a few conv1 frames. Per span, the forward pass runs
+conv1, GELU, conv2, GELU and the layer-norm statistics, writing its columns
+of one full-length ``xhat``; the backward pass runs the layer-norm backward,
+both GELU backwards, conv2's input gradient and both conv layers' weight and
+bias gradients. Everything else (layer-norm affine, head, loss, head and
+layer-norm gradients) runs on the whole chunk in the caller's thread, and
+each conv gradient is the sum of the spans' in span order, so results do
+not depend on which thread finishes first. ``frozen_features`` runs the same
+span code, which keeps ``forward(w, frozen)`` bitwise equal to
+``forward(w)``. The helper runs only private functions, under the caller's
+numpy ``errstate``.
 
-Each span keeps a scratch workspace between calls: named float64 buffers
-that its activations, backward temporaries and im2col window tiles are
-written into with ``out=``; span 0's also holds the whole-chunk arrays
-(``xhat``, ``h3`` and their gradients). Buffers whose contents are dead are
-handed on (dxhat, for example, takes h2's buffer), so the workspaces hold
-one call's working set for the longest chunk seen so far, and are freed
-with the model. Without them every step would allocate and free about ten
-full-length arrays, which the C allocator returns to the kernel and then
-takes back page by page. Every call writes a buffer before reading it, so
-snapshot, restore and ``select_adaptable`` need no invalidation. Nothing
-that leaves the model is a view into a workspace: the logits,
-``frozen_features`` and the gradients are newly allocated arrays the caller
-owns. One model must not be called from two threads at once.
+Recompute above the budget (Chen et al. 2016, arXiv:1604.06174). With two
+spans the forward pass keeps each span's conv activations for the backward
+pass. With more, a pair's activations overwrite the pair's before it, so the
+forward pass keeps only ``xhat`` and the layer-norm ``inv``, and the
+backward pass runs each span's conv stack again just before that span's
+backward. That costs one more conv forward per step on chunks above 2 B
+frames; their conv gradients differ from a two-span pass by reassociation
+only.
+
+Each of the two threads' spans keeps a scratch workspace between calls:
+named float64 buffers that its activations, backward temporaries and im2col
+window tiles are written into with ``out=``. The first workspace also holds
+the whole-chunk arrays (``xhat``, ``h3`` and their gradients) of a chunk of
+at most 2 B frames; a longer chunk's live in a workspace of their own, freed
+when the call returns. Buffers whose contents are dead are handed on (dxhat,
+for example, takes h2's buffer), so the workspaces hold one call's working
+set for at most 2 B frames, however long the chunks, and are freed with the
+model; ``frozen_features`` frees them before it returns, since no step reads
+them under a selection that freezes the conv stack. Without workspaces every
+step would allocate and free about ten full-length arrays, which the C
+allocator returns to the kernel and then takes back page by page. Every call
+writes a buffer before reading it, so snapshot, restore and
+``select_adaptable`` need no invalidation. Nothing that leaves the model is
+a view into a workspace: the logits, ``frozen_features`` and the gradients
+are newly allocated arrays the caller owns. One model must not be called
+from two threads at once.
 
 All math is float64 numpy; forward is deterministic and snapshot/restore is
 bit-exact by construction.
@@ -88,7 +104,7 @@ from ..errors import (
     FrozenParameterError,
 )
 from ..jsonfields import INTEGER, STRING, STRINGS, Fields, check_object
-from . import threads
+from . import threads, types
 from .types import LogitMatrix, LossFunctional, ModelSnapshot, Vocabulary, default_vocabulary
 
 CHECKPOINT_MAGIC = "ttabench-refmodel-v1"
@@ -119,6 +135,10 @@ class _Workspace:
             self._buffers.pop(name, None)  # free the old buffer before allocating its successor
             self._buffers[name] = np.empty(size)
         return self._buffers[name][:size].reshape(shape)
+
+    def clear(self) -> None:
+        """Drop every buffer; each is freed once no view of it is left."""
+        self._buffers.clear()
 
 
 def _gelu(
@@ -202,20 +222,25 @@ def _as_matrix(a: np.ndarray, shape: tuple[int, int], ws: _Workspace) -> np.ndar
 
 
 def _frame_spans(n_frames: int) -> list[tuple[int, int]]:
-    """The frame spans a chunk of ``n_frames`` output frames is cut into:
-    [0, L // 2) and [L // 2, L), or the whole chunk when L < 2."""
+    """The frame spans a chunk of ``n_frames`` output frames is cut into: the whole
+    chunk when L < 2, else the fewest near-equal spans of at most ``FRAME_BUDGET``
+    frames that come in pairs, which is [0, L // 2) and [L // 2, L) when L <= 2 B."""
     if n_frames < 2:
         return [(0, n_frames)]
-    mid = n_frames // 2
-    return [(0, mid), (mid, n_frames)]
+    n_spans = 2 * -(-n_frames // (2 * types.FRAME_BUDGET))
+    edges = [i * n_frames // n_spans for i in range(n_spans + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _run_spans(tasks: Iterable[Callable[[], _T]]) -> list[_T]:
-    """Each task's result, in order; the second of two runs on the helper thread."""
+    """Each task's result, in order; tasks run two at a time, the second of each pair
+    on the helper thread."""
     tasks = list(tasks)
-    if len(tasks) == 1:
-        return [tasks[0]()]
-    return list(threads.in_parallel(*tasks))
+    results: list[_T] = []
+    for i in range(0, len(tasks), 2):
+        pair = tasks[i : i + 2]
+        results.extend(threads.in_parallel(*pair) if len(pair) == 2 else [pair[0]()])
+    return results
 
 
 def _conv1d(
@@ -315,8 +340,8 @@ class ReferenceModel:
     same as without it, as long as the selection and the unselected groups
     have not changed since it was computed.
 
-    Between calls the model keeps a private workspace per frame span (one
-    call's working set for the longest chunk seen so far, freed with the
+    Between calls the model keeps a private workspace per thread (one call's
+    working set for at most ``2 * FRAME_BUDGET`` output frames, freed with the
     model); see the module docstring for the spans and their threads. The
     arrays ``forward``, ``frozen_features`` and ``gradient`` return are
     newly allocated and owned by the caller; later calls never write to them.
@@ -391,12 +416,9 @@ class ReferenceModel:
 
     # --- forward / backward ---------------------------------------------------
 
-    def _span_forward(
-        self, x: np.ndarray, t0: int, t1: int, ws: _Workspace, xhat: np.ndarray, inv: np.ndarray
-    ) -> dict[str, np.ndarray]:
-        """Conv stack and layer-norm statistics of output frames t0..t1-1, from the
-        samples they read; writes ``xhat[:, t0:t1]`` and ``inv[t0:t1]``. Returns what
-        the span's backward pass reads, as views into ``ws``."""
+    def _span_convs(self, x: np.ndarray, t0: int, t1: int, ws: _Workspace) -> dict[str, np.ndarray]:
+        """Conv stack of output frames t0..t1-1, from the samples they read. Returns
+        what the span's backward pass reads, and ``h2``, as views into ``ws``."""
         p = self._params
         xs = x[self.HOP * t0 : self.HOP * (t1 - 1) + self.FIELD]
         n1 = (len(xs) - self.K1) // self.S1 + 1
@@ -406,12 +428,21 @@ class ReferenceModel:
         h1, erf1 = _gelu(a1, ws.get("h1", shape1), ws.get("erf1", shape1))
         a2, cols2 = _conv1d(h1, p["conv2_w"], p["conv2_b"], self.S2, ws.get("a2", shape2), ws)
         h2, erf2 = _gelu(a2, ws.get("h2", shape2), ws.get("erf2", shape2))
-        _layer_norm_stats(h2, xhat[:, t0:t1], inv[t0:t1])
         # nothing writes the window again before the backward pass takes conv2's
         # weight gradient from cols2
         return {
-            "x": xs, "a1": a1, "erf1": erf1, "h1": h1, "a2": a2, "erf2": erf2, "cols2": cols2
+            "x": xs, "a1": a1, "erf1": erf1, "h1": h1, "a2": a2, "erf2": erf2, "cols2": cols2,
+            "h2": h2,
         }
+
+    def _span_forward(
+        self, x: np.ndarray, t0: int, t1: int, ws: _Workspace, xhat: np.ndarray, inv: np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """``_span_convs`` and the layer-norm statistics of output frames t0..t1-1;
+        writes ``xhat[:, t0:t1]`` and ``inv[t0:t1]``."""
+        span = self._span_convs(x, t0, t1, ws)
+        _layer_norm_stats(span.pop("h2"), xhat[:, t0:t1], inv[t0:t1])
+        return span
 
     def _span_backward(
         self,
@@ -457,12 +488,16 @@ class ReferenceModel:
 
     def _conv_features(
         self, x: np.ndarray, xhat: np.ndarray, inv: np.ndarray
-    ) -> list[dict[str, np.ndarray]]:
-        """``_span_forward`` of every frame span, in parallel; fills ``xhat`` and ``inv``."""
-        return _run_spans(
-            functools.partial(self._span_forward, x, t0, t1, ws, xhat, inv)
-            for (t0, t1), ws in zip(_frame_spans(xhat.shape[1]), self._span_ws)
+    ) -> list[dict[str, np.ndarray]] | None:
+        """``_span_forward`` of every frame span, two at a time; fills ``xhat`` and
+        ``inv``. Returns each span's activations when there are two spans or one;
+        with more, a pair's overwrite the pair's before it, so None."""
+        spans = _frame_spans(xhat.shape[1])
+        acts = _run_spans(
+            functools.partial(self._span_forward, x, t0, t1, self._span_ws[i % 2], xhat, inv)
+            for i, (t0, t1) in enumerate(spans)
         )
+        return acts if len(spans) <= 2 else None
 
     def _ln_affine(self, xhat: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(self._params["ln_gamma"][:, None], xhat, out=out)
@@ -480,31 +515,40 @@ class ReferenceModel:
 
         Pass it to ``forward`` and ``gradient`` for the same waveform under
         the same selection; updates of the selected groups keep it valid.
-        The array is newly allocated and owned by the caller.
+        The array is newly allocated and owned by the caller. The model's span
+        workspaces are freed before it returns.
         """
         if not self._features_frozen():
             return None
         self._check_rate(w)
         shape = self._features_shape(len(w.samples))
         xhat = np.empty(shape)
-        self._conv_features(w.samples, xhat, self._span_ws[0].get("inv", shape[1:]))
+        try:  # no step reads the conv stack's buffers under this selection
+            self._conv_features(w.samples, xhat, np.empty(shape[1:]))
+        finally:
+            for ws in self._span_ws:
+                ws.clear()
         return xhat
 
     def _forward_cached(self, x: np.ndarray, frozen: np.ndarray | None) -> dict[str, np.ndarray]:
-        """Every activation the backward pass reads, and the class-major C x L logits
-        ``z``; all but ``z`` and ``frozen`` are views into the workspaces, valid until
-        the next call."""
-        ws = self._span_ws[0]
+        """Every whole-chunk activation the backward pass reads, the conv activations
+        of each frame span when they are kept (``_conv_features``), the workspace
+        ``ws`` of the whole-chunk arrays, and the class-major C x L logits ``z``;
+        all but ``z`` and ``frozen`` are views into the workspaces, valid until the
+        next call. Whole-chunk arrays of a chunk above two spans' budget are in a
+        workspace of their own, freed with the cache."""
         shape = self._features_shape(len(x))
+        ws = self._span_ws[0] if shape[1] <= 2 * types.FRAME_BUDGET else _Workspace()
+        cache: dict = {"ws": ws}
         if frozen is None:
             xhat, inv = ws.get("xhat", shape), ws.get("inv", shape[1:])
-            cache: dict = {"xhat": xhat, "inv": inv, "spans": self._conv_features(x, xhat, inv)}
+            cache.update(xhat=xhat, inv=inv, spans=self._conv_features(x, xhat, inv))
         else:
             if not self._features_frozen():
                 raise ValueError("frozen features given, but feature_extractor is selected")
             if frozen.shape != shape:
                 raise ValueError(f"frozen features shape {frozen.shape} != {shape}")
-            cache = {"xhat": frozen}
+            cache["xhat"] = frozen
         cache["h3"] = self._ln_affine(cache["xhat"], ws.get("h3", shape))
         p = self._params
         z = np.matmul(p["head_w"], cache["h3"])
@@ -529,7 +573,7 @@ class ReferenceModel:
         if dz.shape != z.shape:
             raise ValueError(f"loss gradient shape {dz.shape} != logits shape {z.shape}")
 
-        p, ws = self._params, self._span_ws[0]
+        p, ws = self._params, cache["ws"]
         dzt = dz.T  # class-major, as the objectives return it
         selected = set(self._selected)
         grads: dict[str, np.ndarray] = {}
@@ -547,11 +591,15 @@ class ReferenceModel:
             grads["ln_beta"] = dh3.sum(axis=1)
         if "feature_extractor" not in selected:
             return record, grads
+        spans, acts, inv = _frame_spans(xhat.shape[1]), cache["spans"], cache["inv"]
+
+        def span_grads(i: int, t0: int, t1: int) -> dict[str, np.ndarray]:
+            ws_i = self._span_ws[i % 2]
+            act = acts[i] if acts is not None else self._span_convs(w.samples, t0, t1, ws_i)
+            return self._span_backward(act, dh3, xhat, inv, t0, t1, ws_i)
+
         parts = _run_spans(
-            functools.partial(self._span_backward, span, dh3, xhat, cache["inv"], t0, t1, ws_i)
-            for span, (t0, t1), ws_i in zip(
-                cache["spans"], _frame_spans(xhat.shape[1]), self._span_ws
-            )
+            functools.partial(span_grads, i, t0, t1) for i, (t0, t1) in enumerate(spans)
         )
         grads.update(parts[0])
         for part in parts[1:]:

@@ -9,6 +9,11 @@ import numpy as np
 
 from ..errors import NonFiniteLogitsError
 
+# Output frames in one unit of work (2 s of audio): a frame span of the
+# reference model's conv stack, or a block of an objective. A chunk's working
+# set beyond its output-sized arrays is bounded by this, not by its length.
+FRAME_BUDGET = 8192
+
 
 @dataclass(frozen=True)
 class LogitMatrix:

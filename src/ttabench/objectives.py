@@ -17,6 +17,12 @@ vectorised passes over all frames, not L short inner loops. The interface
 stays L x C: ``values``, the logits and the returned gradients (F-ordered
 L x C views) are indexed [frame, class].
 
+The composite objectives work through the frames in blocks of at most
+``FRAME_BUDGET`` (``model/types.py``), so besides the logits and the
+gradient they return they hold one block's arrays at a time. A chunk of one
+block computes exactly what a whole-chunk pass does; over several blocks,
+sums over frames change by reassociation only.
+
 Gradient formulas assume strictly positive probabilities, which softmax
 guarantees; hand-built probability matrices with exact zeros are fine for
 the value functions only.
@@ -26,9 +32,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
+from .model import types as model_types
 from .model.types import LogitMatrix, LossFunctional
 
 logger = logging.getLogger(__name__)
@@ -93,7 +101,12 @@ def softmax_temperature(z: LogitMatrix, temperature: float) -> ProbMatrix:
     """Row-wise softmax of z / T, stabilized by per-row max subtraction; stored class-major."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    buf = np.divide(z.values.T, temperature, order="C")
+    return _softmax(z.values.T, temperature)
+
+
+def _softmax(zt: np.ndarray, temperature: float) -> ProbMatrix:
+    """``softmax_temperature`` of the class-major C x n logits ``zt``."""
+    buf = np.divide(zt, temperature, order="C")
     buf -= buf.max(axis=0)
     np.exp(buf, out=buf)
     buf /= buf.sum(axis=0)
@@ -109,11 +122,12 @@ def softmax_temperature(z: LogitMatrix, temperature: float) -> ProbMatrix:
 def entropy_loss(p: ProbMatrix) -> float:
     """Mean per-frame Shannon entropy, with 0 log 0 := 0."""
     vt = p.values.T
-    return _entropy(vt, np.log(np.where(vt > 0, vt, 1.0)))
+    return float(-_p_log_p(vt, np.log(np.where(vt > 0, vt, 1.0))).mean())
 
 
-def _entropy(vt: np.ndarray, log_vt: np.ndarray) -> float:
-    return float(-np.einsum("cl,cl->l", vt, log_vt).mean())
+def _p_log_p(vt: np.ndarray, log_vt: np.ndarray) -> np.ndarray:
+    """Per frame, the sum over classes of p log p."""
+    return np.einsum("cl,cl->l", vt, log_vt)
 
 
 def mcc_loss(p: ProbMatrix) -> float:
@@ -129,13 +143,12 @@ def mcc_loss(p: ProbMatrix) -> float:
 
 def _confusion_sums(vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per class: the row sum of K (the class's mass) and its diagonal K[c, c]."""
-    mass = vt.sum(axis=1)
-    if np.any(mass <= 0):
-        logger.warning("class-confusion matrix has an all-zero class column; using 1e-12 guard")
-    return mass, np.einsum("cl,cl->c", vt, vt)
+    return vt.sum(axis=1), np.einsum("cl,cl->c", vt, vt)
 
 
 def _mcc(mass: np.ndarray, k_diag: np.ndarray) -> float:
+    if np.any(mass <= 0):
+        logger.warning("class-confusion matrix has an all-zero class column; using 1e-12 guard")
     return float(((mass - k_diag) / (mass + _MCC_EPS)).mean())
 
 
@@ -211,6 +224,73 @@ def _softmax_chain(vt: np.ndarray, g: np.ndarray, temperature: float) -> np.ndar
 # --- composite objectives --------------------------------------------------------
 
 
+class _KeptFrames:
+    """The frames an objective is computed on, in blocks of at most ``FRAME_BUDGET``.
+
+    With ``blank_dominance`` set, a frame whose blank probability exceeds it is
+    left out, unless that would leave no frame at all. Iterating yields, for
+    each block that keeps a frame, the kept frames' columns of the logits (a
+    slice, or an index array when frames are left out) and their class-major
+    C x n probabilities. Every pass computes a block's softmax again, so it
+    holds one block's arrays at a time; a single block keeps its softmax.
+    ``add_grad`` takes the class-major logit gradient of each block a pass
+    yields, and ``logit_grad`` returns their L x C whole, zero on frames left out.
+    """
+
+    def __init__(self, z: LogitMatrix, temperature: float, blank_dominance: float | None):
+        if temperature <= 0:
+            raise ValueError("temperature must be positive")
+        self._zt, self._temperature = z.values.T, temperature
+        n, budget = z.n_frames, model_types.FRAME_BUDGET
+        self._blocks: list[tuple[slice, np.ndarray | None]] = [
+            (slice(t0, min(t0 + budget, n)), None) for t0 in range(0, n, budget)
+        ]
+        self._cached: np.ndarray | None = None
+        if blank_dominance is not None:
+            kept = [
+                np.flatnonzero(self._probs(block)[z.blank_index] <= blank_dominance)
+                for block, _ in self._blocks
+            ]
+            if any(k.size for k in kept):  # never optimize over an empty frame set
+                self._blocks = [(block, k) for (block, _), k in zip(self._blocks, kept)]
+        self.n_frames = sum(
+            block.stop - block.start if k is None else k.size for block, k in self._blocks
+        )
+        self._grad: np.ndarray | None = None
+
+    @property
+    def single(self) -> bool:
+        """Whether the frames form one block, whose arrays a later pass may reuse."""
+        return len(self._blocks) == 1
+
+    def _probs(self, block: slice) -> np.ndarray:
+        if self._cached is not None:
+            return self._cached
+        vt = _softmax(self._zt[:, block], self._temperature).values.T
+        if self.single:
+            self._cached = vt
+        return vt
+
+    def __iter__(self) -> Iterator[tuple[slice | np.ndarray, np.ndarray]]:
+        for block, kept in self._blocks:
+            if kept is None:
+                yield block, self._probs(block)
+            elif kept.size:
+                yield block.start + kept, self._probs(block)[:, kept]
+
+    def add_grad(self, cols: slice | np.ndarray, g: np.ndarray) -> None:
+        n = self._zt.shape[1]
+        if self._grad is None:
+            if isinstance(cols, slice) and cols == slice(0, n):  # g is the whole gradient
+                self._grad = g
+                return
+            self._grad = np.zeros((g.shape[0], n))
+        self._grad[:, cols] = g
+
+    def logit_grad(self) -> np.ndarray:
+        return self._grad.T
+
+
 def suta_loss_and_grad(
     z: LogitMatrix,
     alpha: float = 0.3,
@@ -222,17 +302,25 @@ def suta_loss_and_grad(
     gradient with respect to the logits.
 
     With ``blank_dominance`` set, only frames whose blank probability is at
-    most that value contribute (all frames, if none is).
+    most that value contribute (all frames, if none is). A first pass over
+    the frames takes the entropy and each class's mass; the gradient takes a
+    second.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    p, cols = _masked_probs(z, temperature, blank_dominance)
-    vt = p.values.T
-    log_vt = np.log(vt)
-    em = _entropy(vt, log_vt)
-    if np.isnan(em):  # a probability underflowed to 0, where 0 log 0 := 0
-        em = entropy_loss(p)
-    mass, k_diag = _confusion_sums(vt)
+    frames = _KeptFrames(z, temperature, blank_dominance)
+    p_log_p, masses, k_diags = [], [], []
+    for _, vt in frames:
+        log_vt = np.log(vt)
+        block = _p_log_p(vt, log_vt)
+        if np.isnan(block).any():  # a probability underflowed to 0, where 0 log 0 := 0
+            block = _p_log_p(vt, np.log(np.where(vt > 0, vt, 1.0)))
+        p_log_p.append(block)
+        mass, k_diag = _confusion_sums(vt)
+        masses.append(mass)
+        k_diags.append(k_diag)
+    em = float(-np.concatenate(p_log_p).mean())
+    mass, k_diag = sum(masses), sum(k_diags)
     mcc = _mcc(mass, k_diag)
     value = TtaLossValue(
         total=alpha * em + (1.0 - alpha) * mcc,
@@ -241,16 +329,20 @@ def suta_loss_and_grad(
     )
     if not need_grad:
         return value, None
-    c, n = vt.shape
+    c, n = z.n_classes, frames.n_frames
     # alpha * d em/dp = -alpha (log p + 1) / n; (1 - alpha) * d mcc/dp, per
     # class, is ((1 - 2p) denom - (mass - K_cc)) / denom^2 / C * (1 - alpha)
     denom = mass + _MCC_EPS
     scale = (1.0 - alpha) / (denom * denom) / c
-    g = log_vt
-    g *= -alpha / n
-    g += ((denom - (mass - k_diag)) * scale - alpha / n)[:, None]
-    g -= (2.0 * denom * scale)[:, None] * vt
-    return value, _to_logits(vt, g, temperature, cols, z.n_frames)
+    shift = ((denom - (mass - k_diag)) * scale - alpha / n)[:, None]
+    slope = (2.0 * denom * scale)[:, None]
+    for cols, vt in frames:
+        g = log_vt if frames.single else np.log(vt)  # the first pass's, for one block
+        g *= -alpha / n
+        g += shift
+        g -= slope * vt
+        frames.add_grad(cols, _softmax_chain(vt, g, temperature))
+    return value, frames.logit_grad()
 
 
 def sgem_loss_and_grad(
@@ -263,57 +355,36 @@ def sgem_loss_and_grad(
     blank_dominance: float | None = None,
 ) -> tuple[TtaLossValue, np.ndarray | None]:
     """Renyi-entropy-plus-negative-sampling objective gem + lambda*ns, and its
-    gradient; frames selected as in ``suta_loss_and_grad``."""
+    gradient; frames selected as in ``suta_loss_and_grad``. One pass over the
+    frames takes both, since each frame's gradient needs only its own values."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    p, cols = _masked_probs(z, temperature, blank_dominance)
-    vt = p.values.T
-    # p^rho and the top-k partition serve the value and the gradient
-    pw = _renyi_powers(vt, rho)
-    frame_sums = pw.sum(axis=0)
-    part = _topk_partition(p.values, neg_k)
-    retained = part[:, -neg_k:].sum(axis=1)
-    gem = _renyi(frame_sums, rho)
-    ns = _negative_sampling(retained)
+    frames = _KeptFrames(z, temperature, blank_dominance)
+    n = frames.n_frames
+    all_sums, all_retained = [], []
+    for cols, vt in frames:
+        # p^rho and the top-k partition serve the value and the gradient
+        pw = _renyi_powers(vt, rho)
+        frame_sums = pw.sum(axis=0)
+        part = _topk_partition(vt.T, neg_k)
+        retained = part[:, -neg_k:].sum(axis=1)
+        all_sums.append(frame_sums)
+        all_retained.append(retained)
+        if need_grad:
+            # d gem/dp = rho p^(rho-1) / s / (1 - rho) / n, with p^(rho-1) = p^rho / p;
+            # d ns/dp = -1 / (retained + eps) / n on each frame's top-k classes
+            g = np.divide(pw, vt, out=pw)
+            g *= rho / (1.0 - rho) / n / frame_sums
+            g += _topk_mask(vt, part, neg_k) * (lam * (-1.0 / (retained + _NS_EPS) / n))
+            frames.add_grad(cols, _softmax_chain(vt, g, temperature))
+    gem = _renyi(np.concatenate(all_sums), rho)
+    ns = _negative_sampling(np.concatenate(all_retained))
     value = TtaLossValue(
         total=gem + lam * ns,
         components={"gem": gem, "ns": ns},
         weights={"gem": 1.0, "ns": lam},
     )
-    if not need_grad:
-        return value, None
-    n = vt.shape[1]
-    # d gem/dp = rho p^(rho-1) / s / (1 - rho) / n, with p^(rho-1) = p^rho / p;
-    # d ns/dp = -1 / (retained + eps) / n on each frame's top-k classes
-    g = np.divide(pw, vt, out=pw)
-    g *= rho / (1.0 - rho) / n / frame_sums
-    g += _topk_mask(vt, part, neg_k) * (lam * (-1.0 / (retained + _NS_EPS) / n))
-    return value, _to_logits(vt, g, temperature, cols, z.n_frames)
-
-
-def _masked_probs(
-    z: LogitMatrix, temperature: float, blank_dominance: float | None
-) -> tuple[ProbMatrix, np.ndarray | None]:
-    """Softmax of the kept frames, and their indices (None when all are kept)."""
-    p = softmax_temperature(z, temperature)
-    if blank_dominance is None:
-        return p, None
-    cols = np.flatnonzero(p.values[:, z.blank_index] <= blank_dominance)
-    if cols.size == 0:  # never optimize over an empty frame set
-        return p, None
-    return ProbMatrix(values=p.values.T[:, cols].T, temperature_used=temperature), cols
-
-
-def _to_logits(
-    vt: np.ndarray, g: np.ndarray, temperature: float, cols: np.ndarray | None, n_frames: int
-) -> np.ndarray:
-    """L x C logit gradient from the class-major probability gradient ``g`` of the kept frames."""
-    g = _softmax_chain(vt, g, temperature)
-    if cols is None:
-        return g.T
-    full = np.zeros((g.shape[0], n_frames))
-    full[:, cols] = g
-    return full.T
+    return value, frames.logit_grad() if need_grad else None
 
 
 def make_loss_functional(

@@ -135,6 +135,18 @@ def test_ingest_missing_transcript_is_validation_error(tmp_path):
     assert cli.main(["ingest", "--source", str(d.parent)]) == 2
 
 
+def test_ingest_non_utf8_transcript_is_validation_error_naming_the_file(tmp_path, capsys):
+    d = tmp_path / "raw" / "spk1"
+    d.mkdir(parents=True)
+    write_wav(d / "u1.wav", sine(440.0, 0.2))
+    (d / "u1.txt").write_bytes(b"ab\xff")
+    out = tmp_path / "manifest.jsonl"
+
+    assert cli.main(["ingest", "--source", str(d.parent), "--out", str(out)]) == 2
+    assert str(d / "u1.txt") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_filters_by_duration(corpus, tmp_path):
     _, manifest_path = corpus
     out = tmp_path / "filtered.jsonl"
@@ -1196,11 +1208,15 @@ def test_report_constant_metric_leaves_no_partial_correlations(tmp_path):
     assert not out.exists()
 
 
-def _report_with_metrics_csv(tmp_path, metrics_text: str, *extra: str) -> tuple[int, Path]:
+def _report_with_metrics_csv(
+    tmp_path, metrics_text: str | bytes, *extra: str
+) -> tuple[int, Path]:
     base = _fake_run(tmp_path / "none", "none", {"s0": 3, "s1": 2, "s2": 1})
     adapted = _fake_run(tmp_path / "suta", "suta", {"s0": 1, "s1": 1, "s2": 1})
     metrics_csv = tmp_path / "speaker_metrics.csv"
-    metrics_csv.write_text(metrics_text, encoding="utf-8")
+    if isinstance(metrics_text, str):
+        metrics_text = metrics_text.encode("utf-8")
+    metrics_csv.write_bytes(metrics_text)
     out = tmp_path / "report"
     code = cli.main(
         [
@@ -1242,6 +1258,16 @@ def test_report_bad_metrics_cell_is_validation_error(tmp_path, capsys, body, bad
     err = capsys.readouterr().err
     assert "speaker_metrics.csv line 3, column 'ems_energy'" in err and bad in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_report_non_utf8_metrics_csv_is_validation_error_naming_the_file(tmp_path, capsys):
+    code, out = _report_with_metrics_csv(
+        tmp_path, b"speaker_id,n_utterances,ems_energy\ns0,1,3.0\ns1,1,2.0\ns2,1,\xff\n"
+    )
+
+    assert code == 2
+    assert str(tmp_path / "speaker_metrics.csv") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,11 +2,16 @@ import collections
 import dataclasses
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ttabench
 from helpers import noise, sine, write_tone_corpus
 from ttabench.corpus.audio import Waveform, write_wav
 from ttabench.corpus.manifest import Utterance, load_manifest
@@ -393,6 +398,119 @@ def test_frozen_features_leave_adaptation_bitwise_unchanged(monkeypatch, groups,
         assert trace_a.final_total == trace_b.final_total
     for name in reused_params:
         assert np.array_equal(reused_params[name], full_params[name]), name
+
+
+# --- frame budget ------------------------------------------------------------------
+
+
+def _agree(got, expected, rtol: float = 1e-12) -> bool:
+    """Whether ``got`` is within ``rtol`` of ``expected``, relative to its largest entry."""
+    return bool(np.max(np.abs(np.subtract(got, expected))) <= rtol * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize(
+    "groups", [("feature_extractor", "layer_norm"), ("layer_norm",)], ids="+".join
+)
+@pytest.mark.parametrize("method", ["suta", "sgem"])
+def test_chunks_above_the_frame_budget_match_the_two_span_path(monkeypatch, groups, method):
+    from ttabench.model import reference, types
+
+    config = AdaptationConfig(
+        method=method, mode="continual", steps_n=3, adapted_groups=groups, learning_rate=1e-2
+    )
+    w = noise(1.0, rms=0.1, seed=8)
+
+    def run():
+        model = build_reference_model(seed=3)
+        hypothesis, trace = adapt_utterance(model, w, config)
+        return hypothesis, trace, _params(model)
+
+    hyp, trace, params = run()
+    n_frames = build_reference_model(seed=3).output_length(len(w.samples))
+    assert len(reference._frame_spans(n_frames)) == 2
+    monkeypatch.setattr(types, "FRAME_BUDGET", 64)
+    assert len(reference._frame_spans(n_frames)) == 64
+    budget_hyp, budget_trace, budget_params = run()
+    assert budget_hyp == hyp
+    totals = [s.total for s in trace.steps] + [trace.final_total]
+    budget_totals = [s.total for s in budget_trace.steps] + [budget_trace.final_total]
+    assert _agree(budget_totals, totals)
+    for name in params:
+        assert _agree(budget_params[name], params[name]), name
+
+
+@pytest.mark.parametrize("method", ["suta", "sgem"])
+def test_frozen_features_above_the_frame_budget_are_bitwise_the_full_pass(monkeypatch, method):
+    from ttabench.model import types
+
+    monkeypatch.setattr(types, "FRAME_BUDGET", 64)
+    model = build_reference_model(seed=3)
+    model.select_adaptable(["layer_norm"])
+    w = noise(1.0, rms=0.1, seed=8)
+    frozen = model.frozen_features(w)
+    assert model.forward(w, frozen).values.tobytes() == model.forward(w).values.tobytes()
+    loss_fn = make_loss_functional(method)
+    record, grads = model.gradient(w, loss_fn)
+    frozen_record, frozen_grads = model.gradient(w, loss_fn, frozen)
+    assert frozen_record.total == record.total
+    for name, g in grads.items():
+        assert frozen_grads[name].tobytes() == g.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "groups", [("feature_extractor", "layer_norm"), ("layer_norm",)], ids="+".join
+)
+@pytest.mark.parametrize("method", ["suta", "sgem"])
+def test_diverging_update_above_the_frame_budget_is_flagged_and_restored(
+    monkeypatch, groups, method
+):
+    from ttabench.model import types
+
+    monkeypatch.setattr(types, "FRAME_BUDGET", 64)
+    config = AdaptationConfig(
+        method=method, optimizer="sgd", learning_rate=1e300, adapted_groups=groups
+    )
+    model = build_reference_model(seed=3)
+    before = _params(model)
+    _, trace = adapt_utterance(model, noise(1.0, rms=0.1, seed=8), config)
+    assert trace.non_finite
+    after = _params(model)
+    for name in before:
+        assert np.array_equal(before[name], after[name]), name
+
+
+_PEAK_RSS_OF_A_LONG_CHUNK = """
+import resource
+
+import numpy as np
+
+from ttabench.corpus.audio import Waveform
+from ttabench.engine.config import AdaptationConfig
+from ttabench.engine.runner import adapt_utterance
+from ttabench.model.reference import build_reference_model
+
+samples = np.clip(np.random.default_rng(0).normal(0.0, 0.05, 60 * 16000), -1.0, 1.0)
+adapt_utterance(
+    build_reference_model(seed=0),
+    Waveform(samples=samples, sample_rate_hz=16000),
+    AdaptationConfig(method="suta", steps_n=2),
+)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_a_60_s_chunk_adapts_in_half_the_memory_of_a_two_span_pass():
+    # two suta steps on one 60 s chunk, default groups, peaked at 928 MB when
+    # every chunk ran as two spans with all activations kept
+    src = str(Path(ttabench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_OF_A_LONG_CHUNK],
+        capture_output=True, text=True, env=env, check=False, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    peak_mb = int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb <= 464, f"peak RSS {peak_mb:.0f} MB, above 464 MB"
 
 
 # --- speaker loop ------------------------------------------------------------------

@@ -554,6 +554,23 @@ def test_returned_arrays_are_owned_by_the_caller(model):
     _assert_bitwise(first, kept)
 
 
+def test_frozen_features_leave_no_conv_stack_buffer_behind():
+    import tracemalloc
+
+    w = noise(0.79, rms=0.1, seed=7)  # 3,145 logit frames
+    warm, model = build_reference_model(seed=3), build_reference_model(seed=3)
+    for m in (warm, model):
+        m.select_adaptable(["layer_norm"])
+    warm.frozen_features(w)  # starts the helper thread outside the trace
+    tracemalloc.start()
+    try:
+        xhat = model.frozen_features(w)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= xhat.nbytes + 64 * 1024, (held, xhat.nbytes)
+
+
 def test_warm_gradient_allocates_a_fraction_of_the_cold_call(model):
     import tracemalloc
 

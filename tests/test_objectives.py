@@ -309,6 +309,25 @@ def test_all_masked_frames_falls_back_to_full_matrix():
     assert masked.total == pytest.approx(full.total, abs=1e-12)
 
 
+@pytest.mark.parametrize("dominance", [None, 0.9, 0.0], ids=["all", "masked", "all-masked"])
+@pytest.mark.parametrize("loss_and_grad", [suta_loss_and_grad, sgem_loss_and_grad])
+def test_blocks_of_the_frame_budget_match_one_pass(monkeypatch, loss_and_grad, dominance):
+    from ttabench.model import types
+
+    v = random_logits(50, n_frames=300, n_classes=29).values
+    v[::3, 0] += 20.0  # blank dominates every third frame
+    z = LogitMatrix(values=v, blank_index=0)
+    value, dz = loss_and_grad(z, blank_dominance=dominance)
+    monkeypatch.setattr(types, "FRAME_BUDGET", 64)  # five blocks, the last of 44 frames
+    for need_grad in (False, True):
+        block_value, block_dz = loss_and_grad(z, need_grad=need_grad, blank_dominance=dominance)
+        assert block_value.total == pytest.approx(value.total, rel=1e-12, abs=0.0)
+        for name, component in value.components.items():
+            assert block_value.components[name] == pytest.approx(component, rel=1e-12, abs=0.0)
+    assert np.array_equal(block_dz == 0.0, dz == 0.0)
+    assert np.max(np.abs(block_dz - dz)) <= 1e-12 * np.max(np.abs(dz))
+
+
 # --- functional factory -----------------------------------------------------------
 
 
