@@ -3,7 +3,6 @@ geometry and rank correlations."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -16,7 +15,7 @@ from .corpus.features import compute_mfcc
 from .corpus.manifest import CorpusManifest, word_duration
 from .corpus.vad import detect_nonspeech, ems_energy
 from .errors import AnalysisError, ManifestError
-from .evaluation import midranks
+from .evaluation import midranks, write_csv
 
 _RIDGE = 1e-6
 
@@ -289,10 +288,9 @@ def write_correlations_csv(rows: Sequence[tuple[str, GainCorrelation]], path: Pa
     The label fills the first (``setting``) column; ``report`` passes the
     adapted method's name there.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setting", "feature", "r", "raw_p", "adjusted_p", "reject"])
-        for label, row in rows:
-            writer.writerow(
-                [label, row.metric, repr(row.r), repr(row.p_value), repr(row.adjusted_p), row.reject]
-            )
+    header = ["setting", "feature", "r", "raw_p", "adjusted_p", "reject"]
+    cells = (
+        [label, row.metric, repr(row.r), repr(row.p_value), repr(row.adjusted_p), row.reject]
+        for label, row in rows
+    )
+    write_csv(path, header, cells)

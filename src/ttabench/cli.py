@@ -60,6 +60,7 @@ from .evaluation import (
     build_delta_table,
     format_delta_table,
     unweighted_mean_wer,
+    write_csv,
     write_delta_table_csv,
     write_speaker_gains_csv,
 )
@@ -182,7 +183,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(AdaptationConfig)}
     adaptation = resolve_config(adaptation_base, overrides)
 
-    methods = args.methods or tuple(file_cfg.get("methods", ["suta"]))
+    methods = args.methods if args.methods is not None else tuple(file_cfg.get("methods", ["suta"]))
     manifest_path = args.manifest or file_cfg.get("manifest_path")
     checkpoint = args.checkpoint or file_cfg.get("checkpoint_ref")
     output_dir = Path(args.out or file_cfg.get("output_dir") or _default_out("runs"))
@@ -256,11 +257,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for speaker_id, value in by_speaker.items():
         print(f"  {speaker_id}: wer={value:.4f}")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["speaker_id", "wer"])
-            for speaker_id, value in by_speaker.items():
-                writer.writerow([speaker_id, repr(value)])
+        write_csv(args.csv, ["speaker_id", "wer"], ([s, repr(v)] for s, v in by_speaker.items()))
         print(f"wrote {args.csv}")
     return EXIT_OK
 
@@ -269,6 +266,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if not args.metrics:
+        raise ConfigError("at least one metric is required")
     unknown = [m for m in args.metrics if m not in METRIC_COLUMNS]
     if unknown:
         raise ConfigError(f"unknown metrics {unknown}")
@@ -283,22 +282,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     metrics_path = out_dir / "speaker_metrics.csv"
     columns = ["speaker_id", "n_utterances"] + [m for m in METRIC_COLUMNS if m in args.metrics]
-    with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for speaker_id in sorted(per_speaker):
-            row = per_speaker[speaker_id]
-            writer.writerow([speaker_id, row["n_utterances"]] + [repr(row[m]) for m in columns[2:]])
+    rows = (
+        [s, per_speaker[s]["n_utterances"], *(repr(per_speaker[s][m]) for m in columns[2:])]
+        for s in sorted(per_speaker)
+    )
+    write_csv(metrics_path, columns, rows)
     print(f"wrote {metrics_path}")
 
     if args.projection == "pca":
         projection = project_2d(np.vstack([v for _, v in points]))
         proj_path = out_dir / "projection_2d.csv"
-        with open(proj_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["point_id", "x", "y"])
-            for (point_id, _), (x, y) in zip(points, projection):
-                writer.writerow([point_id, repr(float(x)), repr(float(y))])
+        rows = ([p, repr(float(x)), repr(float(y))] for (p, _), (x, y) in zip(points, projection))
+        write_csv(proj_path, ["point_id", "x", "y"], rows)
         print(f"wrote {proj_path}")
     return EXIT_OK
 
@@ -355,15 +350,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     # compute every output before writing any, so a bad flag, a bad metrics
     # file or a failed correlation (for example a constant metric) leaves no
     # partial report behind
-    if args.correlations:
+    if args.correlations is not None:
+        if not args.correlations:
+            raise ConfigError("at least one metric is required")
         if not args.metrics_csv:
             raise ConfigError("--correlations requires --metrics-csv from the analyze command")
-        metric_names = [m for m in args.correlations.split(",") if m]
         all_metrics = _read_metrics_csv(Path(args.metrics_csv))
-        missing = [m for m in metric_names if m not in all_metrics]
+        missing = [m for m in args.correlations if m not in all_metrics]
         if missing:
             raise AnalysisError(f"metrics not present in {args.metrics_csv}: {missing}")
-        metrics = {m: all_metrics[m] for m in metric_names}
+        metrics = {m: all_metrics[m] for m in args.correlations}
     print(format_delta_table(table))
     corr_rows: list[tuple[str, GainCorrelation]] = []
     if args.correlations:
@@ -464,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", nargs="+", required=True, help="run directories (include a method=none baseline)")
     p.add_argument("--out")
     p.add_argument("--setting", default="default", help="label for the corpus/setting column")
-    p.add_argument("--correlations", help="comma-separated metric names to correlate with gains")
+    p.add_argument("--correlations", type=_comma_list,
+                   help="comma-separated metric names to correlate with gains")
     p.add_argument("--metrics-csv", help="speaker_metrics.csv from the analyze command")
     p.add_argument("--alpha", type=float, default=0.05, help="significance level for corrections")
     p.set_defaults(func=cmd_report)

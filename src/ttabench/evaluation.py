@@ -15,8 +15,9 @@ from __future__ import annotations
 import csv
 import math
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -308,22 +309,30 @@ def _format_p(p: float) -> str:
     return "<.001" if p < 0.001 else f"{p:.3f}"
 
 
-def write_delta_table_csv(rows: Sequence[DeltaRow], path: str) -> None:
-    """Delta table as CSV (percent, one decimal; p at full precision)."""
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """``header``, then each of ``rows``, as a UTF-8 CSV file at ``path`` (the csv
+    module's default dialect). Every CSV ttabench writes goes through here."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(["setting", "method", "mean_wer_pct", "delta_pct", "p_value", "n_speakers"])
-        for r in rows:
-            w.writerow(
-                [
-                    r.setting,
-                    r.method,
-                    f"{100 * r.mean_wer:.1f}",
-                    "" if r.delta is None else f"{100 * r.delta:.1f}",
-                    "" if r.p_value is None else repr(r.p_value),
-                    r.n_speakers,
-                ]
-            )
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_delta_table_csv(rows: Sequence[DeltaRow], path: str) -> None:
+    """Delta table as CSV (percent, one decimal; p at full precision)."""
+    header = ["setting", "method", "mean_wer_pct", "delta_pct", "p_value", "n_speakers"]
+    cells = (
+        [
+            r.setting,
+            r.method,
+            f"{100 * r.mean_wer:.1f}",
+            "" if r.delta is None else f"{100 * r.delta:.1f}",
+            "" if r.p_value is None else repr(r.p_value),
+            r.n_speakers,
+        ]
+        for r in rows
+    )
+    write_csv(path, header, cells)
 
 
 def write_speaker_gains_csv(
@@ -339,10 +348,10 @@ def write_speaker_gains_csv(
     Suitable for heatmap rendering.
     """
     ranking = sorted(baseline, key=lambda s: (-baseline[s], s))
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["rank", "speaker_id", "setting", "baseline_wer", "adapted_wer", "gain"])
-        for method, wers in adapted.items():
-            for rank, speaker in enumerate(ranking, start=1):
-                b, a = baseline[speaker], wers[speaker]
-                w.writerow([rank, speaker, method, repr(b), repr(a), repr(b - a)])
+    header = ["rank", "speaker_id", "setting", "baseline_wer", "adapted_wer", "gain"]
+    rows = (
+        [rank, s, method, repr(baseline[s]), repr(wers[s]), repr(baseline[s] - wers[s])]
+        for method, wers in adapted.items()
+        for rank, s in enumerate(ranking, start=1)
+    )
+    write_csv(path, header, rows)

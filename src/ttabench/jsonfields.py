@@ -2,12 +2,15 @@
 
 A :class:`Fields` table, built once at import, gives each key its JSON type.
 Values are checked, never converted: an integer where a number is wanted stays
-an integer. Range and domain checks stay with the code that reads the value.
+an integer. A number is finite: Python's ``json`` reads ``NaN`` and
+``Infinity``, but they are no JSON numbers, and every range check would pass
+NaN. Other range and domain checks stay with the code that reads the value.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping
 
@@ -43,7 +46,9 @@ def _list_of(kind: JsonType, name: str) -> JsonType:
 
 STRING = JsonType("a string", lambda v: isinstance(v, str))
 INTEGER = JsonType("an integer", lambda v: _is_number(v, int))
-NUMBER = JsonType("a number", lambda v: _is_number(v, (int, float)))
+NUMBER = JsonType(
+    "a number", lambda v: _is_number(v, int) or isinstance(v, float) and math.isfinite(v)
+)
 BOOL = JsonType("true or false", lambda v: isinstance(v, bool))
 STRINGS = _list_of(STRING, "a list of strings")
 NUMBERS = _list_of(NUMBER, "a list of numbers")
@@ -79,7 +84,8 @@ def check_object(
                 continue
             raise error(f"{where}: missing field {prefix + key!r}")
         if not kind.accepts(value[key]):
-            got = type(value[key]).__name__
+            v = value[key]
+            got = repr(v) if isinstance(v, float) and not math.isfinite(v) else type(v).__name__
             raise error(f"{where}: field {prefix + key!r} must be {kind.name}, got {got}")
         if kind.fields is not None:
             check_object(value[key], kind.fields, where, error, f"{prefix}{key}.")

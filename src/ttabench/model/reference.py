@@ -24,8 +24,10 @@ under norm- or head-only adaptation run the conv stack once.
 The backward pass skips what frozen groups need: the head gradients without
 ``head``, everything below the layer-norm gradients without
 ``feature_extractor``, and always conv1's input gradient. GELU's derivative
-reuses the erf the forward pass computed, and conv2's weight gradient the
-im2col matrix its forward pass built, when one tile covered the frames.
+reuses the erf the forward pass computed, and each conv layer's weight
+gradient the im2col matrix its forward pass built: for conv1 a strided view
+of the samples, for conv2 a copy in the span's window buffer. Each conv layer
+of a span is one matmul.
 
 Threads. Importing this module pins numpy's OpenBLAS to one thread (see
 ``threads``), so no result depends on the BLAS thread count. The conv stack
@@ -60,7 +62,7 @@ only.
 
 Each of the two threads' spans keeps a scratch workspace between calls:
 named float64 buffers that its activations, backward temporaries and im2col
-window tiles are written into with ``out=``. The first workspace also holds
+windows are written into with ``out=``. The first workspace also holds
 the whole-chunk arrays (``xhat``, ``h3`` and their gradients) of a chunk of
 at most 2 B frames; a longer chunk's live in a workspace of their own, freed
 when the call returns. Buffers whose contents are dead are handed on (dxhat,
@@ -112,7 +114,6 @@ CHECKPOINT_MAGIC = "ttabench-refmodel-v1"
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 _LN_EPS = 1e-5
-_TILE_FRAMES = 16384
 
 _T = TypeVar("_T")
 
@@ -203,16 +204,15 @@ def _layer_norm_backward(
     return np.multiply(inv, dxhat, out=dxhat)
 
 
-def _windows(x: np.ndarray, k: int, stride: int, t0: int, t1: int) -> np.ndarray:
-    """The (Cin, t1 - t0, K) view of x's input windows for output frames t0..t1-1."""
-    span = x[:, t0 * stride : (t1 - 1) * stride + k]
-    return sliding_window_view(span, k, axis=1)[:, ::stride, :]
+def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """The (Cin, T, K) view of x's input windows, one per output frame."""
+    return sliding_window_view(x, k, axis=1)[:, ::stride, :]
 
 
 def _as_matrix(a: np.ndarray, shape: tuple[int, int], ws: _Workspace) -> np.ndarray:
     """``a.reshape(shape)`` without allocating: the view when one exists (one input
-    channel), else a copy in ``ws``'s tile-sized window buffer. Either way it is the
-    array ``reshape`` returns, laid out the same, so matmul takes the same path."""
+    channel), else a copy in ``ws``'s window buffer. Either way it is the array
+    ``reshape`` returns, laid out the same, so matmul takes the same path."""
     try:
         return a.reshape(shape, copy=False)
     except ValueError:
@@ -245,33 +245,30 @@ def _run_spans(tasks: Iterable[Callable[[], _T]]) -> list[_T]:
 
 def _conv1d(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, out: np.ndarray, ws: _Workspace
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Strided valid cross-correlation into ``out``; x (Cin, N), w (Cout, Cin, K),
-    out (Cout, T) with T = (N - K) // stride + 1. Tiles go through ``ws``'s window.
+    out (Cout, T) with T = (N - K) // stride + 1, as one matmul.
 
-    Returns ``out`` and, when one tile covers all T frames, x's (Cin K, T) im2col
-    matrix, which stays valid until ``ws``'s window is next written; else None.
+    Returns ``out`` and x's (Cin K, T) im2col matrix: a strided view of x when
+    Cin is 1, else ``ws``'s window, valid until the window is next written.
     """
     cin = x.shape[0]
     cout, _, k = w.shape
     t_total = out.shape[1]
-    w2 = w.reshape(cout, cin * k)
-    for t0 in range(0, t_total, _TILE_FRAMES):
-        t1 = min(t0 + _TILE_FRAMES, t_total)
-        cols = _as_matrix(_windows(x, k, stride, t0, t1).transpose(0, 2, 1), (cin * k, t1 - t0), ws)
-        np.matmul(w2, cols, out=out[:, t0:t1])
-    return np.add(out, b[:, None], out=out), cols if t_total <= _TILE_FRAMES else None
+    cols = _as_matrix(_windows(x, k, stride).transpose(0, 2, 1), (cin * k, t_total), ws)
+    np.matmul(w.reshape(cout, cin * k), cols, out=out)
+    return np.add(out, b[:, None], out=out), cols
 
 
 def _conv1d_input_grad(
-    w: np.ndarray, stride: int, dout: np.ndarray, dx: np.ndarray, ws: _Workspace, pad: str, tile: str
+    w: np.ndarray, stride: int, dout: np.ndarray, dx: np.ndarray, ws: _Workspace, pad: str, prod: str
 ) -> np.ndarray:
     """Input gradient of the strided cross-correlation into ``dx`` (Cin, N), as a
     polyphase transposed convolution (needs K % S == 0): with Q = K // S, one matmul
-    per tile of u gives dx[c, S*u + r] = sum_{o,q} dout[o, u - q] * w[o, c, S*q + r].
+    gives dx[c, S*u + r] = sum_{o,q} dout[o, u - q] * w[o, c, S*q + r].
 
-    ``pad`` and ``tile`` name the workspace buffers for the zero-padded ``dout``
-    and each tile's matmul result, so a caller can hand over buffers it is done with.
+    ``pad`` and ``prod`` name the workspace buffers for the zero-padded ``dout``
+    and the matmul product, so a caller can hand over buffers it is done with.
     """
     cout, cin, k = w.shape
     q = k // stride
@@ -285,41 +282,20 @@ def _conv1d_input_grad(
     dpad[:, q - 1 + t_total :] = 0.0
     u_total = t_total + q - 1  # samples at S * u_total and beyond feed no output
     dx[:, u_total * stride :] = 0.0
-    for u0 in range(0, u_total, _TILE_FRAMES):
-        u1 = min(u0 + _TILE_FRAMES, u_total)
-        win = sliding_window_view(dpad[:, u0 : u1 + q - 1], q, axis=1).transpose(0, 2, 1)
-        g = ws.get(tile, (cin * stride, u1 - u0))
-        np.matmul(wmat, _as_matrix(win, (cout * q, u1 - u0), ws), out=g)
-        dx_tile = dx[:, u0 * stride : u1 * stride].reshape((cin, u1 - u0, stride), copy=False)
-        np.copyto(dx_tile, g.reshape(cin, stride, u1 - u0).transpose(0, 2, 1))
+    win = sliding_window_view(dpad, q, axis=1).transpose(0, 2, 1)
+    g = ws.get(prod, (cin * stride, u_total))
+    np.matmul(wmat, _as_matrix(win, (cout * q, u_total), ws), out=g)
+    dx_head = dx[:, : u_total * stride].reshape((cin, u_total, stride), copy=False)
+    np.copyto(dx_head, g.reshape(cin, stride, u_total).transpose(0, 2, 1))
     return dx
 
 
 def _conv1d_weight_grad(
-    x: np.ndarray,
-    w: np.ndarray,
-    stride: int,
-    dout: np.ndarray,
-    ws: _Workspace,
-    cols: np.ndarray | None = None,
+    w: np.ndarray, dout: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (dw, db) of the strided cross-correlation, newly allocated. ``cols``
-    is x's (Cin K, T) im2col matrix of every frame, when the caller still has it
-    from ``_conv1d``; without it each tile's is built again in ``ws``'s window."""
-    cin = x.shape[0]
-    cout, _, k = w.shape
-    t_total = dout.shape[1]
-    dw = np.zeros_like(w)
-    db = dout.sum(axis=1)
-    for t0 in range(0, t_total, _TILE_FRAMES):
-        t1 = min(t0 + _TILE_FRAMES, t_total)
-        if cols is None:
-            win = _windows(x, k, stride, t0, t1).transpose(0, 2, 1)
-            tile = _as_matrix(win, (cin * k, t1 - t0), ws)
-        else:
-            tile = cols[:, t0:t1]
-        dw += (dout[:, t0:t1] @ tile.T).reshape(cout, cin, k)
-    return dw, db
+    """Gradients (dw, db) of the strided cross-correlation, newly allocated; ``cols``
+    is the (Cin K, T) im2col matrix ``_conv1d`` returned."""
+    return (dout @ cols.T).reshape(w.shape), dout.sum(axis=1)
 
 
 class ReferenceModel:
@@ -418,21 +394,24 @@ class ReferenceModel:
 
     def _span_convs(self, x: np.ndarray, t0: int, t1: int, ws: _Workspace) -> dict[str, np.ndarray]:
         """Conv stack of output frames t0..t1-1, from the samples they read. Returns
-        what the span's backward pass reads, and ``h2``, as views into ``ws``."""
+        what the span's backward pass reads, and ``h2``, as views into ``ws`` (``cols1``
+        into ``x``)."""
         p = self._params
         xs = x[self.HOP * t0 : self.HOP * (t1 - 1) + self.FIELD]
         n1 = (len(xs) - self.K1) // self.S1 + 1
         shape1 = (p["conv1_w"].shape[0], n1)
         shape2 = (p["conv2_w"].shape[0], t1 - t0)
-        a1, _ = _conv1d(xs[None, :], p["conv1_w"], p["conv1_b"], self.S1, ws.get("a1", shape1), ws)
+        # cols1 is a strided view of the samples; nothing writes the window again
+        # before the backward pass takes conv2's weight gradient from cols2
+        a1, cols1 = _conv1d(
+            xs[None, :], p["conv1_w"], p["conv1_b"], self.S1, ws.get("a1", shape1), ws
+        )
         h1, erf1 = _gelu(a1, ws.get("h1", shape1), ws.get("erf1", shape1))
         a2, cols2 = _conv1d(h1, p["conv2_w"], p["conv2_b"], self.S2, ws.get("a2", shape2), ws)
         h2, erf2 = _gelu(a2, ws.get("h2", shape2), ws.get("erf2", shape2))
-        # nothing writes the window again before the backward pass takes conv2's
-        # weight gradient from cols2
         return {
-            "x": xs, "a1": a1, "erf1": erf1, "h1": h1, "a2": a2, "erf2": erf2, "cols2": cols2,
-            "h2": h2,
+            "cols1": cols1, "a1": a1, "erf1": erf1, "h1": h1, "a2": a2, "erf2": erf2,
+            "cols2": cols2, "h2": h2,
         }
 
     def _span_forward(
@@ -475,15 +454,14 @@ class ReferenceModel:
         # buffer alive when the input gradient grows it
         grads: dict[str, np.ndarray] = {}
         grads["conv2_w"], grads["conv2_b"] = _conv1d_weight_grad(
-            h1, p["conv2_w"], self.S2, da2, ws, span.pop("cols2")
+            p["conv2_w"], da2, span.pop("cols2")
         )
         dh1 = _conv1d_input_grad(
-            p["conv2_w"], self.S2, da2, ws.get("erf2", h1.shape), ws, pad="a2", tile="tmp"
+            p["conv2_w"], self.S2, da2, ws.get("erf2", h1.shape), ws, pad="a2", prod="tmp"
         )
         # conv1's input is the waveform, whose gradient nothing uses
         da1 = _gelu_backward(dh1, span["a1"], span["erf1"], ws.get("tmp", h1.shape))
-        x = span["x"][None, :]
-        grads["conv1_w"], grads["conv1_b"] = _conv1d_weight_grad(x, p["conv1_w"], self.S1, da1, ws)
+        grads["conv1_w"], grads["conv1_b"] = _conv1d_weight_grad(p["conv1_w"], da1, span["cols1"])
         return grads
 
     def _conv_features(

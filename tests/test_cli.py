@@ -753,6 +753,62 @@ def test_adapt_config_file_method_is_a_validation_error(corpus, checkpoint, tmp_
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, config, field",
+    [
+        (["--lr", "nan"], None, "'learning_rate'"),
+        (["--rho", "nan"], None, "'rho'"),
+        (["--temperature", "inf"], None, "'temperature'"),
+        (["--lam", "nan"], None, "'lam'"),
+        ([], {"alpha": float("nan")}, "'adaptation.alpha'"),
+        ([], {"max_utterance_s": float("inf")}, "'adaptation.max_utterance_s'"),
+    ],
+    ids=["lr-nan", "rho-nan", "temperature-inf", "lam-nan", "config-NaN", "config-Infinity"],
+)
+def test_adapt_non_finite_setting_is_validation_error(
+    corpus, checkpoint, tmp_path, capsys, flags, config, field
+):
+    # every range check passes NaN, and inf is a temperature or a duration in range
+    _, manifest_path = corpus
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"adaptation": config}), encoding="utf-8")  # NaN, Infinity
+        flags = ["--config", str(cfg)]
+    code = cli.main(
+        [
+            "adapt",
+            "--manifest", str(manifest_path),
+            "--checkpoint", str(checkpoint),
+            "--out", str(tmp_path / "run"),
+            "--method", "suta",
+            *flags,
+        ]
+    )
+
+    assert code == 2
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and field in lines[0]
+    assert not (tmp_path / "run").exists()
+
+
+def test_adapt_empty_method_list_is_validation_error(corpus, checkpoint, tmp_path, capsys):
+    # an empty --method does not fall back to the default method
+    _, manifest_path = corpus
+    code = cli.main(
+        [
+            "adapt",
+            "--manifest", str(manifest_path),
+            "--checkpoint", str(checkpoint),
+            "--out", str(tmp_path / "run"),
+            "--method", ",",
+        ]
+    )
+
+    assert code == 2
+    assert "at least one method is required" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_adapt_neg_k_must_be_below_vocabulary_size(corpus, checkpoint, tmp_path, capsys):
     _, manifest_path = corpus
     n_classes = len(build_reference_model(seed=5).vocabulary())
@@ -1035,6 +1091,18 @@ def test_analyze_unknown_metric_is_validation_error(analyze_corpus, capsys):
     assert "unknown metrics" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("metrics", ["", ","])
+def test_analyze_empty_metric_list_is_validation_error(analyze_corpus, tmp_path, capsys, metrics):
+    out = tmp_path / "analysis"
+    code = cli.main(
+        ["analyze", "--manifest", str(analyze_corpus), "--out", str(out), "--metrics", metrics]
+    )
+
+    assert code == 2
+    assert "at least one metric is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_missing_manifest_is_validation_error(tmp_path):
     assert cli.main(["analyze", "--manifest", str(tmp_path / "none.jsonl")]) == 2
 
@@ -1268,6 +1336,19 @@ def test_report_non_utf8_metrics_csv_is_validation_error_naming_the_file(tmp_pat
 
     assert code == 2
     assert str(tmp_path / "speaker_metrics.csv") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("names", ["", ","])
+def test_report_empty_correlations_list_is_validation_error(tmp_path, capsys, names):
+    # the last --correlations wins over the helper's
+    code, out = _report_with_metrics_csv(
+        tmp_path, "speaker_id,n_utterances,ems_energy\ns0,1,3.0\ns1,1,2.0\ns2,1,1.0\n",
+        "--correlations", names,
+    )
+
+    assert code == 2
+    assert "at least one metric is required" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -13,7 +13,9 @@ from ttabench.engine import artifacts
 from ttabench.engine.config import ADAPTATION_FIELDS, AdaptationConfig
 from ttabench.engine.runner import AdaptationTrace, UtteranceRecord
 from ttabench.errors import ConfigError
-from ttabench.jsonfields import BOOL, INTEGER, NUMBER, STRINGS, Fields, check_object, or_null
+from ttabench.jsonfields import (
+    BOOL, INTEGER, NUMBER, NUMBERS, STRINGS, Fields, check_object, or_null,
+)
 from ttabench.model import reference
 
 _TABLE = Fields(
@@ -44,12 +46,22 @@ def test_valid_values_pass_unconverted():
         ({k: v for k, v in _VALID.items() if k != "x"}, "missing field 'x'"),
         ([1], "expected a JSON object, got list"),
         ("{", "invalid JSON"),
+        ({**_VALID, "x": float("nan")}, "field 'x' must be a number, got nan"),
+        ({**_VALID, "x": float("-inf")}, "field 'x' must be a number, got -inf"),
+        ('{"n": 1, "x": Infinity, "on": true, "names": []}', "field 'x' must be a number, got inf"),
     ],
 )
 def test_each_defect_is_one_error_naming_the_key(value, words):
     with pytest.raises(ConfigError, match=r"^t: ") as caught:
         check_object(value, _TABLE, "t", ConfigError)
     assert words in str(caught.value)
+
+
+def test_a_list_of_numbers_holds_finite_numbers_only():
+    table = Fields({"xs": NUMBERS})
+    assert check_object('{"xs": [1, 2.5]}', table, "t", ConfigError) == {"xs": [1, 2.5]}
+    with pytest.raises(ConfigError, match="field 'xs' must be a list of numbers"):
+        check_object('{"xs": [1, NaN]}', table, "t", ConfigError)
 
 
 def test_open_table_allows_other_keys():
