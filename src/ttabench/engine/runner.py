@@ -129,19 +129,26 @@ def split_waveform(w: Waveform, max_s: float, target_s: float) -> list[Waveform]
 
     Cuts land at midpoints of detected non-speech regions where possible so
     words are not bisected; stretches with no usable pause are cut at the
-    target length.
+    target length. A cut that would leave a chunk shorter than the samples one
+    output frame reads (``ReferenceModel.FIELD``) is dropped, so a short tail
+    joins the chunk before it.
     """
     if w.duration_s <= max_s:
         return [w]
     nonspeech = detect_nonspeech(w)
     candidates = [(a + b) / 2.0 for a, b in nonspeech.segments]
-    cuts = _chunk_cut_points(w.duration_s, candidates, target_s)
-    edges = [0] + [round(c * w.sample_rate_hz) for c in cuts] + [len(w.samples)]
-    chunks = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b > a:
-            chunks.append(Waveform(samples=w.samples[a:b], sample_rate_hz=w.sample_rate_hz))
-    return chunks
+    edges = [0]
+    for cut in _chunk_cut_points(w.duration_s, candidates, target_s):
+        edge = round(cut * w.sample_rate_hz)
+        if edge - edges[-1] >= ReferenceModel.FIELD:
+            edges.append(edge)
+    if len(edges) > 1 and len(w.samples) - edges[-1] < ReferenceModel.FIELD:
+        edges.pop()
+    edges.append(len(w.samples))
+    return [
+        Waveform(samples=w.samples[a:b], sample_rate_hz=w.sample_rate_hz)
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
 
 
 def _finite_record(value: TtaLossValue, grads: Mapping[str, np.ndarray]) -> None:

@@ -13,21 +13,28 @@ Stride arithmetic (total stride 4):
     L  = (n1 - K2) // S2 + 1
 
 The forward pass runs in three stages: the conv stack (conv1, GELU, conv2,
-GELU), the layer-norm statistics (giving ``xhat``), and the layer-norm
-affine plus the head (giving ``h3``, then the logits, stored class-major: a
-C-contiguous C x L array whose transpose is ``LogitMatrix.values``, the
-layout the objectives compute in). ``frozen_features`` returns ``xhat``
-when ``feature_extractor`` is not selected, None otherwise. ``forward`` and
-``gradient`` accept it and start from there, so repeated steps on one chunk
-under norm- or head-only adaptation run the conv stack once.
+GELU), the layer-norm statistics (giving ``xhat``), and the head with the
+layer-norm affine folded in. With W, b the head and gamma, beta the affine,
+the logits z = W (gamma xhat + beta) + b are computed as z = A xhat + c,
+A = W diag(gamma) (C x F) and c = W beta + b, so no layer-norm output is
+ever formed. The logits are stored class-major: a C-contiguous C x L array
+whose transpose is ``LogitMatrix.values``, the layout the objectives compute
+in. ``frozen_features`` returns ``xhat`` when ``feature_extractor`` is not
+selected, None otherwise. ``forward`` and ``gradient`` accept it and start
+from there, so repeated steps on one chunk under norm- or head-only
+adaptation run the conv stack once.
 
-The backward pass skips what frozen groups need: the head gradients without
-``head``, everything below the layer-norm gradients without
-``feature_extractor``, and always conv1's input gradient. GELU's derivative
-reuses the erf the forward pass computed, and each conv layer's weight
-gradient the im2col matrix its forward pass built: for conv1 a strided view
-of the samples, for conv2 a copy in the span's window buffer. Each conv layer
-of a span is one matmul.
+The backward pass reads the logit gradient dz through two small products,
+M = dz xhat^T (C x F) and s, the sum of dz over frames: the head gradients
+are dW = M diag(gamma) + s beta^T and db = s, and the layer-norm gradients
+are dgamma = sum over classes of W * M and dbeta = W^T s. Each frame span
+forms its own dxhat = A^T dz over its frames. The backward pass skips what
+frozen groups need: the head gradients without ``head``, everything below
+the layer-norm gradients without ``feature_extractor``, and always conv1's
+input gradient. GELU's derivative reuses the erf the forward pass computed,
+and each conv layer's weight gradient the im2col matrix its forward pass
+built: for conv1 a strided view of the samples, for conv2 a copy in the
+span's window buffer. Each conv layer of a span is one matmul.
 
 Threads. Importing this module pins numpy's OpenBLAS to one thread (see
 ``threads``), so no result depends on the BLAS thread count. The conv stack
@@ -43,11 +50,11 @@ neighbouring spans share a few conv1 frames. Per span, the forward pass runs
 conv1, GELU, conv2, GELU and the layer-norm statistics, writing its columns
 of one full-length ``xhat``; the backward pass runs the layer-norm backward,
 both GELU backwards, conv2's input gradient and both conv layers' weight and
-bias gradients. Everything else (layer-norm affine, head, loss, head and
-layer-norm gradients) runs on the whole chunk in the caller's thread, and
-each conv gradient is the sum of the spans' in span order, so results do
-not depend on which thread finishes first. ``frozen_features`` runs the same
-span code, which keeps ``forward(w, frozen)`` bitwise equal to
+bias gradients. Everything else (head, loss, head and layer-norm gradients)
+runs on the whole chunk in the caller's thread, and each conv gradient is
+the sum of the spans' in span order, so results do not depend on which
+thread finishes first. ``frozen_features`` and ``forward`` run the same span
+code as ``gradient``, which keeps ``forward(w, frozen)`` bitwise equal to
 ``forward(w)``. The helper runs only private functions, under the caller's
 numpy ``errstate``.
 
@@ -63,13 +70,22 @@ only.
 Each of the two threads' spans keeps a scratch workspace between calls:
 named float64 buffers that its activations, backward temporaries and im2col
 windows are written into with ``out=``. The first workspace also holds
-the whole-chunk arrays (``xhat``, ``h3`` and their gradients) of a chunk of
-at most 2 B frames; a longer chunk's live in a workspace of their own, freed
-when the call returns. Buffers whose contents are dead are handed on (dxhat,
-for example, takes h2's buffer), so the workspaces hold one call's working
-set for at most 2 B frames, however long the chunks, and are freed with the
-model; ``frozen_features`` frees them before it returns, since no step reads
-them under a selection that freezes the conv stack. Without workspaces every
+the whole-chunk ``xhat`` and layer-norm ``inv`` of a chunk of at most 2 B
+frames; a longer chunk's live in a workspace of their own, freed when the
+call returns. The other whole-chunk arrays are the logits and the loss
+gradient, which the caller owns. What a span keeps depends on whether a
+backward pass will read it. ``gradient`` with ``feature_extractor`` selected
+keeps each span's conv1 and conv2 outputs, their GELUs and erf terms and
+conv2's im2col window. Every other call (``frozen_features``, ``forward``,
+``gradient`` under a selection that freezes the conv stack, and the forward
+pass above two spans, whose activations are recomputed) keeps nothing: GELU
+runs in place, both layers share one erf scratch and conv2 writes its output
+over conv1's, so a span takes two conv1-sized buffers and the window.
+Buffers whose contents are dead are handed on (dxhat, for example, takes
+h2's buffer), so the workspaces hold one call's working set for at most 2 B
+frames, however long the chunks, and are freed with the model;
+``frozen_features`` frees them before it returns, since no step reads them
+under a selection that freezes the conv stack. Without workspaces every
 step would allocate and free about ten full-length arrays, which the C
 allocator returns to the kernel and then takes back page by page. Every call
 writes a buffer before reading it, so snapshot, restore and
@@ -392,10 +408,14 @@ class ReferenceModel:
 
     # --- forward / backward ---------------------------------------------------
 
-    def _span_convs(self, x: np.ndarray, t0: int, t1: int, ws: _Workspace) -> dict[str, np.ndarray]:
-        """Conv stack of output frames t0..t1-1, from the samples they read. Returns
-        what the span's backward pass reads, and ``h2``, as views into ``ws`` (``cols1``
-        into ``x``)."""
+    def _span_convs(
+        self, x: np.ndarray, t0: int, t1: int, ws: _Workspace, keep: bool
+    ) -> dict[str, np.ndarray]:
+        """Conv stack of output frames t0..t1-1, from the samples they read, as views
+        into ``ws`` (``cols1`` into ``x``). With ``keep``, returns what the span's
+        backward pass reads, and ``h2``; without, only ``h2``, computed in two
+        conv1-sized buffers: GELU in place, one erf scratch for both layers, and
+        conv2's output over conv1's, which its im2col copy has finished reading."""
         p = self._params
         xs = x[self.HOP * t0 : self.HOP * (t1 - 1) + self.FIELD]
         n1 = (len(xs) - self.K1) // self.S1 + 1
@@ -406,27 +426,39 @@ class ReferenceModel:
         a1, cols1 = _conv1d(
             xs[None, :], p["conv1_w"], p["conv1_b"], self.S1, ws.get("a1", shape1), ws
         )
-        h1, erf1 = _gelu(a1, ws.get("h1", shape1), ws.get("erf1", shape1))
-        a2, cols2 = _conv1d(h1, p["conv2_w"], p["conv2_b"], self.S2, ws.get("a2", shape2), ws)
-        h2, erf2 = _gelu(a2, ws.get("h2", shape2), ws.get("erf2", shape2))
+        h1, erf1 = _gelu(a1, ws.get("h1", shape1) if keep else a1, ws.get("erf1", shape1))
+        out2 = ws.get("a2" if keep else "a1", shape2)
+        a2, cols2 = _conv1d(h1, p["conv2_w"], p["conv2_b"], self.S2, out2, ws)
+        erf2 = ws.get("erf2" if keep else "erf1", shape2)
+        h2, erf2 = _gelu(a2, ws.get("h2", shape2) if keep else a2, erf2)
+        if not keep:
+            return {"h2": h2}
         return {
             "cols1": cols1, "a1": a1, "erf1": erf1, "h1": h1, "a2": a2, "erf2": erf2,
             "cols2": cols2, "h2": h2,
         }
 
     def _span_forward(
-        self, x: np.ndarray, t0: int, t1: int, ws: _Workspace, xhat: np.ndarray, inv: np.ndarray
+        self,
+        x: np.ndarray,
+        t0: int,
+        t1: int,
+        ws: _Workspace,
+        xhat: np.ndarray,
+        inv: np.ndarray,
+        keep: bool,
     ) -> dict[str, np.ndarray]:
         """``_span_convs`` and the layer-norm statistics of output frames t0..t1-1;
         writes ``xhat[:, t0:t1]`` and ``inv[t0:t1]``."""
-        span = self._span_convs(x, t0, t1, ws)
+        span = self._span_convs(x, t0, t1, ws, keep)
         _layer_norm_stats(span.pop("h2"), xhat[:, t0:t1], inv[t0:t1])
         return span
 
     def _span_backward(
         self,
         span: dict[str, np.ndarray],
-        dh3: np.ndarray,
+        a_t: np.ndarray,
+        dzt: np.ndarray,
         xhat: np.ndarray,
         inv: np.ndarray,
         t0: int,
@@ -434,17 +466,18 @@ class ReferenceModel:
         ws: _Workspace,
     ) -> dict[str, np.ndarray]:
         """The conv gradients of output frames t0..t1-1, newly allocated; ``span`` is
-        what ``_span_forward`` returned for them.
+        what ``_span_forward`` kept for them, ``a_t`` the transposed folded head and
+        ``dzt`` the class-major logit gradient of the whole chunk.
 
         Spans share conv1 frames near their border, so each span's conv1 gradients
         cover only its own conv2 frames' share; the sum over spans is the whole.
         """
         p = self._params
-        shape2 = (dh3.shape[0], t1 - t0)
+        shape2 = (a_t.shape[0], t1 - t0)
         # each buffer below takes over from an activation the backward pass has
         # finished with: h2 once the statistics are taken, then a2, erf2 and tmp
         # once da2 is formed
-        dxhat = np.multiply(dh3[:, t0:t1], p["ln_gamma"][:, None], out=ws.get("h2", shape2))
+        dxhat = np.matmul(a_t, dzt[:, t0:t1], out=ws.get("h2", shape2))
         tmp = ws.get("tmp", shape2)
         dh2 = _layer_norm_backward(dxhat, xhat[:, t0:t1], inv[t0:t1], tmp, ws)
         da2 = _gelu_backward(dh2, span["a2"], span["erf2"], tmp)
@@ -465,21 +498,24 @@ class ReferenceModel:
         return grads
 
     def _conv_features(
-        self, x: np.ndarray, xhat: np.ndarray, inv: np.ndarray
+        self, x: np.ndarray, xhat: np.ndarray, inv: np.ndarray, keep: bool
     ) -> list[dict[str, np.ndarray]] | None:
         """``_span_forward`` of every frame span, two at a time; fills ``xhat`` and
-        ``inv``. Returns each span's activations when there are two spans or one;
-        with more, a pair's overwrite the pair's before it, so None."""
+        ``inv``. With ``keep``, returns each span's activations when there are two
+        spans or one; else, or with more spans (whose pairs would overwrite the
+        pairs' before them), None."""
         spans = _frame_spans(xhat.shape[1])
+        keep = keep and len(spans) <= 2
         acts = _run_spans(
-            functools.partial(self._span_forward, x, t0, t1, self._span_ws[i % 2], xhat, inv)
+            functools.partial(self._span_forward, x, t0, t1, self._span_ws[i % 2], xhat, inv, keep)
             for i, (t0, t1) in enumerate(spans)
         )
-        return acts if len(spans) <= 2 else None
+        return acts if keep else None
 
-    def _ln_affine(self, xhat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.multiply(self._params["ln_gamma"][:, None], xhat, out=out)
-        return np.add(out, self._params["ln_beta"][:, None], out=out)
+    def _head(self) -> tuple[np.ndarray, np.ndarray]:
+        """The head with the layer-norm affine folded in: A = W diag(gamma), c = W beta + b."""
+        p = self._params
+        return p["head_w"] * p["ln_gamma"], p["head_w"] @ p["ln_beta"] + p["head_b"]
 
     def _features_frozen(self) -> bool:
         return "feature_extractor" not in self._selected
@@ -502,35 +538,35 @@ class ReferenceModel:
         shape = self._features_shape(len(w.samples))
         xhat = np.empty(shape)
         try:  # no step reads the conv stack's buffers under this selection
-            self._conv_features(w.samples, xhat, np.empty(shape[1:]))
+            self._conv_features(w.samples, xhat, np.empty(shape[1:]), keep=False)
         finally:
             for ws in self._span_ws:
                 ws.clear()
         return xhat
 
-    def _forward_cached(self, x: np.ndarray, frozen: np.ndarray | None) -> dict[str, np.ndarray]:
-        """Every whole-chunk activation the backward pass reads, the conv activations
-        of each frame span when they are kept (``_conv_features``), the workspace
-        ``ws`` of the whole-chunk arrays, and the class-major C x L logits ``z``;
-        all but ``z`` and ``frozen`` are views into the workspaces, valid until the
-        next call. Whole-chunk arrays of a chunk above two spans' budget are in a
-        workspace of their own, freed with the cache."""
+    def _forward_cached(
+        self, x: np.ndarray, frozen: np.ndarray | None, keep: bool = False
+    ) -> dict[str, np.ndarray]:
+        """The folded head's ``a`` (``_head``), the class-major C x L logits ``z`` and
+        ``xhat``; unless ``frozen`` is given, also the layer-norm ``inv`` and what
+        ``_conv_features`` returns under ``keep``. Those two and ``xhat`` are views
+        into the workspaces, valid until the next call, or for a chunk above two
+        spans' budget into a workspace of their own, freed with them."""
         shape = self._features_shape(len(x))
-        ws = self._span_ws[0] if shape[1] <= 2 * types.FRAME_BUDGET else _Workspace()
-        cache: dict = {"ws": ws}
+        cache: dict = {}
         if frozen is None:
+            ws = self._span_ws[0] if shape[1] <= 2 * types.FRAME_BUDGET else _Workspace()
             xhat, inv = ws.get("xhat", shape), ws.get("inv", shape[1:])
-            cache.update(xhat=xhat, inv=inv, spans=self._conv_features(x, xhat, inv))
+            cache.update(xhat=xhat, inv=inv, spans=self._conv_features(x, xhat, inv, keep))
         else:
             if not self._features_frozen():
                 raise ValueError("frozen features given, but feature_extractor is selected")
             if frozen.shape != shape:
                 raise ValueError(f"frozen features shape {frozen.shape} != {shape}")
             cache["xhat"] = frozen
-        cache["h3"] = self._ln_affine(cache["xhat"], ws.get("h3", shape))
-        p = self._params
-        z = np.matmul(p["head_w"], cache["h3"])
-        cache["z"] = np.add(z, p["head_b"][:, None], out=z)
+        cache["a"], c = self._head()
+        z = np.matmul(cache["a"], cache["xhat"])
+        cache["z"] = np.add(z, c[:, None], out=z)
         return cache
 
     def forward(self, w: Waveform, frozen: np.ndarray | None = None) -> LogitMatrix:
@@ -544,37 +580,37 @@ class ReferenceModel:
     ) -> tuple[object, dict[str, np.ndarray]]:
         """Loss record and selected-group gradients; ``frozen`` as in ``forward``."""
         self._check_rate(w)
-        cache = self._forward_cached(w.samples, frozen)
+        cache = self._forward_cached(w.samples, frozen, keep=not self._features_frozen())
         z = cache["z"].T
         record, dz = loss_fn(LogitMatrix(values=z, blank_index=self._vocab.blank_index))
         dz = np.asarray(dz, dtype=np.float64)
         if dz.shape != z.shape:
             raise ValueError(f"loss gradient shape {dz.shape} != logits shape {z.shape}")
 
-        p, ws = self._params, cache["ws"]
+        p = self._params
         dzt = dz.T  # class-major, as the objectives return it
+        xhat = cache["xhat"]
         selected = set(self._selected)
         grads: dict[str, np.ndarray] = {}
-        if "head" in selected:
-            grads["head_w"] = dzt @ cache["h3"].T
-            grads["head_b"] = dzt.sum(axis=1)
-        if not selected & {"layer_norm", "feature_extractor"}:
-            return record, grads
-        xhat = cache["xhat"]
-        # h3 is spent once the head gradient is taken; its buffer takes dh3
-        dh3 = np.matmul(p["head_w"].T, dzt, out=ws.get("h3", xhat.shape))
-        # layer norm (statistics over the channel axis, per frame)
-        if "layer_norm" in selected:
-            grads["ln_gamma"] = np.einsum("cl,cl->c", dh3, xhat)
-            grads["ln_beta"] = dh3.sum(axis=1)
+        if selected & {"head", "layer_norm"}:
+            # with M = dz xhat^T and s the frame sum of dz, every head and layer-norm
+            # gradient is a C x F product, so no whole-chunk array is formed
+            m, s = dzt @ xhat.T, dzt.sum(axis=1)
+            if "head" in selected:
+                grads["head_w"] = m * p["ln_gamma"] + np.outer(s, p["ln_beta"])
+                grads["head_b"] = s
+            if "layer_norm" in selected:
+                grads["ln_gamma"] = np.einsum("ck,ck->k", p["head_w"], m)
+                grads["ln_beta"] = p["head_w"].T @ s
         if "feature_extractor" not in selected:
             return record, grads
         spans, acts, inv = _frame_spans(xhat.shape[1]), cache["spans"], cache["inv"]
+        a_t = cache["a"].T
 
         def span_grads(i: int, t0: int, t1: int) -> dict[str, np.ndarray]:
             ws_i = self._span_ws[i % 2]
-            act = acts[i] if acts is not None else self._span_convs(w.samples, t0, t1, ws_i)
-            return self._span_backward(act, dh3, xhat, inv, t0, t1, ws_i)
+            act = acts[i] if acts is not None else self._span_convs(w.samples, t0, t1, ws_i, True)
+            return self._span_backward(act, a_t, dzt, xhat, inv, t0, t1, ws_i)
 
         parts = _run_spans(
             functools.partial(span_grads, i, t0, t1) for i, (t0, t1) in enumerate(spans)

@@ -375,7 +375,8 @@ def sgem_loss_and_grad(
             # d ns/dp = -1 / (retained + eps) / n on each frame's top-k classes
             g = np.divide(pw, vt, out=pw)
             g *= rho / (1.0 - rho) / n / frame_sums
-            g += _topk_mask(vt, part, neg_k) * (lam * (-1.0 / (retained + _NS_EPS) / n))
+            coef = lam * (-1.0 / (retained + _NS_EPS) / n)
+            np.add(g, coef, out=g, where=_topk_mask(vt, part, neg_k))
             frames.add_grad(cols, _softmax_chain(vt, g, temperature))
     gem = _renyi(np.concatenate(all_sums), rho)
     ns = _negative_sampling(np.concatenate(all_retained))

@@ -160,6 +160,29 @@ def test_split_waveform_cuts_long_audio_at_pauses():
     assert any(3.2 < e < 4.1 for e in edges)
 
 
+@pytest.mark.parametrize("method", ["none", "sgem"])
+@pytest.mark.parametrize(
+    "n_samples, lengths", [(16040, [16040]), (2 * 16000 + 40, [16000, 16040])]
+)
+def test_a_tail_too_short_for_one_frame_joins_the_chunk_before_it(
+    tmp_path, model, method, n_samples, lengths
+):
+    # noise with no pause, 40 samples past a whole number of seconds: cuts at the
+    # 1 s target leave a last chunk shorter than the samples one output frame reads
+    w = Waveform(samples=np.random.default_rng(12).normal(0.0, 0.1, n_samples))
+    config = AdaptationConfig(
+        method=method, steps_n=2, learning_rate=1e-3, max_utterance_s=1.0, chunk_target_s=1.0
+    )
+    utt = _write_utterance(tmp_path, "u1", w, "a b")
+    result = adapt_speaker(model, "spk", [utt], config)
+    assert result.records[0].flags == ()
+    assert result.records[0].count is not None
+    chunks = split_waveform(w, config.max_utterance_s, config.chunk_target_s)
+    assert [len(c.samples) for c in chunks] == lengths
+    assert all(len(c.samples) >= model.min_input_samples for c in chunks)
+    assert np.array_equal(np.concatenate([c.samples for c in chunks]), w.samples)
+
+
 # --- single-utterance adaptation ------------------------------------------------------
 
 
@@ -501,7 +524,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 def test_a_60_s_chunk_adapts_in_half_the_memory_of_a_two_span_pass():
     # two suta steps on one 60 s chunk, default groups, peaked at 928 MB when
-    # every chunk ran as two spans with all activations kept
+    # every chunk ran as two spans with all activations kept, and at 376 MB
+    # with the layer-norm output h3 a whole-chunk array
     src = str(Path(ttabench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
@@ -510,7 +534,7 @@ def test_a_60_s_chunk_adapts_in_half_the_memory_of_a_two_span_pass():
     )
     assert done.returncode == 0, done.stderr
     peak_mb = int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
-    assert peak_mb <= 464, f"peak RSS {peak_mb:.0f} MB, above 464 MB"
+    assert peak_mb <= 400, f"peak RSS {peak_mb:.0f} MB, above 400 MB"
 
 
 # --- speaker loop ------------------------------------------------------------------

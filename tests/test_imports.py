@@ -156,3 +156,31 @@ def test_every_error_class_is_a_family_or_caught_by_name():
         and not builtin_errors & set(bases)
     ]
     assert loose == []
+
+
+def _private_definitions(tree: ast.AST) -> list[str]:
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def test_every_private_helper_has_a_caller():
+    # a private function, method or class that nothing in the package names is
+    # dead: a leftover of the code that once called it
+    src = Path(ttabench.__file__).resolve().parent
+    defined: list[str] = []
+    referenced: set[str] = set()
+    for path in src.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.extend(_private_definitions(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert len(defined) > 50
+    assert sorted(set(defined) - referenced) == []

@@ -273,19 +273,22 @@ _GROUP_PARAMS = {
 }
 
 
-@pytest.mark.parametrize(
-    "groups",
-    [
-        ("layer_norm",),
-        ("head",),
-        ("feature_extractor",),
-        ("feature_extractor", "layer_norm"),
-        ("feature_extractor", "layer_norm", "head"),
-    ],
-    ids="+".join,
+_SELECTIONS_CHECKED = (
+    ("layer_norm",),
+    ("head",),
+    ("feature_extractor",),
+    ("feature_extractor", "layer_norm"),
+    ("feature_extractor", "layer_norm", "head"),
 )
+
+
+@pytest.mark.parametrize("groups", _SELECTIONS_CHECKED, ids="+".join)
 def test_gradient_matches_finite_differences(groups):
     model = build_reference_model(seed=1, feature_dim=8)
+    # an affine away from the identity, so folding it into the head shows
+    model.apply_update(
+        {"ln_gamma": np.linspace(-0.5, 1.5, 8), "ln_beta": np.linspace(-0.3, 0.4, 8)}
+    )
     model.select_adaptable(list(groups))
     w = noise(0.02, rms=0.1, seed=2)
     n_frames = model.output_length(len(w.samples))
@@ -294,6 +297,12 @@ def test_gradient_matches_finite_differences(groups):
     _, grads = model.gradient(w, loss_fn)
     assert set(grads) == set().union(*(_GROUP_PARAMS[name] for name in groups))
     assert _fd_check(model, w, loss_fn, grads) < 1e-6
+    # the model computes z = (W diag(gamma)) xhat + (W beta + b); the reference
+    # forms gamma xhat + beta, and backpropagates through it
+    ref_z, ref_grads = _whole_chunk_reference(model.snapshot().parameters, w.samples, g)
+    assert _relative_error(model.forward(w).values, ref_z) <= 1e-12
+    for name, grad in grads.items():
+        assert _relative_error(grad, ref_grads[name]) <= 1e-12, name
 
 
 def _conv1d_per_tap(x, w, b, stride):
@@ -570,6 +579,50 @@ def test_frozen_features_leave_no_conv_stack_buffer_behind():
     finally:
         tracemalloc.stop()
     assert held <= xhat.nbytes + 64 * 1024, (held, xhat.nbytes)
+
+
+def test_frozen_features_peak_at_two_conv1_buffers_and_a_window_per_span():
+    import tracemalloc
+
+    w = noise(0.6, rms=0.1, seed=7)  # 2,385 logit frames, two spans
+    warm, model = build_reference_model(seed=3), build_reference_model(seed=3)
+    for m in (warm, model):
+        m.select_adaptable(["layer_norm"])
+    warm.frozen_features(w)  # starts the helper thread outside the trace
+    # what the design allows: per span, conv1's output (GELU in place, conv2's
+    # output and its GELU over it) and one erf scratch, both conv1-sized, and
+    # conv2's im2col window; then xhat, and 1 MiB for everything else
+    n_frames = model.output_length(len(w.samples))
+    t = n_frames - n_frames // 2  # the longer span
+    n1 = (ReferenceModel.HOP * (t - 1) + ReferenceModel.FIELD - ReferenceModel.K1) // 2 + 1
+    c1, c2 = (model.snapshot().parameters[k].shape[0] for k in ("conv1_w", "conv2_w"))
+    per_span = 8 * (2 * c1 * n1 + c1 * ReferenceModel.K2 * t)
+    bound = 2 * per_span + 8 * c2 * n_frames + 2**20
+    tracemalloc.start()
+    try:
+        model.frozen_features(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
+
+
+def test_forward_only_spans_keep_no_backward_state(model):
+    # a forward pass, or a gradient under a selection that freezes the conv
+    # stack, writes only conv1's buffer, the erf scratch, conv2's window and
+    # the whole-chunk xhat and inv; the folded head needs no h3 buffer
+    w = noise(0.1, rms=0.1, seed=4)
+    forward_only = {"a1", "erf1", "window", "xhat", "inv"}
+    fresh = build_reference_model(seed=3)
+    fresh.forward(w)
+    assert set().union(*(ws._buffers for ws in fresh._span_ws)) <= forward_only
+    fresh.select_adaptable(["layer_norm", "head"])
+    fresh.gradient(w, make_loss_functional("sgem"))
+    assert set().union(*(ws._buffers for ws in fresh._span_ws)) <= forward_only
+    for groups in _SELECTIONS_CHECKED:
+        model.select_adaptable(list(groups))
+        model.gradient(w, make_loss_functional("sgem"))
+        assert not any("h3" in ws._buffers for ws in model._span_ws), groups
 
 
 def test_warm_gradient_allocates_a_fraction_of_the_cold_call(model):
