@@ -31,10 +31,21 @@ are dgamma = sum over classes of W * M and dbeta = W^T s. Each frame span
 forms its own dxhat = A^T dz over its frames. The backward pass skips what
 frozen groups need: the head gradients without ``head``, everything below
 the layer-norm gradients without ``feature_extractor``, and always conv1's
-input gradient. GELU's derivative reuses the erf the forward pass computed,
-and each conv layer's weight gradient the im2col matrix its forward pass
-built: for conv1 a strided view of the samples, for conv2 a copy in the
-span's window buffer. Each conv layer of a span is one matmul.
+input gradient. GELU's derivative reuses the erf the forward pass computed.
+
+Polyphase convolution, with no im2col matrix. Conv1's output is stored
+phase-major: (S2, C1, U) with U = T + Q - 1 for T output frames and
+Q = K2 / S2 = 8, so out[r, :, u] is conv1 frame S2 u + r. Conv1 runs as one
+matmul per phase over a stride-4 view of the samples, and GELU and its
+backward read the layout as it is. Conv2 reads X = h1 as an (S2 C1, U)
+matrix, and with W_j[o, (r, c)] = w[o, c, S2 j + r] (``_phase_taps``, formed
+once per call) it runs as Q matmuls with K = S2 C1 = 32 over contiguous rows:
+a2 = b + sum_j W_j X[:, j : j + T]. Its weight gradient is the Q blocks
+da2 X[:, j : j + T]^T, transposed once into w's layout, and its input
+gradient sum_j W_j^T pad(da2)[:, Q - 1 - j : Q - 1 - j + U], with Q - 1 zero
+columns on each side of da2, which comes out phase-major like h1. Conv1's
+weight gradient takes the same strided views of the samples as its forward
+pass.
 
 Threads. Importing this module pins numpy's OpenBLAS to one thread (see
 ``threads``), so no result depends on the BLAS thread count. The conv stack
@@ -68,31 +79,38 @@ frames; their conv gradients differ from a two-span pass by reassociation
 only.
 
 Each of the two threads' spans keeps a scratch workspace between calls:
-named float64 buffers that its activations, backward temporaries and im2col
-windows are written into with ``out=``. The first workspace also holds
-the whole-chunk ``xhat`` and layer-norm ``inv`` of a chunk of at most 2 B
-frames; a longer chunk's live in a workspace of their own, freed when the
-call returns. The other whole-chunk arrays are the logits and the loss
-gradient, which the caller owns. What a span keeps depends on whether a
-backward pass will read it. ``gradient`` with ``feature_extractor`` selected
-keeps each span's conv1 and conv2 outputs, their GELUs and erf terms and
-conv2's im2col window. Every other call (``frozen_features``, ``forward``,
-``gradient`` under a selection that freezes the conv stack, and the forward
-pass above two spans, whose activations are recomputed) keeps nothing: GELU
-runs in place, both layers share one erf scratch and conv2 writes its output
-over conv1's, so a span takes two conv1-sized buffers and the window.
-Buffers whose contents are dead are handed on (dxhat, for example, takes
-h2's buffer), so the workspaces hold one call's working set for at most 2 B
-frames, however long the chunks, and are freed with the model;
-``frozen_features`` frees them before it returns, since no step reads them
-under a selection that freezes the conv stack. Without workspaces every
-step would allocate and free about ten full-length arrays, which the C
-allocator returns to the kernel and then takes back page by page. Every call
-writes a buffer before reading it, so snapshot, restore and
-``select_adaptable`` need no invalidation. Nothing that leaves the model is
-a view into a workspace: the logits, ``frozen_features`` and the gradients
-are newly allocated arrays the caller owns. One model must not be called
-from two threads at once.
+named float64 buffers that its activations and backward temporaries are
+written into with ``out=``. What a span keeps depends on whether a backward
+pass will read it. ``gradient`` with ``feature_extractor`` selected keeps
+each span's samples (a view), conv1's output, erf term and GELU h1 (conv2's
+input X), and conv2's output and erf term; with h2, whose buffer the
+backward pass reuses, and one scratch buffer for conv2's products and the
+backward temporaries, a span takes seven buffers of about C2 T floats. Every
+other call (``frozen_features``, ``forward``, ``gradient`` under a selection
+that freezes the conv stack, and the forward pass above two spans, whose
+activations are recomputed) keeps nothing: GELU runs in place, conv2 writes
+its output over conv1's erf scratch and GELU's erf over the products'
+scratch, so a span takes three such buffers. Buffers whose contents are dead
+are handed on (dxhat, for example, takes h2's buffer), so the workspaces
+hold one call's working set for at most 2 B frames, however long the
+chunks, and are freed with the model; ``frozen_features`` frees them before
+it returns, since no step reads them under a selection that freezes the
+conv stack.
+
+A third workspace, the chunk workspace, holds the whole-chunk arrays of a
+chunk of at most 2 B frames: ``xhat`` and the layer-norm ``inv`` when the
+conv stack runs, and ``gradient``'s logits and logit gradient; a longer
+chunk's live in a workspace of their own, freed when the call returns.
+``gradient`` lends the logit-gradient buffer to a loss functional that takes
+``out`` (the objectives' functionals do), so a warm step allocates no array
+the size of the chunk. Without workspaces every step would allocate and free
+about ten full-length arrays, which the C allocator maps and unmaps, or
+returns to the kernel and then takes back page by page. Every call writes a
+buffer before reading it, so snapshot, restore and ``select_adaptable`` need
+no invalidation. Nothing that leaves the model is a view into a workspace:
+``forward``'s logits, ``frozen_features`` and the gradients are newly
+allocated arrays the caller owns. One model must not be called from two
+threads at once.
 
 All math is float64 numpy; forward is deterministic and snapshot/restore is
 bit-exact by construction.
@@ -102,9 +120,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 import io
 import json
-import math
 import zipfile
 import zlib
 from pathlib import Path
@@ -123,7 +141,14 @@ from ..errors import (
 )
 from ..jsonfields import INTEGER, STRING, STRINGS, Fields, check_object
 from . import threads, types
-from .types import LogitMatrix, LossFunctional, ModelSnapshot, Vocabulary, default_vocabulary
+from .types import (
+    LogitMatrix,
+    LossFunctional,
+    ModelSnapshot,
+    Vocabulary,
+    Workspace,
+    default_vocabulary,
+)
 
 CHECKPOINT_MAGIC = "ttabench-refmodel-v1"
 
@@ -132,30 +157,6 @@ _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 _LN_EPS = 1e-5
 
 _T = TypeVar("_T")
-
-
-class _Workspace:
-    """Named float64 scratch buffers that persist between calls.
-
-    ``get(name, shape)`` returns a C-contiguous view of the first
-    ``prod(shape)`` entries of the buffer called ``name``. A buffer grows to
-    the largest size asked of it and never shrinks; its contents are whatever
-    its last user wrote, so every caller writes a view before reading it.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        if name not in self._buffers or self._buffers[name].size < size:
-            self._buffers.pop(name, None)  # free the old buffer before allocating its successor
-            self._buffers[name] = np.empty(size)
-        return self._buffers[name][:size].reshape(shape)
-
-    def clear(self) -> None:
-        """Drop every buffer; each is freed once no view of it is left."""
-        self._buffers.clear()
 
 
 def _gelu(
@@ -208,7 +209,7 @@ def _layer_norm_stats(
 
 
 def _layer_norm_backward(
-    dxhat: np.ndarray, xhat: np.ndarray, inv: np.ndarray, tmp: np.ndarray, ws: _Workspace
+    dxhat: np.ndarray, xhat: np.ndarray, inv: np.ndarray, tmp: np.ndarray, ws: Workspace
 ) -> np.ndarray:
     """Gradient through ``_layer_norm_stats``, written over ``dxhat``; ``tmp`` is overwritten:
     inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), means over channels."""
@@ -218,23 +219,6 @@ def _layer_norm_backward(
     np.subtract(dxhat, means[0], out=dxhat)
     np.subtract(dxhat, np.multiply(xhat, means[1], out=tmp), out=dxhat)
     return np.multiply(inv, dxhat, out=dxhat)
-
-
-def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """The (Cin, T, K) view of x's input windows, one per output frame."""
-    return sliding_window_view(x, k, axis=1)[:, ::stride, :]
-
-
-def _as_matrix(a: np.ndarray, shape: tuple[int, int], ws: _Workspace) -> np.ndarray:
-    """``a.reshape(shape)`` without allocating: the view when one exists (one input
-    channel), else a copy in ``ws``'s window buffer. Either way it is the array
-    ``reshape`` returns, laid out the same, so matmul takes the same path."""
-    try:
-        return a.reshape(shape, copy=False)
-    except ValueError:
-        out = ws.get("window", shape)
-        np.copyto(out.reshape(a.shape), a)
-        return out
 
 
 def _frame_spans(n_frames: int) -> list[tuple[int, int]]:
@@ -259,59 +243,111 @@ def _run_spans(tasks: Iterable[Callable[[], _T]]) -> list[_T]:
     return results
 
 
-def _conv1d(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, out: np.ndarray, ws: _Workspace
-) -> tuple[np.ndarray, np.ndarray]:
-    """Strided valid cross-correlation into ``out``; x (Cin, N), w (Cout, Cin, K),
-    out (Cout, T) with T = (N - K) // stride + 1, as one matmul.
-
-    Returns ``out`` and x's (Cin K, T) im2col matrix: a strided view of x when
-    Cin is 1, else ``ws``'s window, valid until the window is next written.
-    """
-    cin = x.shape[0]
-    cout, _, k = w.shape
-    t_total = out.shape[1]
-    cols = _as_matrix(_windows(x, k, stride).transpose(0, 2, 1), (cin * k, t_total), ws)
-    np.matmul(w.reshape(cout, cin * k), cols, out=out)
-    return np.add(out, b[:, None], out=out), cols
+def _phase_frames(x: np.ndarray, k: int, stride: int, phases: int) -> list[np.ndarray]:
+    """Per output phase r, the (U, K) view of the input windows of the strided
+    cross-correlation of the samples ``x``: row u is the window of output frame
+    ``phases * u + r``, for the first ``phases * U`` frames."""
+    frames = sliding_window_view(x, k)[::stride]
+    u = len(frames) // phases
+    return [frames[r::phases][:u] for r in range(phases)]
 
 
-def _conv1d_input_grad(
-    w: np.ndarray, stride: int, dout: np.ndarray, dx: np.ndarray, ws: _Workspace, pad: str, prod: str
+def _conv1_phases(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, phases: int, ws: Workspace
 ) -> np.ndarray:
-    """Input gradient of the strided cross-correlation into ``dx`` (Cin, N), as a
-    polyphase transposed convolution (needs K % S == 0): with Q = K // S, one matmul
-    gives dx[c, S*u + r] = sum_{o,q} dout[o, u - q] * w[o, c, S*q + r].
+    """Strided valid cross-correlation of the samples ``x`` with w (Cout, 1, K),
+    phase-major in ``ws``'s a1 buffer: out[r, :, u] is output frame
+    ``phases * u + r``. One matmul per phase, over a strided view of x."""
+    cout, _, k = w.shape
+    views = _phase_frames(x, k, stride, phases)
+    out = ws.get("a1", (phases, cout, len(views[0])))
+    for r, view in enumerate(views):
+        np.matmul(w.reshape(cout, k), view.T, out=out[r])
+    return np.add(out, b[:, None], out=out)
 
-    ``pad`` and ``prod`` name the workspace buffers for the zero-padded ``dout``
-    and the matmul product, so a caller can hand over buffers it is done with.
-    """
+
+def _conv1_weight_grad(
+    x: np.ndarray, dout: np.ndarray, k: int, stride: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (dw, db) of ``_conv1_phases``, newly allocated; ``dout`` is
+    phase-major like its output."""
+    phases, cout, _ = dout.shape
+    views = _phase_frames(x, k, stride, phases)
+    dw = sum(dout[r] @ view for r, view in enumerate(views))
+    return dw.reshape(cout, 1, k), dout.sum(axis=(0, 2))
+
+
+def _phase_taps(w: np.ndarray, stride: int) -> np.ndarray:
+    """The Q = K / S tap blocks of w (Cout, Cin, K) for ``_polyphase_conv`` (needs
+    K % S == 0), as one (Q, Cout, S Cin) array: taps[j][o, (r, c)] = w[o, c, S j + r]."""
     cout, cin, k = w.shape
     q = k // stride
-    t_total = dout.shape[1]
-    # wmat[(c, r), (o, m)] = w[o, c, S*(Q-1-m) + r]
-    wmat = w.reshape(cout, cin, q, stride)[:, :, ::-1, :].transpose(1, 3, 0, 2)
-    wmat = wmat.reshape(cin * stride, cout * q)
-    dpad = ws.get(pad, (cout, t_total + 2 * (q - 1)))
+    return w.reshape(cout, cin, q, stride).transpose(2, 0, 3, 1).reshape(q, cout, stride * cin)
+
+
+def _polyphase_conv(
+    x: np.ndarray, taps: np.ndarray, b: np.ndarray, out: np.ndarray, ws: Workspace
+) -> np.ndarray:
+    """Strided valid cross-correlation into ``out`` (Cout, T) of an input stored
+    phase-major, x[(r, c), u] = input[c, S u + r] with U = T + Q - 1 columns:
+    out = b + sum_j taps[j] x[:, j : j + T], Q matmuls over contiguous rows and no
+    im2col matrix. Products after the first pass through ``ws``'s scratch buffer."""
+    t = out.shape[1]
+    np.matmul(taps[0], x[:, :t], out=out)
+    prod = ws.get("scratch", out.shape)
+    for j in range(1, len(taps)):
+        out += np.matmul(taps[j], x[:, j : j + t], out=prod)
+    return np.add(out, b[:, None], out=out)
+
+
+def _polyphase_weight_grad(
+    dout: np.ndarray, x: np.ndarray, stride: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (dw, db) of ``_polyphase_conv``, newly allocated: the Q blocks
+    dout x[:, j : j + T]^T are written into one array and transposed once into
+    w's (Cout, Cin, K) layout."""
+    cout, t = dout.shape
+    q = x.shape[1] - t + 1
+    blocks = np.empty((q, cout, x.shape[0]))
+    for j in range(q):
+        np.matmul(dout, x[:, j : j + t].T, out=blocks[j])
+    dw = blocks.reshape(q, cout, stride, -1).transpose(1, 3, 0, 2).reshape(cout, -1, q * stride)
+    return dw, dout.sum(axis=1)
+
+
+def _polyphase_input_grad(
+    taps: np.ndarray, dout: np.ndarray, dx: np.ndarray, ws: Workspace, pad: str
+) -> np.ndarray:
+    """Input gradient of ``_polyphase_conv`` into ``dx`` (S Cin, U), phase-major like
+    its input: dx = sum_j taps[j]^T dpad[:, Q - 1 - j : Q - 1 - j + U], with dpad
+    ``dout`` between Q - 1 zero columns on each side. Input samples at S U and
+    beyond feed no output, so their gradient is zero and not stored.
+
+    ``pad`` names the workspace buffer for dpad, so a caller can hand over one it
+    is done with; products after the first pass through the scratch buffer.
+    """
+    q = len(taps)
+    cout, t = dout.shape
+    u = dx.shape[1]
+    dpad = ws.get(pad, (cout, t + 2 * (q - 1)))
     dpad[:, : q - 1] = 0.0
-    dpad[:, q - 1 : q - 1 + t_total] = dout
-    dpad[:, q - 1 + t_total :] = 0.0
-    u_total = t_total + q - 1  # samples at S * u_total and beyond feed no output
-    dx[:, u_total * stride :] = 0.0
-    win = sliding_window_view(dpad, q, axis=1).transpose(0, 2, 1)
-    g = ws.get(prod, (cin * stride, u_total))
-    np.matmul(wmat, _as_matrix(win, (cout * q, u_total), ws), out=g)
-    dx_head = dx[:, : u_total * stride].reshape((cin, u_total, stride), copy=False)
-    np.copyto(dx_head, g.reshape(cin, stride, u_total).transpose(0, 2, 1))
+    dpad[:, q - 1 : q - 1 + t] = dout
+    dpad[:, q - 1 + t :] = 0.0
+    np.matmul(taps[0].T, dpad[:, q - 1 : q - 1 + u], out=dx)
+    prod = ws.get("scratch", dx.shape)
+    for j in range(1, q):
+        dx += np.matmul(taps[j].T, dpad[:, q - 1 - j : q - 1 - j + u], out=prod)
     return dx
 
 
-def _conv1d_weight_grad(
-    w: np.ndarray, dout: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (dw, db) of the strided cross-correlation, newly allocated; ``cols``
-    is the (Cin K, T) im2col matrix ``_conv1d`` returned."""
-    return (dout @ cols.T).reshape(w.shape), dout.sum(axis=1)
+def _takes_out(loss_fn: LossFunctional) -> bool:
+    """Whether ``loss_fn``, a function or a ``functools.wraps`` wrapper of one, has
+    a parameter ``out`` to write its gradient into. Read from the code object, since
+    ``inspect.signature`` costs about 10 us, a hundredth of a norm-only step."""
+    code = getattr(inspect.unwrap(loss_fn), "__code__", None)
+    if code is None:
+        return False
+    return "out" in code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
 
 
 class ReferenceModel:
@@ -374,16 +410,20 @@ class ReferenceModel:
         self._selected: tuple[str, ...] = ("feature_extractor", "layer_norm")
         self.sample_rate_hz = 16000
         self._source_sha256: str | None = None
-        self._span_ws = (_Workspace(), _Workspace())  # one per frame span
+        self._new_workspaces()
+
+    def _new_workspaces(self) -> None:
+        self._span_ws = (Workspace(), Workspace())  # one per frame span
+        self._chunk_ws = Workspace()  # the whole-chunk arrays of at most 2 B frames
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_span_ws"]
+        del state["_span_ws"], state["_chunk_ws"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._span_ws = (_Workspace(), _Workspace())
+        self._new_workspaces()
 
     @property
     def source_sha256(self) -> str | None:
@@ -409,61 +449,57 @@ class ReferenceModel:
     # --- forward / backward ---------------------------------------------------
 
     def _span_convs(
-        self, x: np.ndarray, t0: int, t1: int, ws: _Workspace, keep: bool
+        self, x: np.ndarray, t0: int, t1: int, ws: Workspace, taps2: np.ndarray, keep: bool
     ) -> dict[str, np.ndarray]:
-        """Conv stack of output frames t0..t1-1, from the samples they read, as views
-        into ``ws`` (``cols1`` into ``x``). With ``keep``, returns what the span's
-        backward pass reads, and ``h2``; without, only ``h2``, computed in two
-        conv1-sized buffers: GELU in place, one erf scratch for both layers, and
-        conv2's output over conv1's, which its im2col copy has finished reading."""
+        """Conv stack of output frames t0..t1-1, from the samples ``xs`` they read, as
+        views into ``ws``; conv1's output and its GELU are phase-major, (S2, C1, U) with
+        U = t1 - t0 + Q - 1, and ``taps2`` is ``_phase_taps`` of conv2's weights. With
+        ``keep``, returns what the span's backward pass reads, and ``h2``; without, only
+        ``h2``, computed in three conv1-sized buffers: conv1's output with its GELU in
+        place, the erf scratch, which conv2's output and its GELU then take over, and
+        the scratch for conv2's products, which GELU's erf then takes over."""
         p = self._params
         xs = x[self.HOP * t0 : self.HOP * (t1 - 1) + self.FIELD]
-        n1 = (len(xs) - self.K1) // self.S1 + 1
-        shape1 = (p["conv1_w"].shape[0], n1)
+        a1 = _conv1_phases(xs, p["conv1_w"], p["conv1_b"], self.S1, self.S2, ws)
+        h1, erf1 = _gelu(a1, ws.get("h1", a1.shape) if keep else a1, ws.get("erf1", a1.shape))
+        x2 = h1.reshape(-1, a1.shape[2])
         shape2 = (p["conv2_w"].shape[0], t1 - t0)
-        # cols1 is a strided view of the samples; nothing writes the window again
-        # before the backward pass takes conv2's weight gradient from cols2
-        a1, cols1 = _conv1d(
-            xs[None, :], p["conv1_w"], p["conv1_b"], self.S1, ws.get("a1", shape1), ws
-        )
-        h1, erf1 = _gelu(a1, ws.get("h1", shape1) if keep else a1, ws.get("erf1", shape1))
-        out2 = ws.get("a2" if keep else "a1", shape2)
-        a2, cols2 = _conv1d(h1, p["conv2_w"], p["conv2_b"], self.S2, out2, ws)
-        erf2 = ws.get("erf2" if keep else "erf1", shape2)
+        out2 = ws.get("a2" if keep else "erf1", shape2)
+        a2 = _polyphase_conv(x2, taps2, p["conv2_b"], out2, ws)
+        erf2 = ws.get("erf2" if keep else "scratch", shape2)
         h2, erf2 = _gelu(a2, ws.get("h2", shape2) if keep else a2, erf2)
         if not keep:
             return {"h2": h2}
-        return {
-            "cols1": cols1, "a1": a1, "erf1": erf1, "h1": h1, "a2": a2, "erf2": erf2,
-            "cols2": cols2, "h2": h2,
-        }
+        return {"xs": xs, "a1": a1, "erf1": erf1, "x2": x2, "a2": a2, "erf2": erf2, "h2": h2}
 
     def _span_forward(
         self,
         x: np.ndarray,
         t0: int,
         t1: int,
-        ws: _Workspace,
+        ws: Workspace,
+        taps2: np.ndarray,
         xhat: np.ndarray,
         inv: np.ndarray,
         keep: bool,
     ) -> dict[str, np.ndarray]:
         """``_span_convs`` and the layer-norm statistics of output frames t0..t1-1;
         writes ``xhat[:, t0:t1]`` and ``inv[t0:t1]``."""
-        span = self._span_convs(x, t0, t1, ws, keep)
+        span = self._span_convs(x, t0, t1, ws, taps2, keep)
         _layer_norm_stats(span.pop("h2"), xhat[:, t0:t1], inv[t0:t1])
         return span
 
     def _span_backward(
         self,
         span: dict[str, np.ndarray],
+        taps2: np.ndarray,
         a_t: np.ndarray,
         dzt: np.ndarray,
         xhat: np.ndarray,
         inv: np.ndarray,
         t0: int,
         t1: int,
-        ws: _Workspace,
+        ws: Workspace,
     ) -> dict[str, np.ndarray]:
         """The conv gradients of output frames t0..t1-1, newly allocated; ``span`` is
         what ``_span_forward`` kept for them, ``a_t`` the transposed folded head and
@@ -472,33 +508,26 @@ class ReferenceModel:
         Spans share conv1 frames near their border, so each span's conv1 gradients
         cover only its own conv2 frames' share; the sum over spans is the whole.
         """
-        p = self._params
         shape2 = (a_t.shape[0], t1 - t0)
         # each buffer below takes over from an activation the backward pass has
-        # finished with: h2 once the statistics are taken, then a2, erf2 and tmp
-        # once da2 is formed
+        # finished with: h2 once the statistics are taken, then a2 and erf2 once
+        # da2 is formed
         dxhat = np.matmul(a_t, dzt[:, t0:t1], out=ws.get("h2", shape2))
-        tmp = ws.get("tmp", shape2)
+        tmp = ws.get("scratch", shape2)
         dh2 = _layer_norm_backward(dxhat, xhat[:, t0:t1], inv[t0:t1], tmp, ws)
         da2 = _gelu_backward(dh2, span["a2"], span["erf2"], tmp)
-        h1 = span["h1"]
-        # conv2's weight gradient before its input gradient, which writes the window
-        # that cols2 is a view of; popped, cols2 no longer keeps the window's old
-        # buffer alive when the input gradient grows it
+        x2, a1 = span["x2"], span["a1"]
         grads: dict[str, np.ndarray] = {}
-        grads["conv2_w"], grads["conv2_b"] = _conv1d_weight_grad(
-            p["conv2_w"], da2, span.pop("cols2")
-        )
-        dh1 = _conv1d_input_grad(
-            p["conv2_w"], self.S2, da2, ws.get("erf2", h1.shape), ws, pad="a2", prod="tmp"
-        )
+        grads["conv2_w"], grads["conv2_b"] = _polyphase_weight_grad(da2, x2, self.S2)
+        # phase-major like h1, so GELU's backward reads it as it is
+        dh1 = _polyphase_input_grad(taps2, da2, ws.get("erf2", x2.shape), ws, pad="a2")
         # conv1's input is the waveform, whose gradient nothing uses
-        da1 = _gelu_backward(dh1, span["a1"], span["erf1"], ws.get("tmp", h1.shape))
-        grads["conv1_w"], grads["conv1_b"] = _conv1d_weight_grad(p["conv1_w"], da1, span["cols1"])
+        da1 = _gelu_backward(dh1.reshape(a1.shape), a1, span["erf1"], ws.get("scratch", a1.shape))
+        grads["conv1_w"], grads["conv1_b"] = _conv1_weight_grad(span["xs"], da1, self.K1, self.S1)
         return grads
 
     def _conv_features(
-        self, x: np.ndarray, xhat: np.ndarray, inv: np.ndarray, keep: bool
+        self, x: np.ndarray, taps2: np.ndarray, xhat: np.ndarray, inv: np.ndarray, keep: bool
     ) -> list[dict[str, np.ndarray]] | None:
         """``_span_forward`` of every frame span, two at a time; fills ``xhat`` and
         ``inv``. With ``keep``, returns each span's activations when there are two
@@ -507,7 +536,9 @@ class ReferenceModel:
         spans = _frame_spans(xhat.shape[1])
         keep = keep and len(spans) <= 2
         acts = _run_spans(
-            functools.partial(self._span_forward, x, t0, t1, self._span_ws[i % 2], xhat, inv, keep)
+            functools.partial(
+                self._span_forward, x, t0, t1, self._span_ws[i % 2], taps2, xhat, inv, keep
+            )
             for i, (t0, t1) in enumerate(spans)
         )
         return acts if keep else None
@@ -537,27 +568,40 @@ class ReferenceModel:
         self._check_rate(w)
         shape = self._features_shape(len(w.samples))
         xhat = np.empty(shape)
+        taps2 = _phase_taps(self._params["conv2_w"], self.S2)
         try:  # no step reads the conv stack's buffers under this selection
-            self._conv_features(w.samples, xhat, np.empty(shape[1:]), keep=False)
+            self._conv_features(w.samples, taps2, xhat, np.empty(shape[1:]), keep=False)
         finally:
             for ws in self._span_ws:
                 ws.clear()
         return xhat
 
+    def _chunk_workspace(self, n_frames: int) -> Workspace:
+        """Where a chunk's whole-chunk arrays go: the model's own workspace for at
+        most two spans' budget, else a new one, freed with them."""
+        return self._chunk_ws if n_frames <= 2 * types.FRAME_BUDGET else Workspace()
+
     def _forward_cached(
-        self, x: np.ndarray, frozen: np.ndarray | None, keep: bool = False
+        self,
+        x: np.ndarray,
+        frozen: np.ndarray | None,
+        keep: bool = False,
+        z: np.ndarray | None = None,
     ) -> dict[str, np.ndarray]:
-        """The folded head's ``a`` (``_head``), the class-major C x L logits ``z`` and
-        ``xhat``; unless ``frozen`` is given, also the layer-norm ``inv`` and what
-        ``_conv_features`` returns under ``keep``. Those two and ``xhat`` are views
-        into the workspaces, valid until the next call, or for a chunk above two
-        spans' budget into a workspace of their own, freed with them."""
+        """The folded head's ``a`` (``_head``), the class-major C x L logits ``z``
+        (written into the given ``z``, else newly allocated) and ``xhat``; unless
+        ``frozen`` is given, also the layer-norm ``inv``, conv2's ``taps`` and what
+        ``_conv_features`` returns under ``keep``. ``xhat`` and ``inv`` are views
+        into ``_chunk_workspace``, the activations views into the span workspaces,
+        all valid until the next call."""
         shape = self._features_shape(len(x))
         cache: dict = {}
         if frozen is None:
-            ws = self._span_ws[0] if shape[1] <= 2 * types.FRAME_BUDGET else _Workspace()
+            ws = self._chunk_workspace(shape[1])
             xhat, inv = ws.get("xhat", shape), ws.get("inv", shape[1:])
-            cache.update(xhat=xhat, inv=inv, spans=self._conv_features(x, xhat, inv, keep))
+            taps2 = _phase_taps(self._params["conv2_w"], self.S2)
+            spans = self._conv_features(x, taps2, xhat, inv, keep)
+            cache.update(xhat=xhat, inv=inv, taps=taps2, spans=spans)
         else:
             if not self._features_frozen():
                 raise ValueError("frozen features given, but feature_extractor is selected")
@@ -565,7 +609,7 @@ class ReferenceModel:
                 raise ValueError(f"frozen features shape {frozen.shape} != {shape}")
             cache["xhat"] = frozen
         cache["a"], c = self._head()
-        z = np.matmul(cache["a"], cache["xhat"])
+        z = np.matmul(cache["a"], cache["xhat"], out=z)
         cache["z"] = np.add(z, c[:, None], out=z)
         return cache
 
@@ -578,16 +622,28 @@ class ReferenceModel:
     def gradient(
         self, w: Waveform, loss_fn: LossFunctional, frozen: np.ndarray | None = None
     ) -> tuple[object, dict[str, np.ndarray]]:
-        """Loss record and selected-group gradients; ``frozen`` as in ``forward``."""
+        """Loss record and selected-group gradients; ``frozen`` as in ``forward``.
+
+        The logits ``loss_fn`` is given are a view into the model's workspace,
+        valid during the call. A ``loss_fn`` that takes ``out`` is lent the
+        workspace's logit-gradient buffer, as an L x C view, to write into.
+        """
         self._check_rate(w)
-        cache = self._forward_cached(w.samples, frozen, keep=not self._features_frozen())
+        p = self._params
+        shape = (p["head_w"].shape[0], self.output_length(len(w.samples)))
+        ws = self._chunk_workspace(shape[1])
+        keep = not self._features_frozen()
+        cache = self._forward_cached(w.samples, frozen, keep, z=ws.get("z", shape))
         z = cache["z"].T
-        record, dz = loss_fn(LogitMatrix(values=z, blank_index=self._vocab.blank_index))
+        logits = LogitMatrix(values=z, blank_index=self._vocab.blank_index)
+        if _takes_out(loss_fn):
+            record, dz = loss_fn(logits, out=ws.get("dz", shape).T)
+        else:
+            record, dz = loss_fn(logits)
         dz = np.asarray(dz, dtype=np.float64)
         if dz.shape != z.shape:
             raise ValueError(f"loss gradient shape {dz.shape} != logits shape {z.shape}")
 
-        p = self._params
         dzt = dz.T  # class-major, as the objectives return it
         xhat = cache["xhat"]
         selected = set(self._selected)
@@ -605,12 +661,15 @@ class ReferenceModel:
         if "feature_extractor" not in selected:
             return record, grads
         spans, acts, inv = _frame_spans(xhat.shape[1]), cache["spans"], cache["inv"]
-        a_t = cache["a"].T
+        a_t, taps2 = cache["a"].T, cache["taps"]
 
         def span_grads(i: int, t0: int, t1: int) -> dict[str, np.ndarray]:
             ws_i = self._span_ws[i % 2]
-            act = acts[i] if acts is not None else self._span_convs(w.samples, t0, t1, ws_i, True)
-            return self._span_backward(act, a_t, dzt, xhat, inv, t0, t1, ws_i)
+            if acts is not None:
+                act = acts[i]
+            else:
+                act = self._span_convs(w.samples, t0, t1, ws_i, taps2, True)
+            return self._span_backward(act, taps2, a_t, dzt, xhat, inv, t0, t1, ws_i)
 
         parts = _run_spans(
             functools.partial(span_grads, i, t0, t1) for i, (t0, t1) in enumerate(spans)

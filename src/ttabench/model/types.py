@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -13,6 +14,32 @@ from ..errors import NonFiniteLogitsError
 # reference model's conv stack, or a block of an objective. A chunk's working
 # set beyond its output-sized arrays is bounded by this, not by its length.
 FRAME_BUDGET = 8192
+
+
+class Workspace:
+    """Named scratch buffers that persist between calls.
+
+    ``get(name, shape, dtype)`` returns a C-contiguous view of the first
+    ``prod(shape)`` entries of the buffer called ``name``. A buffer grows to
+    the largest size asked of it and never shrinks; its contents are whatever
+    its last user wrote, so every caller writes a view before reading it.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = None  # free the old buffer before allocating its successor
+            self._buffers.pop(name, None)
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def clear(self) -> None:
+        """Drop every buffer; each is freed once no view of it is left."""
+        self._buffers.clear()
 
 
 @dataclass(frozen=True)
@@ -89,6 +116,7 @@ class ModelSnapshot:
 
 # A TTA loss functional: logits -> (loss record, d loss / d logits).
 # The loss record is opaque to the model; the engine passes objective
-# functions from ttabench.objectives.
+# functions from ttabench.objectives. A functional whose signature has an
+# ``out`` keyword is lent an L x C array to write the gradient into.
 LossFunctional = Callable[[LogitMatrix], tuple[object, np.ndarray]]
 

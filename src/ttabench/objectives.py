@@ -23,6 +23,16 @@ gradient they return they hold one block's arrays at a time. A chunk of one
 block computes exactly what a whole-chunk pass does; over several blocks,
 sums over frames change by reassociation only.
 
+A block's arrays (its softmax, log p or p^rho, the top-k partition and mask)
+live in scratch buffers kept per thread (a ``Workspace``), which grow to the
+largest block seen and are reused by every later call on that thread. The
+gradient goes into the L x C array a caller lends as ``out`` (the reference
+model lends one from its own workspace), else into a new array, so a direct
+caller owns what it gets back. A warm gradient step thus allocates no array
+the size of the chunk, which the C allocator would otherwise map and unmap,
+faulting its pages in, on every step. ``softmax_temperature`` and the value
+functions still return or use new arrays.
+
 Gradient formulas assume strictly positive probabilities, which softmax
 guarantees; hand-built probability matrices with exact zeros are fine for
 the value functions only.
@@ -31,13 +41,14 @@ the value functions only.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .model import types as model_types
-from .model.types import LogitMatrix, LossFunctional
+from .model.types import LogitMatrix, LossFunctional, Workspace
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +56,15 @@ _MCC_EPS = 1e-12
 _NS_EPS = 1e-12
 # with blank frames excluded, a frame whose blank probability exceeds this is left out
 _BLANK_DOMINANCE = 0.9
+
+_scratch = threading.local()
+
+
+def _workspace() -> Workspace:
+    """This thread's scratch buffers for the composite objectives' block arrays."""
+    if not hasattr(_scratch, "ws"):
+        _scratch.ws = Workspace()
+    return _scratch.ws
 
 
 @dataclass(frozen=True)
@@ -104,9 +124,10 @@ def softmax_temperature(z: LogitMatrix, temperature: float) -> ProbMatrix:
     return _softmax(z.values.T, temperature)
 
 
-def _softmax(zt: np.ndarray, temperature: float) -> ProbMatrix:
-    """``softmax_temperature`` of the class-major C x n logits ``zt``."""
-    buf = np.divide(zt, temperature, order="C")
+def _softmax(zt: np.ndarray, temperature: float, out: np.ndarray | None = None) -> ProbMatrix:
+    """``softmax_temperature`` of the class-major C x n logits ``zt``, written into the
+    C-contiguous ``out`` when given, else into a new array."""
+    buf = np.divide(zt, temperature, out=out, order="C")
     buf -= buf.max(axis=0)
     np.exp(buf, out=buf)
     buf /= buf.sum(axis=0)
@@ -157,10 +178,14 @@ def renyi_entropy_loss(p: ProbMatrix, rho: float) -> float:
     return _renyi(_renyi_powers(p.values.T, rho).sum(axis=0), rho)
 
 
-def _renyi_powers(vt: np.ndarray, rho: float) -> np.ndarray:
+def _renyi_powers(vt: np.ndarray, rho: float, out: np.ndarray | None = None) -> np.ndarray:
+    """p^rho, written into ``out`` when given, else into a new array."""
     if rho <= 0 or rho == 1.0:
         raise ValueError("rho must be positive and != 1")
-    return vt**rho
+    if out is None:
+        return vt**rho
+    # ``vt**rho`` takes numpy's sqrt path at rho = 0.5, which np.power does not
+    return np.sqrt(vt, out=out) if rho == 0.5 else np.power(vt, rho, out=out)
 
 
 def _renyi(frame_sums: np.ndarray, rho: float) -> float:
@@ -180,26 +205,34 @@ def _negative_sampling(retained: np.ndarray) -> float:
     return float(-np.log(retained + _NS_EPS).mean())
 
 
-def _topk_partition(v: np.ndarray, k: int) -> np.ndarray:
-    """Row-major copy of the L x C ``v`` with each row's k largest entries last.
+def _topk_partition(v: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-major copy of the L x C ``v`` with each row's k largest entries last,
+    written into the C-contiguous ``out`` when given, else into a new array.
 
     Column C-k holds each row's k-th largest value (1 <= k < C).
     """
     if not 1 <= k < v.shape[1]:
         raise ValueError("need 1 <= k < C")
-    part = np.array(v, order="C")  # partitioning contiguous rows is the fastest layout
+    if out is None:
+        part = np.array(v, order="C")  # partitioning contiguous rows is the fastest layout
+    else:
+        part = out
+        np.copyto(part, v)
     part.partition(v.shape[1] - k, axis=1)
     return part
 
 
-def _topk_mask(vt: np.ndarray, part: np.ndarray, k: int) -> np.ndarray:
-    """Class-major C x L mask of each frame's k largest classes.
+def _topk_mask(
+    vt: np.ndarray, part: np.ndarray, k: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Class-major C x L mask of each frame's k largest classes, written into the
+    boolean ``out`` when given, else into a new array.
 
     ``part`` is ``_topk_partition(vt.T, k)``. A frame whose k-th largest value
     is tied with a smaller-ranked one falls back to ``argpartition``, which
     picks exactly k of the tied classes.
     """
-    mask = vt >= part[:, vt.shape[0] - k]
+    mask = np.greater_equal(vt, part[:, vt.shape[0] - k], out=out)
     ties = np.flatnonzero(np.count_nonzero(mask, axis=0) != k)
     if ties.size:
         tied = np.zeros((vt.shape[0], ties.size), dtype=bool)
@@ -212,13 +245,15 @@ def _topk_mask(vt: np.ndarray, part: np.ndarray, k: int) -> np.ndarray:
 # --- gradients with respect to the logits ----------------------------------------
 
 
-def _softmax_chain(vt: np.ndarray, g: np.ndarray, temperature: float) -> np.ndarray:
+def _softmax_chain(
+    vt: np.ndarray, g: np.ndarray, temperature: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Chain the class-major d(loss)/d(prob) ``g`` through the temperature softmax
-    to the logits, overwriting ``g``."""
+    to the logits, overwriting ``g``; the result goes into ``out`` when given,
+    else into ``g``."""
     g -= np.einsum("cl,cl->l", vt, g)
     g *= vt
-    g /= temperature
-    return g
+    return np.divide(g, temperature, out=g if out is None else out)
 
 
 # --- composite objectives --------------------------------------------------------
@@ -231,16 +266,24 @@ class _KeptFrames:
     left out, unless that would leave no frame at all. Iterating yields, for
     each block that keeps a frame, the kept frames' columns of the logits (a
     slice, or an index array when frames are left out) and their class-major
-    C x n probabilities. Every pass computes a block's softmax again, so it
-    holds one block's arrays at a time; a single block keeps its softmax.
-    ``add_grad`` takes the class-major logit gradient of each block a pass
-    yields, and ``logit_grad`` returns their L x C whole, zero on frames left out.
+    C x n probabilities, in this thread's scratch buffers. Every pass computes a
+    block's softmax again, so it holds one block's arrays at a time; a single
+    block keeps its softmax. ``add_grad`` chains each block's d(loss)/d(prob)
+    into the logit gradient, and ``logit_grad`` returns its L x C whole, zero on
+    frames left out: ``out`` when one is given, else a new array.
     """
 
-    def __init__(self, z: LogitMatrix, temperature: float, blank_dominance: float | None):
+    def __init__(
+        self,
+        z: LogitMatrix,
+        temperature: float,
+        blank_dominance: float | None,
+        out: np.ndarray | None = None,
+    ):
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         self._zt, self._temperature = z.values.T, temperature
+        self._ws = _workspace()
         n, budget = z.n_frames, model_types.FRAME_BUDGET
         self._blocks: list[tuple[slice, np.ndarray | None]] = [
             (slice(t0, min(t0 + budget, n)), None) for t0 in range(0, n, budget)
@@ -256,6 +299,9 @@ class _KeptFrames:
         self.n_frames = sum(
             block.stop - block.start if k is None else k.size for block, k in self._blocks
         )
+        if out is not None and out.shape != z.values.shape:
+            raise ValueError(f"out shape {out.shape} != logits shape {z.values.shape}")
+        self._out = out
         self._grad: np.ndarray | None = None
 
     @property
@@ -263,10 +309,15 @@ class _KeptFrames:
         """Whether the frames form one block, whose arrays a later pass may reuse."""
         return len(self._blocks) == 1
 
+    def scratch(self, name: str, vt: np.ndarray, dtype: type = np.float64) -> np.ndarray:
+        """This thread's scratch array ``name``, of ``vt``'s shape."""
+        return self._ws.get(name, vt.shape, dtype)
+
     def _probs(self, block: slice) -> np.ndarray:
         if self._cached is not None:
             return self._cached
-        vt = _softmax(self._zt[:, block], self._temperature).values.T
+        zt = self._zt[:, block]
+        vt = _softmax(zt, self._temperature, out=self._ws.get("probs", zt.shape)).values.T
         if self.single:
             self._cached = vt
         return vt
@@ -276,16 +327,23 @@ class _KeptFrames:
             if kept is None:
                 yield block, self._probs(block)
             elif kept.size:
-                yield block.start + kept, self._probs(block)[:, kept]
+                vt = self._probs(block)
+                out = self._ws.get("kept", (vt.shape[0], kept.size))
+                # the indices are in range; "clip" writes out unbuffered, "raise" would not
+                yield block.start + kept, np.take(vt, kept, axis=1, out=out, mode="clip")
 
-    def add_grad(self, cols: slice | np.ndarray, g: np.ndarray) -> None:
-        n = self._zt.shape[1]
+    def add_grad(self, cols: slice | np.ndarray, vt: np.ndarray, g: np.ndarray) -> None:
+        """Chain the class-major d(loss)/d(prob) ``g`` (overwritten) of the block
+        ``cols`` with probabilities ``vt`` into the logit gradient."""
         if self._grad is None:
-            if isinstance(cols, slice) and cols == slice(0, n):  # g is the whole gradient
-                self._grad = g
-                return
-            self._grad = np.zeros((g.shape[0], n))
-        self._grad[:, cols] = g
+            n = self._zt.shape[1]
+            self._grad = np.empty((g.shape[0], n)) if self._out is None else self._out.T
+            if self.n_frames < n:
+                self._grad.fill(0.0)
+        if isinstance(cols, slice):
+            _softmax_chain(vt, g, self._temperature, out=self._grad[:, cols])
+        else:
+            self._grad[:, cols] = _softmax_chain(vt, g, self._temperature)
 
     def logit_grad(self) -> np.ndarray:
         return self._grad.T
@@ -297,9 +355,11 @@ def suta_loss_and_grad(
     temperature: float = 2.5,
     need_grad: bool = True,
     blank_dominance: float | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[TtaLossValue, np.ndarray | None]:
     """Entropy-plus-class-confusion objective alpha*em + (1-alpha)*mcc, and its
-    gradient with respect to the logits.
+    gradient with respect to the logits, written into the L x C ``out`` when
+    given, else into a new array.
 
     With ``blank_dominance`` set, only frames whose blank probability is at
     most that value contribute (all frames, if none is). A first pass over
@@ -308,10 +368,10 @@ def suta_loss_and_grad(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    frames = _KeptFrames(z, temperature, blank_dominance)
+    frames = _KeptFrames(z, temperature, blank_dominance, out)
     p_log_p, masses, k_diags = [], [], []
     for _, vt in frames:
-        log_vt = np.log(vt)
+        log_vt = np.log(vt, out=frames.scratch("g", vt))
         block = _p_log_p(vt, log_vt)
         if np.isnan(block).any():  # a probability underflowed to 0, where 0 log 0 := 0
             block = _p_log_p(vt, np.log(np.where(vt > 0, vt, 1.0)))
@@ -337,11 +397,12 @@ def suta_loss_and_grad(
     shift = ((denom - (mass - k_diag)) * scale - alpha / n)[:, None]
     slope = (2.0 * denom * scale)[:, None]
     for cols, vt in frames:
-        g = log_vt if frames.single else np.log(vt)  # the first pass's, for one block
+        # the first pass's log p, for one block
+        g = log_vt if frames.single else np.log(vt, out=frames.scratch("g", vt))
         g *= -alpha / n
         g += shift
-        g -= slope * vt
-        frames.add_grad(cols, _softmax_chain(vt, g, temperature))
+        g -= np.multiply(slope, vt, out=frames.scratch("tmp", vt))
+        frames.add_grad(cols, vt, g)
     return value, frames.logit_grad()
 
 
@@ -353,21 +414,27 @@ def sgem_loss_and_grad(
     neg_k: int = 5,
     need_grad: bool = True,
     blank_dominance: float | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[TtaLossValue, np.ndarray | None]:
     """Renyi-entropy-plus-negative-sampling objective gem + lambda*ns, and its
-    gradient; frames selected as in ``suta_loss_and_grad``. One pass over the
-    frames takes both, since each frame's gradient needs only its own values."""
+    gradient, written as in ``suta_loss_and_grad``; frames selected as there.
+    One pass over the frames takes both, since each frame's gradient needs only
+    its own values."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    frames = _KeptFrames(z, temperature, blank_dominance)
+    frames = _KeptFrames(z, temperature, blank_dominance, out)
     n = frames.n_frames
     all_sums, all_retained = [], []
     for cols, vt in frames:
-        # p^rho and the top-k partition serve the value and the gradient
-        pw = _renyi_powers(vt, rho)
-        frame_sums = pw.sum(axis=0)
-        part = _topk_partition(vt.T, neg_k)
+        # the top-k partition and p^rho serve the value and the gradient; p^rho
+        # takes over the partition's buffer once the mask is read from it
+        g = frames.scratch("g", vt)
+        part = _topk_partition(vt.T, neg_k, out=g.reshape(vt.T.shape))
         retained = part[:, -neg_k:].sum(axis=1)
+        if need_grad:
+            mask = _topk_mask(vt, part, neg_k, out=frames.scratch("mask", vt, bool))
+        pw = _renyi_powers(vt, rho, out=g)
+        frame_sums = pw.sum(axis=0)
         all_sums.append(frame_sums)
         all_retained.append(retained)
         if need_grad:
@@ -376,8 +443,8 @@ def sgem_loss_and_grad(
             g = np.divide(pw, vt, out=pw)
             g *= rho / (1.0 - rho) / n / frame_sums
             coef = lam * (-1.0 / (retained + _NS_EPS) / n)
-            np.add(g, coef, out=g, where=_topk_mask(vt, part, neg_k))
-            frames.add_grad(cols, _softmax_chain(vt, g, temperature))
+            np.add(g, coef, out=g, where=mask)
+            frames.add_grad(cols, vt, g)
     gem = _renyi(np.concatenate(all_sums), rho)
     ns = _negative_sampling(np.concatenate(all_retained))
     value = TtaLossValue(
@@ -401,25 +468,26 @@ def make_loss_functional(
 
     The functional maps logits to (TtaLossValue, d total / d logits); called
     with ``need_grad=False`` it returns (TtaLossValue, None) and skips the
-    gradient. With ``exclude_blank_frames`` set, frames whose blank
-    probability exceeds 0.9 contribute neither loss nor gradient (unless
-    that would leave no frames at all).
+    gradient, and given ``out`` it writes the gradient there. With
+    ``exclude_blank_frames`` set, frames whose blank probability exceeds 0.9
+    contribute neither loss nor gradient (unless that would leave no frames
+    at all).
     """
     if method not in ("suta", "sgem"):
         raise ValueError(f"no loss functional for method {method!r}")
     dominance = _BLANK_DOMINANCE if exclude_blank_frames else None
 
     def functional(
-        z: LogitMatrix, need_grad: bool = True
+        z: LogitMatrix, need_grad: bool = True, out: np.ndarray | None = None
     ) -> tuple[TtaLossValue, np.ndarray | None]:
         if method == "suta":
             return suta_loss_and_grad(
                 z, alpha=alpha, temperature=temperature, need_grad=need_grad,
-                blank_dominance=dominance,
+                blank_dominance=dominance, out=out,
             )
         return sgem_loss_and_grad(
             z, lam=lam, rho=rho, temperature=temperature, neg_k=neg_k, need_grad=need_grad,
-            blank_dominance=dominance,
+            blank_dominance=dominance, out=out,
         )
 
     return functional

@@ -383,14 +383,17 @@ def test_adapt_utterance_runs_the_frozen_conv_stack_once_per_chunk(
     w = noise(1.2, rms=0.1, seed=8)
     n_chunks = len(split_waveform(w, config.max_utterance_s, config.chunk_target_s))
     assert n_chunks >= 2
-    conv1d = reference._conv1d
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return conv1d(*args)
+    def counted(conv):
+        def run(*args):
+            calls.append(args)
+            return conv(*args)
 
-    monkeypatch.setattr(reference, "_conv1d", counted)
+        return run
+
+    for name in ("_conv1_phases", "_polyphase_conv"):
+        monkeypatch.setattr(reference, name, counted(getattr(reference, name)))
     adapt_utterance(model, w, config)
     # each chunk runs as two frame spans, each with its own workspace (the last
     # argument); per span, conv1 and conv2 once per chunk when frozen, once per
@@ -524,8 +527,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 def test_a_60_s_chunk_adapts_in_half_the_memory_of_a_two_span_pass():
     # two suta steps on one 60 s chunk, default groups, peaked at 928 MB when
-    # every chunk ran as two spans with all activations kept, and at 376 MB
-    # with the layer-norm output h3 a whole-chunk array
+    # every chunk ran as two spans with all activations kept, at 376 MB with
+    # the layer-norm output h3 a whole-chunk array, and at 317 MB with conv2's
+    # im2col window; about 290 MB without it
     src = str(Path(ttabench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
@@ -534,7 +538,51 @@ def test_a_60_s_chunk_adapts_in_half_the_memory_of_a_two_span_pass():
     )
     assert done.returncode == 0, done.stderr
     peak_mb = int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
-    assert peak_mb <= 400, f"peak RSS {peak_mb:.0f} MB, above 400 MB"
+    assert peak_mb <= 305, f"peak RSS {peak_mb:.0f} MB, above 305 MB"
+
+
+_PAGE_FAULTS_OF_WARM_STEPS = """
+import resource
+
+import numpy as np
+
+from ttabench.corpus.audio import Waveform
+from ttabench.engine.config import AdaptationConfig
+from ttabench.engine.optim import build_optimizer
+from ttabench.engine.runner import adapt_utterance
+from ttabench.model.reference import build_reference_model
+
+model = build_reference_model(seed=0)
+config = AdaptationConfig(method="sgem", mode="continual", adapted_groups=("layer_norm",))
+optimizer = build_optimizer(config.optimizer.value, config.learning_rate)
+rng = np.random.default_rng(0)
+utterances = [
+    Waveform(np.clip(rng.normal(0.0, 0.1, int(0.37 * 16000)), -1.0, 1.0), 16000)
+    for _ in range(6)
+]
+for w in utterances[:2]:
+    adapt_utterance(model, w, config, optimizer=optimizer)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for w in utterances[2:]:
+    adapt_utterance(model, w, config, optimizer=optimizer)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_warm_utterances_take_no_page_faults():
+    # continual norm-only sgem, as a stream serves it: once warm, no step maps
+    # fresh memory; with the logits, their gradient or the objectives' block
+    # arrays allocated on every step, the C allocator maps and unmaps them each
+    # time, and the four utterances fault about 13,500 pages in
+    src = str(Path(ttabench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _PAGE_FAULTS_OF_WARM_STEPS],
+        capture_output=True, text=True, env=env, check=False, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    faults = int(done.stdout.split()[-1])  # ru_minflt: this process's own minor faults
+    assert faults <= 500, f"{faults} minor page faults over four warm utterances"
 
 
 # --- speaker loop ------------------------------------------------------------------

@@ -336,19 +336,32 @@ def test_conv1d_backward_matches_per_tap(cin, cout, k, stride):
     dout = rng.normal(size=(cout, t_total))
     ref_out, ref_backward = _conv1d_per_tap(x, w, b, stride)
     ref_dx, ref_dw, ref_db = ref_backward(dout)
-    ws = reference._Workspace()
+    ws = types.Workspace()
+    # the polyphase helpers read and write the input phase-major,
+    # xp[(r, c), u] = x[c, S u + r]; the samples at S U and beyond feed no output
+    u = t_total + k // stride - 1
+    assert stride * u < n and not ref_dx[:, stride * u :].any()
+    xp = x[:, : stride * u].reshape(cin, u, stride).transpose(2, 0, 1).reshape(stride * cin, u)
+    taps = reference._phase_taps(w, stride)
     # outputs start as NaN, so an entry the helpers leave unwritten shows
-    out, cols = reference._conv1d(x, w, b, stride, np.full((cout, t_total), np.nan), ws)
-    if cin == 1:  # the im2col matrix of one input channel is a view, not a copy
-        assert np.shares_memory(cols, x) and "window" not in ws._buffers
-    # the weight gradient takes the forward pass's matrix before the input
-    # gradient writes the window
-    dw, db = reference._conv1d_weight_grad(w, dout, cols)
-    dx = reference._conv1d_input_grad(w, stride, dout, np.full((cin, n), np.nan), ws, "pad", "prod")
+    out = reference._polyphase_conv(xp, taps, b, np.full((cout, t_total), np.nan), ws)
+    dw, db = reference._polyphase_weight_grad(dout, xp, stride)
+    dxp = np.full((stride * cin, u), np.nan)
+    reference._polyphase_input_grad(taps, dout, dxp, ws, "pad")
+    dx = dxp.reshape(stride, cin, u).transpose(1, 2, 0).reshape(cin, stride * u)
     np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(dx, ref_dx[:, : stride * u], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(db, ref_db, rtol=1e-12, atol=1e-12)
+    if cin == 1:  # conv1's helpers write and read the output phase-major over two phases
+        assert t_total % 2 == 0
+        out1 = reference._conv1_phases(x[0], w, b, stride, 2, ws)
+        dout_phases = dout.reshape(cout, t_total // 2, 2).transpose(2, 0, 1)
+        dw1, db1 = reference._conv1_weight_grad(x[0], dout_phases, k, stride)
+        ref_phases = ref_out.reshape(cout, t_total // 2, 2).transpose(2, 0, 1)
+        np.testing.assert_allclose(out1, ref_phases, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dw1, ref_dw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(db1, ref_db, rtol=1e-12, atol=1e-12)
 
 
 def test_gradient_through_adaptation_objective():
@@ -581,7 +594,7 @@ def test_frozen_features_leave_no_conv_stack_buffer_behind():
     assert held <= xhat.nbytes + 64 * 1024, (held, xhat.nbytes)
 
 
-def test_frozen_features_peak_at_two_conv1_buffers_and_a_window_per_span():
+def test_frozen_features_peak_at_three_conv1_buffers_per_span():
     import tracemalloc
 
     w = noise(0.6, rms=0.1, seed=7)  # 2,385 logit frames, two spans
@@ -589,14 +602,15 @@ def test_frozen_features_peak_at_two_conv1_buffers_and_a_window_per_span():
     for m in (warm, model):
         m.select_adaptable(["layer_norm"])
     warm.frozen_features(w)  # starts the helper thread outside the trace
-    # what the design allows: per span, conv1's output (GELU in place, conv2's
-    # output and its GELU over it) and one erf scratch, both conv1-sized, and
-    # conv2's im2col window; then xhat, and 1 MiB for everything else
+    # what the design allows: per span, conv1's phase-major output (GELU in
+    # place), its erf scratch (conv2's output and its GELU over it) and the
+    # scratch for conv2's products (GELU's erf over it), each conv1-sized and no
+    # im2col window; then xhat, and 1 MiB for everything else
     n_frames = model.output_length(len(w.samples))
     t = n_frames - n_frames // 2  # the longer span
-    n1 = (ReferenceModel.HOP * (t - 1) + ReferenceModel.FIELD - ReferenceModel.K1) // 2 + 1
+    u = t + ReferenceModel.K2 // ReferenceModel.S2 - 1
     c1, c2 = (model.snapshot().parameters[k].shape[0] for k in ("conv1_w", "conv2_w"))
-    per_span = 8 * (2 * c1 * n1 + c1 * ReferenceModel.K2 * t)
+    per_span = 8 * (2 * ReferenceModel.S2 * c1 * u + c2 * t)
     bound = 2 * per_span + 8 * c2 * n_frames + 2**20
     tracemalloc.start()
     try:
@@ -609,10 +623,11 @@ def test_frozen_features_peak_at_two_conv1_buffers_and_a_window_per_span():
 
 def test_forward_only_spans_keep_no_backward_state(model):
     # a forward pass, or a gradient under a selection that freezes the conv
-    # stack, writes only conv1's buffer, the erf scratch, conv2's window and
-    # the whole-chunk xhat and inv; the folded head needs no h3 buffer
+    # stack, writes only conv1's buffer, the erf scratch and the products'
+    # scratch in the span workspaces (the whole-chunk xhat and inv live in the
+    # chunk workspace); the folded head needs no h3 buffer
     w = noise(0.1, rms=0.1, seed=4)
-    forward_only = {"a1", "erf1", "window", "xhat", "inv"}
+    forward_only = {"a1", "erf1", "scratch"}
     fresh = build_reference_model(seed=3)
     fresh.forward(w)
     assert set().union(*(ws._buffers for ws in fresh._span_ws)) <= forward_only
@@ -640,6 +655,33 @@ def test_warm_gradient_allocates_a_fraction_of_the_cold_call(model):
             tracemalloc.stop()
     cold, warm = peaks
     assert warm <= 0.4 * cold, (cold, warm)
+
+
+@pytest.mark.parametrize("groups", _SELECTIONS, ids="+".join)
+@pytest.mark.parametrize("method", ["suta", "sgem"])
+def test_warm_gradient_steps_allocate_no_chunk_sized_array(groups, method):
+    import tracemalloc
+
+    w = noise(0.79, rms=0.1, seed=7)  # 3,145 logit frames
+    model = build_reference_model(seed=3)
+    model.select_adaptable(list(groups))
+    frozen = model.frozen_features(w)
+    loss_fn = make_loss_functional(method)
+    model.gradient(w, loss_fn, frozen)  # grows the workspaces and the objectives' scratch
+    # the logits and their gradient stay in the model's workspace, the objectives'
+    # block arrays in their scratch; what a warm step allocates is parameter-sized,
+    # or a boolean check of the logits
+    tracemalloc.start()
+    try:
+        _, grads = model.gradient(w, loss_fn, frozen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    logits = model.forward(w, frozen).values
+    assert peak < logits.nbytes / 2, (peak, logits.nbytes)
+    # what leaves the model is still the caller's
+    for buf in model._chunk_ws._buffers.values():
+        assert not any(np.shares_memory(a, buf) for a in (logits, *grads.values()))
 
 
 # --- checkpoints ----------------------------------------------------------------------

@@ -328,6 +328,39 @@ def test_blocks_of_the_frame_budget_match_one_pass(monkeypatch, loss_and_grad, d
     assert np.max(np.abs(block_dz - dz)) <= 1e-12 * np.max(np.abs(dz))
 
 
+@pytest.mark.parametrize("dominance", [None, 0.9], ids=["all", "masked"])
+@pytest.mark.parametrize("frame_budget", [None, 64], ids=["one-block", "budget-64"])
+def test_gradients_stay_caller_owned(monkeypatch, frame_budget, dominance):
+    from ttabench.model import types
+
+    if frame_budget is not None:  # five blocks, the last of 44 frames
+        monkeypatch.setattr(types, "FRAME_BUDGET", frame_budget)
+    v = random_logits(50, n_frames=300, n_classes=29).values
+    v[::3, 0] += 20.0  # blank dominates every third frame
+    z = LogitMatrix(values=v, blank_index=0)
+    functional = make_loss_functional("suta", exclude_blank_frames=dominance is not None)
+    calls = {
+        "suta": lambda **kw: suta_loss_and_grad(z, blank_dominance=dominance, **kw),
+        "sgem": lambda **kw: sgem_loss_and_grad(z, blank_dominance=dominance, **kw),
+        "functional": lambda **kw: functional(z, **kw),
+    }
+    for name, call in calls.items():
+        _, first = call()
+        kept = first.copy()
+        _, second = call()
+        scratch = objectives._workspace()._buffers.values()
+        assert scratch, name
+        assert not np.shares_memory(first, second), name
+        for grad in (first, second):
+            assert not any(np.shares_memory(grad, buf) for buf in scratch), name
+        assert np.array_equal(first, kept), name
+        # a lent array takes the same gradient, zero on frames left out
+        out = np.full(v.shape, np.nan)
+        _, lent = call(out=out)
+        assert np.shares_memory(lent, out), name
+        assert np.array_equal(out, first), name
+
+
 # --- functional factory -----------------------------------------------------------
 
 
