@@ -110,12 +110,14 @@ def _loss_functional(config: AdaptationConfig) -> LossFunctional:
 
 
 def _chunk_cut_points(
-    duration_s: float, candidates: Sequence[float], target_s: float
+    duration_s: float, candidates: Sequence[float], target_s: float, min_step_s: float
 ) -> list[float]:
-    """Greedy cut placement: latest candidate within each target window."""
+    """Greedy cut placement: latest candidate within each target window; a target below
+    ``min_step_s`` counts as ``min_step_s``, so a tiny one cannot stall the loop."""
     cuts: list[float] = []
     start = 0.0
     min_chunk_s = 0.5
+    target_s = max(target_s, min_step_s)
     while duration_s - start > target_s:
         eligible = [c for c in candidates if start + min_chunk_s <= c <= start + target_s]
         cut = max(eligible) if eligible else start + target_s
@@ -138,7 +140,8 @@ def split_waveform(w: Waveform, max_s: float, target_s: float) -> list[Waveform]
     nonspeech = detect_nonspeech(w)
     candidates = [(a + b) / 2.0 for a, b in nonspeech.segments]
     edges = [0]
-    for cut in _chunk_cut_points(w.duration_s, candidates, target_s):
+    field_s = ReferenceModel.FIELD / w.sample_rate_hz
+    for cut in _chunk_cut_points(w.duration_s, candidates, target_s, field_s):
         edge = round(cut * w.sample_rate_hz)
         if edge - edges[-1] >= ReferenceModel.FIELD:
             edges.append(edge)

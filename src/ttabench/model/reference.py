@@ -101,8 +101,8 @@ A third workspace, the chunk workspace, holds the whole-chunk arrays of a
 chunk of at most 2 B frames: ``xhat`` and the layer-norm ``inv`` when the
 conv stack runs, and ``gradient``'s logits and logit gradient; a longer
 chunk's live in a workspace of their own, freed when the call returns.
-``gradient`` lends the logit-gradient buffer to a loss functional that takes
-``out`` (the objectives' functionals do), so a warm step allocates no array
+``gradient`` lends the logit-gradient buffer to every loss functional as
+``out``, and takes back only that buffer, so a warm step allocates no array
 the size of the chunk. Without workspaces every step would allocate and free
 about ten full-length arrays, which the C allocator maps and unmaps, or
 returns to the kernel and then takes back page by page. Every call writes a
@@ -120,7 +120,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import inspect
 import io
 import json
 import zipfile
@@ -340,16 +339,6 @@ def _polyphase_input_grad(
     return dx
 
 
-def _takes_out(loss_fn: LossFunctional) -> bool:
-    """Whether ``loss_fn``, a function or a ``functools.wraps`` wrapper of one, has
-    a parameter ``out`` to write its gradient into. Read from the code object, since
-    ``inspect.signature`` costs about 10 us, a hundredth of a norm-only step."""
-    code = getattr(inspect.unwrap(loss_fn), "__code__", None)
-    if code is None:
-        return False
-    return "out" in code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
-
-
 class ReferenceModel:
     """Desk-scale stand-in for a CTC acoustic model, and the model the engine drives.
 
@@ -433,16 +422,10 @@ class ReferenceModel:
 
     # --- shape arithmetic ---------------------------------------------------
 
-    @property
-    def min_input_samples(self) -> int:
-        return self.FIELD
-
     def output_length(self, n_samples: int) -> int:
         """Number of logit frames produced for an input of ``n_samples``."""
-        if n_samples < self.min_input_samples:
-            raise AudioTooShortError(
-                f"need >= {self.min_input_samples} samples, got {n_samples}"
-            )
+        if n_samples < self.FIELD:
+            raise AudioTooShortError(f"need >= {self.FIELD} samples, got {n_samples}")
         n1 = (n_samples - self.K1) // self.S1 + 1
         return (n1 - self.K2) // self.S2 + 1
 
@@ -625,8 +608,10 @@ class ReferenceModel:
         """Loss record and selected-group gradients; ``frozen`` as in ``forward``.
 
         The logits ``loss_fn`` is given are a view into the model's workspace,
-        valid during the call. A ``loss_fn`` that takes ``out`` is lent the
-        workspace's logit-gradient buffer, as an L x C view, to write into.
+        valid during the call. ``loss_fn`` is called as ``loss_fn(logits, out=dz)``,
+        with ``dz`` an L x C view of the workspace's logit-gradient buffer; it
+        writes d loss / d logits into ``dz`` and returns ``dz`` or a view of it
+        with the same shape and strides. Anything else raises ValueError.
         """
         self._check_rate(w)
         p = self._params
@@ -634,17 +619,13 @@ class ReferenceModel:
         ws = self._chunk_workspace(shape[1])
         keep = not self._features_frozen()
         cache = self._forward_cached(w.samples, frozen, keep, z=ws.get("z", shape))
-        z = cache["z"].T
-        logits = LogitMatrix(values=z, blank_index=self._vocab.blank_index)
-        if _takes_out(loss_fn):
-            record, dz = loss_fn(logits, out=ws.get("dz", shape).T)
-        else:
-            record, dz = loss_fn(logits)
-        dz = np.asarray(dz, dtype=np.float64)
-        if dz.shape != z.shape:
-            raise ValueError(f"loss gradient shape {dz.shape} != logits shape {z.shape}")
+        logits = LogitMatrix(values=cache["z"].T, blank_index=self._vocab.blank_index)
+        dzt = ws.get("dz", shape)  # class-major, the layout the backward pass reads
+        record, dz = loss_fn(logits, out=dzt.T)
+        # the same memory, shape and strides as the lent view
+        if getattr(dz, "__array_interface__", None) != dzt.T.__array_interface__:
+            raise ValueError("a loss functional must return the gradient array it is lent as out")
 
-        dzt = dz.T  # class-major, as the objectives return it
         xhat = cache["xhat"]
         selected = set(self._selected)
         grads: dict[str, np.ndarray] = {}

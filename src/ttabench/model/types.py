@@ -114,9 +114,9 @@ class ModelSnapshot:
         )
 
 
-# A TTA loss functional: logits -> (loss record, d loss / d logits).
+# A TTA loss functional: (logits, out=) -> (loss record, d loss / d logits).
 # The loss record is opaque to the model; the engine passes objective
-# functions from ttabench.objectives. A functional whose signature has an
-# ``out`` keyword is lent an L x C array to write the gradient into.
-LossFunctional = Callable[[LogitMatrix], tuple[object, np.ndarray]]
+# functions from ttabench.objectives. The model lends an L x C array as
+# ``out``; the functional writes the gradient into it and returns it.
+LossFunctional = Callable[..., tuple[object, np.ndarray]]
 

@@ -27,11 +27,15 @@ A block's arrays (its softmax, log p or p^rho, the top-k partition and mask)
 live in scratch buffers kept per thread (a ``Workspace``), which grow to the
 largest block seen and are reused by every later call on that thread. The
 gradient goes into the L x C array a caller lends as ``out`` (the reference
-model lends one from its own workspace), else into a new array, so a direct
-caller owns what it gets back. A warm gradient step thus allocates no array
-the size of the chunk, which the C allocator would otherwise map and unmap,
-faulting its pages in, on every step. ``softmax_temperature`` and the value
-functions still return or use new arrays.
+model always lends one from its own workspace), else into a new array, so a
+direct caller owns what it gets back. A warm gradient step thus allocates no
+array the size of the chunk, which the C allocator would otherwise map and
+unmap, faulting its pages in, on every step. ``softmax_temperature`` and the
+value functions still return or use new arrays.
+
+The logits are checked once, by ``LogitMatrix``; only ``softmax_temperature``
+checks its softmax again, as a ``ProbMatrix``. A softmax that overflows at a
+tiny temperature thus gives a NaN loss, which the engine flags.
 
 Gradient formulas assume strictly positive probabilities, which softmax
 guarantees; hand-built probability matrices with exact zeros are fine for
@@ -121,17 +125,17 @@ def softmax_temperature(z: LogitMatrix, temperature: float) -> ProbMatrix:
     """Row-wise softmax of z / T, stabilized by per-row max subtraction; stored class-major."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    return _softmax(z.values.T, temperature)
+    return ProbMatrix(values=_softmax(z.values.T, temperature).T, temperature_used=temperature)
 
 
-def _softmax(zt: np.ndarray, temperature: float, out: np.ndarray | None = None) -> ProbMatrix:
-    """``softmax_temperature`` of the class-major C x n logits ``zt``, written into the
-    C-contiguous ``out`` when given, else into a new array."""
+def _softmax(zt: np.ndarray, temperature: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Class-major C x n softmax of the class-major logits ``zt`` at ``temperature``,
+    written into the C-contiguous ``out`` when given, else into a new array; unchecked."""
     buf = np.divide(zt, temperature, out=out, order="C")
     buf -= buf.max(axis=0)
     np.exp(buf, out=buf)
     buf /= buf.sum(axis=0)
-    return ProbMatrix(values=buf.T, temperature_used=temperature)
+    return buf
 
 
 # --- individual losses (values) ------------------------------------------------
@@ -262,22 +266,23 @@ def _softmax_chain(
 class _KeptFrames:
     """The frames an objective is computed on, in blocks of at most ``FRAME_BUDGET``.
 
-    With ``blank_dominance`` set, a frame whose blank probability exceeds it is
-    left out, unless that would leave no frame at all. Iterating yields, for
-    each block that keeps a frame, the kept frames' columns of the logits (a
-    slice, or an index array when frames are left out) and their class-major
-    C x n probabilities, in this thread's scratch buffers. Every pass computes a
-    block's softmax again, so it holds one block's arrays at a time; a single
-    block keeps its softmax. ``add_grad`` chains each block's d(loss)/d(prob)
-    into the logit gradient, and ``logit_grad`` returns its L x C whole, zero on
-    frames left out: ``out`` when one is given, else a new array.
+    With ``exclude_blank_frames``, a frame whose blank probability exceeds
+    ``_BLANK_DOMINANCE`` is left out, unless that would leave no frame at all.
+    Iterating yields, for each block that keeps a frame, the kept frames'
+    columns of the logits (a slice, or an index array when frames are left
+    out) and their class-major C x n probabilities, in this thread's scratch
+    buffers. Every pass computes a block's softmax again, so it holds one
+    block's arrays at a time; a single block keeps its softmax. ``add_grad``
+    chains each block's d(loss)/d(prob) into the logit gradient, and
+    ``logit_grad`` returns its L x C whole, zero on frames left out: ``out``
+    when one is given, else a new array.
     """
 
     def __init__(
         self,
         z: LogitMatrix,
         temperature: float,
-        blank_dominance: float | None,
+        exclude_blank_frames: bool,
         out: np.ndarray | None = None,
     ):
         if temperature <= 0:
@@ -289,9 +294,9 @@ class _KeptFrames:
             (slice(t0, min(t0 + budget, n)), None) for t0 in range(0, n, budget)
         ]
         self._cached: np.ndarray | None = None
-        if blank_dominance is not None:
+        if exclude_blank_frames:
             kept = [
-                np.flatnonzero(self._probs(block)[z.blank_index] <= blank_dominance)
+                np.flatnonzero(self._probs(block)[z.blank_index] <= _BLANK_DOMINANCE)
                 for block, _ in self._blocks
             ]
             if any(k.size for k in kept):  # never optimize over an empty frame set
@@ -317,7 +322,7 @@ class _KeptFrames:
         if self._cached is not None:
             return self._cached
         zt = self._zt[:, block]
-        vt = _softmax(zt, self._temperature, out=self._ws.get("probs", zt.shape)).values.T
+        vt = _softmax(zt, self._temperature, out=self._ws.get("probs", zt.shape))
         if self.single:
             self._cached = vt
         return vt
@@ -354,21 +359,21 @@ def suta_loss_and_grad(
     alpha: float = 0.3,
     temperature: float = 2.5,
     need_grad: bool = True,
-    blank_dominance: float | None = None,
+    exclude_blank_frames: bool = False,
     out: np.ndarray | None = None,
 ) -> tuple[TtaLossValue, np.ndarray | None]:
     """Entropy-plus-class-confusion objective alpha*em + (1-alpha)*mcc, and its
     gradient with respect to the logits, written into the L x C ``out`` when
     given, else into a new array.
 
-    With ``blank_dominance`` set, only frames whose blank probability is at
-    most that value contribute (all frames, if none is). A first pass over
+    With ``exclude_blank_frames``, only frames whose blank probability is at
+    most 0.9 contribute (all frames, if none is). A first pass over
     the frames takes the entropy and each class's mass; the gradient takes a
     second.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    frames = _KeptFrames(z, temperature, blank_dominance, out)
+    frames = _KeptFrames(z, temperature, exclude_blank_frames, out)
     p_log_p, masses, k_diags = [], [], []
     for _, vt in frames:
         log_vt = np.log(vt, out=frames.scratch("g", vt))
@@ -413,7 +418,7 @@ def sgem_loss_and_grad(
     temperature: float = 2.5,
     neg_k: int = 5,
     need_grad: bool = True,
-    blank_dominance: float | None = None,
+    exclude_blank_frames: bool = False,
     out: np.ndarray | None = None,
 ) -> tuple[TtaLossValue, np.ndarray | None]:
     """Renyi-entropy-plus-negative-sampling objective gem + lambda*ns, and its
@@ -422,7 +427,7 @@ def sgem_loss_and_grad(
     its own values."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    frames = _KeptFrames(z, temperature, blank_dominance, out)
+    frames = _KeptFrames(z, temperature, exclude_blank_frames, out)
     n = frames.n_frames
     all_sums, all_retained = [], []
     for cols, vt in frames:
@@ -475,7 +480,6 @@ def make_loss_functional(
     """
     if method not in ("suta", "sgem"):
         raise ValueError(f"no loss functional for method {method!r}")
-    dominance = _BLANK_DOMINANCE if exclude_blank_frames else None
 
     def functional(
         z: LogitMatrix, need_grad: bool = True, out: np.ndarray | None = None
@@ -483,11 +487,11 @@ def make_loss_functional(
         if method == "suta":
             return suta_loss_and_grad(
                 z, alpha=alpha, temperature=temperature, need_grad=need_grad,
-                blank_dominance=dominance, out=out,
+                exclude_blank_frames=exclude_blank_frames, out=out,
             )
         return sgem_loss_and_grad(
             z, lam=lam, rho=rho, temperature=temperature, neg_k=neg_k, need_grad=need_grad,
-            blank_dominance=dominance, out=out,
+            exclude_blank_frames=exclude_blank_frames, out=out,
         )
 
     return functional

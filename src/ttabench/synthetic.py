@@ -26,7 +26,7 @@ from .errors import EmptyTranscriptError
 from .evaluation import normalize_text
 from .model.reference import ReferenceModel
 from .model.types import LogitMatrix, LossFunctional
-from .objectives import TtaLossValue, softmax_temperature
+from .objectives import TtaLossValue, _softmax
 from .engine.optim import Adam
 
 # Letters are spaced three vocabulary slots apart so their tone frequencies
@@ -133,16 +133,18 @@ def frame_labels_for(model: ReferenceModel, sample_labels: np.ndarray) -> np.nda
 
 
 def frame_ce_functional(labels: np.ndarray) -> LossFunctional:
-    """Per-frame cross-entropy against known labels, for supervised training."""
+    """Per-frame cross-entropy against known labels, for supervised training; the
+    gradient goes into the lent ``out`` (else a new array), over the softmax written there."""
     labels = np.asarray(labels, dtype=np.int64)
 
-    def functional(z: LogitMatrix) -> tuple[TtaLossValue, np.ndarray]:
+    def functional(
+        z: LogitMatrix, out: np.ndarray | None = None
+    ) -> tuple[TtaLossValue, np.ndarray]:
         if z.n_frames != len(labels):
             raise ValueError(f"{len(labels)} labels for {z.n_frames} frames")
-        p = softmax_temperature(z, 1.0).values
+        dz = _softmax(z.values.T, 1.0, out=None if out is None else out.T).T
         rows = np.arange(z.n_frames)
-        ce = float(-np.log(p[rows, labels] + 1e-300).mean())
-        dz = p.copy(order="K")  # class-major like p, the layout the model's backward reads
+        ce = float(-np.log(dz[rows, labels] + 1e-300).mean())
         dz[rows, labels] -= 1.0
         dz /= z.n_frames
         value = TtaLossValue(total=ce, components={"ce": ce}, weights={"ce": 1.0})

@@ -877,6 +877,32 @@ def test_adapt_diverging_updates_are_flagged_partial(corpus, checkpoint, tmp_pat
     assert all(r.trace.final_total is None for r in records)
 
 
+def test_adapt_tiny_temperature_flags_every_adapted_record(corpus, checkpoint, tmp_path):
+    # the logits overflow once divided by 1e-310, so each step's softmax is NaN
+    _, manifest_path = corpus
+    out = tmp_path / "runs"
+
+    code = cli.main(
+        [
+            "adapt",
+            "--manifest", str(manifest_path),
+            "--checkpoint", str(checkpoint),
+            "--out", str(out),
+            "--method", "none,suta,sgem",
+            "--temperature", "1e-310",
+        ]
+    )
+
+    assert code == 4
+    for method in ("suta", "sgem"):
+        records = read_run_records(out / method)
+        assert len(records) == 4
+        assert all(r.flags == ("non_finite_loss",) for r in records), method
+        assert all(r.trace.final_total is None for r in records), method
+    baseline = read_run_records(out / "none")
+    assert len(baseline) == 4 and all(r.flags == () for r in baseline)
+
+
 @pytest.mark.parametrize("command", ["adapt", "analyze", "ingest"])
 def test_undecodable_manifest_is_validation_error(command, checkpoint, tmp_path, capsys):
     manifest_path = tmp_path / "m.jsonl"

@@ -179,8 +179,43 @@ def test_a_tail_too_short_for_one_frame_joins_the_chunk_before_it(
     assert result.records[0].count is not None
     chunks = split_waveform(w, config.max_utterance_s, config.chunk_target_s)
     assert [len(c.samples) for c in chunks] == lengths
-    assert all(len(c.samples) >= model.min_input_samples for c in chunks)
+    assert all(len(c.samples) >= model.FIELD for c in chunks)
     assert np.array_equal(np.concatenate([c.samples for c in chunks]), w.samples)
+
+
+_SPLIT_AT_A_TINY_TARGET = """
+import resource
+
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+import numpy as np
+
+from ttabench.corpus.audio import Waveform
+from ttabench.engine.runner import split_waveform
+from ttabench.model.reference import ReferenceModel
+
+w = Waveform(np.clip(np.random.default_rng(0).normal(0.0, 0.1, int(0.79 * 16000)), -1.0, 1.0))
+chunks = split_waveform(w, 1e-300, 1e-300)
+assert np.array_equal(np.concatenate([c.samples for c in chunks]), w.samples)
+lengths = [len(c.samples) for c in chunks]
+assert min(lengths) >= ReferenceModel.FIELD, lengths
+print(len(chunks))
+"""
+
+
+def test_a_tiny_chunk_target_cuts_at_most_once_per_field():
+    # a target of 1e-300 s passes config validation, and start + target == start:
+    # the cut loop used to append cuts without end, until memory ran out; a cut
+    # now lands at least FIELD samples after the one before
+    AdaptationConfig(max_utterance_s=1e-300, chunk_target_s=1e-300)  # raises nothing
+    src = str(Path(ttabench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _SPLIT_AT_A_TINY_TARGET],
+        capture_output=True, text=True, env=env, check=False, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) == int(0.79 * 16000) // 62  # 203 chunks
 
 
 # --- single-utterance adaptation ------------------------------------------------------
@@ -282,10 +317,11 @@ def test_non_finite_loss_aborts_and_restores(model, monkeypatch):
     from ttabench.engine import runner
 
     def poisoned(*args, **kwargs):
-        def fn(z):
+        def fn(z, out):
             bad = float("nan")
             value = TtaLossValue(total=bad, components={"em": bad}, weights={"em": 1.0})
-            return value, np.zeros_like(z.values)
+            out[...] = 0.0
+            return value, out
 
         return fn
 

@@ -26,6 +26,7 @@ from ttabench.model.reference import (
 )
 from ttabench.model.types import LogitMatrix, default_vocabulary
 from ttabench.objectives import make_loss_functional
+from ttabench.synthetic import frame_ce_functional
 
 # --- vocabulary and decoding ----------------------------------------------------
 
@@ -103,7 +104,7 @@ def test_different_seed_different_parameters():
 
 
 def test_output_length_formula(model):
-    assert model.min_input_samples == 62
+    assert model.FIELD == 62
     assert model.output_length(62) == 1
     assert model.output_length(16000) == 3985
     with pytest.raises(AudioTooShortError):
@@ -238,8 +239,10 @@ def test_snapshot_is_isolated_from_later_updates(model):
 def _linear_functional(g: np.ndarray):
     """loss = sum(g * z); exact gradient g, exercises the backward pass alone."""
 
-    def fn(z: LogitMatrix):
-        return float((g * z.values).sum()), g
+    def fn(z: LogitMatrix, out: np.ndarray | None = None):
+        out = np.empty_like(g) if out is None else out
+        out[...] = g
+        return float((g * z.values).sum()), out
 
     return fn
 
@@ -566,10 +569,12 @@ def test_workspace_leaves_no_stale_state_between_chunks(model, monkeypatch, fram
 def test_returned_arrays_are_owned_by_the_caller(model):
     first = _calls(model, noise(0.1, rms=0.1, seed=4))
     kept = {name: value.copy() for name, value in first.items()}
-    # every frame span's workspace, the first also holding the whole-chunk buffers
-    assert len(model._span_ws) == 2
-    assert all(ws._buffers for ws in model._span_ws)
-    buffers = [buf for ws in model._span_ws for buf in ws._buffers.values()]
+    # both frame spans' workspaces, and the chunk workspace with the whole-chunk buffers
+    workspaces = (*model._span_ws, model._chunk_ws)
+    assert len(workspaces) == 3
+    assert all(ws._buffers for ws in workspaces)
+    assert {"xhat", "inv", "z", "dz"} <= set(model._chunk_ws._buffers)
+    buffers = [buf for ws in workspaces for buf in ws._buffers.values()]
     for name, value in first.items():
         assert not any(np.shares_memory(value, buf) for buf in buffers), name
     for w in (noise(0.15, rms=0.1, seed=5), noise(0.03, rms=0.1, seed=6)):
@@ -657,8 +662,37 @@ def test_warm_gradient_allocates_a_fraction_of_the_cold_call(model):
     assert warm <= 0.4 * cold, (cold, warm)
 
 
+def _package_functional(name: str, n_frames: int):
+    """A loss functional the package makes, by name; ``frame_ce`` against fixed labels."""
+    if name == "frame_ce":
+        return frame_ce_functional(np.random.default_rng(0).integers(0, 29, n_frames))
+    method, _, exclude = name.partition("+")
+    return make_loss_functional(method, exclude_blank_frames=bool(exclude))
+
+
+@pytest.mark.parametrize(
+    "name", ["suta", "suta+exclude-blank", "sgem", "sgem+exclude-blank", "frame_ce"]
+)
+def test_loss_functionals_write_into_the_out_they_are_lent(model, name):
+    w = noise(0.1, rms=0.1, seed=4)
+    loss_fn = _package_functional(name, model.output_length(len(w.samples)))
+    logits = model.forward(w)
+    record, unlent = loss_fn(logits)
+    # an L x C view of a class-major buffer, as the model lends it
+    out = np.full(logits.values.T.shape, np.nan).T
+    lent_record, lent = loss_fn(logits, out=out)
+    assert lent_record == record
+    assert np.shares_memory(lent, out)
+    assert (lent.shape, lent.strides) == (out.shape, out.strides)
+    assert lent.tobytes() == unlent.tobytes()
+    model.gradient(w, loss_fn)
+    # a functional that returns any other array breaks the contract
+    with pytest.raises(ValueError, match="out"):
+        model.gradient(w, lambda z, out=None: loss_fn(z))
+
+
 @pytest.mark.parametrize("groups", _SELECTIONS, ids="+".join)
-@pytest.mark.parametrize("method", ["suta", "sgem"])
+@pytest.mark.parametrize("method", ["suta", "sgem", "frame_ce"])
 def test_warm_gradient_steps_allocate_no_chunk_sized_array(groups, method):
     import tracemalloc
 
@@ -666,11 +700,11 @@ def test_warm_gradient_steps_allocate_no_chunk_sized_array(groups, method):
     model = build_reference_model(seed=3)
     model.select_adaptable(list(groups))
     frozen = model.frozen_features(w)
-    loss_fn = make_loss_functional(method)
+    loss_fn = _package_functional(method, model.output_length(len(w.samples)))
     model.gradient(w, loss_fn, frozen)  # grows the workspaces and the objectives' scratch
     # the logits and their gradient stay in the model's workspace, the objectives'
     # block arrays in their scratch; what a warm step allocates is parameter-sized,
-    # or a boolean check of the logits
+    # a boolean check of the logits, or one value per frame (frame_ce's labels)
     tracemalloc.start()
     try:
         _, grads = model.gradient(w, loss_fn, frozen)

@@ -277,13 +277,13 @@ def test_blank_frame_mask_flags_dominant_blank_frames():
     # frames 0 and 2 are blank-dominated, so they get no gradient; 1 and 3 do
     z = _blank_heavy_logits()
     for loss_and_grad in (suta_loss_and_grad, sgem_loss_and_grad):
-        _, dz = loss_and_grad(z, temperature=1.0, blank_dominance=0.9)
+        _, dz = loss_and_grad(z, temperature=1.0, exclude_blank_frames=True)
         assert np.any(dz != 0.0, axis=1).tolist() == [False, True, False, True]
 
 
 def test_masked_loss_equals_loss_on_kept_rows():
     z = _blank_heavy_logits()
-    masked, dz = suta_loss_and_grad(z, alpha=0.3, temperature=1.0, blank_dominance=0.9)
+    masked, dz = suta_loss_and_grad(z, alpha=0.3, temperature=1.0, exclude_blank_frames=True)
     sub = LogitMatrix(values=z.values[[1, 3]], blank_index=0)
     direct, _ = suta_loss_and_grad(sub, alpha=0.3, temperature=1.0, need_grad=False)
     assert masked.total == pytest.approx(direct.total, abs=1e-12)
@@ -292,7 +292,7 @@ def test_masked_loss_equals_loss_on_kept_rows():
 
 def test_sgem_masked_loss_equals_loss_on_kept_rows():
     z = _blank_heavy_logits()
-    masked, dz = sgem_loss_and_grad(z, temperature=1.0, neg_k=3, blank_dominance=0.9)
+    masked, dz = sgem_loss_and_grad(z, temperature=1.0, neg_k=3, exclude_blank_frames=True)
     sub = LogitMatrix(values=z.values[[1, 3]], blank_index=0)
     direct, direct_dz = sgem_loss_and_grad(sub, temperature=1.0, neg_k=3)
     assert masked.total == pytest.approx(direct.total, abs=1e-12)
@@ -304,7 +304,7 @@ def test_all_masked_frames_falls_back_to_full_matrix():
     v = random_logits(30).values
     v[:, 0] = 30.0  # blank dominates every frame
     z = LogitMatrix(values=v, blank_index=0)
-    masked, _ = suta_loss_and_grad(z, blank_dominance=0.9)
+    masked, _ = suta_loss_and_grad(z, exclude_blank_frames=True)
     full, _ = suta_loss_and_grad(z)
     assert masked.total == pytest.approx(full.total, abs=1e-12)
 
@@ -317,10 +317,13 @@ def test_blocks_of_the_frame_budget_match_one_pass(monkeypatch, loss_and_grad, d
     v = random_logits(50, n_frames=300, n_classes=29).values
     v[::3, 0] += 20.0  # blank dominates every third frame
     z = LogitMatrix(values=v, blank_index=0)
-    value, dz = loss_and_grad(z, blank_dominance=dominance)
+    exclude = dominance is not None
+    if exclude:
+        monkeypatch.setattr(objectives, "_BLANK_DOMINANCE", dominance)
+    value, dz = loss_and_grad(z, exclude_blank_frames=exclude)
     monkeypatch.setattr(types, "FRAME_BUDGET", 64)  # five blocks, the last of 44 frames
     for need_grad in (False, True):
-        block_value, block_dz = loss_and_grad(z, need_grad=need_grad, blank_dominance=dominance)
+        block_value, block_dz = loss_and_grad(z, need_grad=need_grad, exclude_blank_frames=exclude)
         assert block_value.total == pytest.approx(value.total, rel=1e-12, abs=0.0)
         for name, component in value.components.items():
             assert block_value.components[name] == pytest.approx(component, rel=1e-12, abs=0.0)
@@ -338,10 +341,11 @@ def test_gradients_stay_caller_owned(monkeypatch, frame_budget, dominance):
     v = random_logits(50, n_frames=300, n_classes=29).values
     v[::3, 0] += 20.0  # blank dominates every third frame
     z = LogitMatrix(values=v, blank_index=0)
-    functional = make_loss_functional("suta", exclude_blank_frames=dominance is not None)
+    exclude = dominance is not None
+    functional = make_loss_functional("suta", exclude_blank_frames=exclude)
     calls = {
-        "suta": lambda **kw: suta_loss_and_grad(z, blank_dominance=dominance, **kw),
-        "sgem": lambda **kw: sgem_loss_and_grad(z, blank_dominance=dominance, **kw),
+        "suta": lambda **kw: suta_loss_and_grad(z, exclude_blank_frames=exclude, **kw),
+        "sgem": lambda **kw: sgem_loss_and_grad(z, exclude_blank_frames=exclude, **kw),
         "functional": lambda **kw: functional(z, **kw),
     }
     for name, call in calls.items():
@@ -385,9 +389,11 @@ def test_functional_excluding_blank_frames_equals_blank_frame_mask(method):
     fn = make_loss_functional(method, temperature=1.0, neg_k=3, exclude_blank_frames=True)
     value, dz = fn(z)
     if method == "suta":
-        direct, direct_dz = suta_loss_and_grad(z, temperature=1.0, blank_dominance=0.9)
+        direct, direct_dz = suta_loss_and_grad(z, temperature=1.0, exclude_blank_frames=True)
     else:
-        direct, direct_dz = sgem_loss_and_grad(z, temperature=1.0, neg_k=3, blank_dominance=0.9)
+        direct, direct_dz = sgem_loss_and_grad(
+            z, temperature=1.0, neg_k=3, exclude_blank_frames=True
+        )
     assert value == direct
     assert np.array_equal(dz, direct_dz)
     no_grad_value, no_grad = fn(z, need_grad=False)
@@ -470,7 +476,7 @@ def _reference_loss_and_grad(method, z, temperature, blank_dominance):
 def _assert_matches_reference(method, z, blank_dominance, need_grad):
     loss_and_grad = suta_loss_and_grad if method == "suta" else sgem_loss_and_grad
     value, dz = loss_and_grad(
-        z, temperature=2.5, need_grad=need_grad, blank_dominance=blank_dominance
+        z, temperature=2.5, need_grad=need_grad, exclude_blank_frames=blank_dominance is not None
     )
     components, total, ref_dz = _reference_loss_and_grad(method, z, 2.5, blank_dominance)
     assert abs(value.total - total) <= 1e-12 * abs(total)
@@ -536,8 +542,8 @@ def test_objectives_read_class_major_logits_bitwise_as_row_major(method, blank_d
     class_major = LogitMatrix(values=np.ascontiguousarray(values.T).T, blank_index=0)
     assert class_major.values.T.flags.c_contiguous
     loss_and_grad = suta_loss_and_grad if method == "suta" else sgem_loss_and_grad
-    value, dz = loss_and_grad(class_major, blank_dominance=blank_dominance)
-    ref_value, ref_dz = loss_and_grad(row_major, blank_dominance=blank_dominance)
+    value, dz = loss_and_grad(class_major, exclude_blank_frames=blank_dominance is not None)
+    ref_value, ref_dz = loss_and_grad(row_major, exclude_blank_frames=blank_dominance is not None)
     assert value == ref_value
     assert dz.tobytes(order="A") == ref_dz.tobytes(order="A")
     _assert_matches_reference(method, class_major, blank_dominance, True)
